@@ -1,18 +1,17 @@
 """Grid execution of the fusion machine over all valid pixels of an image.
 
-Each pixel is an isolated machine run with its own generator stream keyed by
-the master seed and the pixel's feature-map coordinates, so results are
-independent of scan order and of how work is split across workers.
+Each feature-map row is raced as one block by `race_arrivals`, with its own
+generator stream keyed by the master seed and the row index, so results are
+independent of scan order and of how rows are split across workers.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES, stream_seed
-from .machine import race_product_channels
+from .machine import race_arrivals
 from .model import LikelihoodVolume
 from .reference import disparity_to_luminance
 
@@ -62,21 +61,13 @@ class StochasticResult:
 
 def _run_rows(args):
     rates, y0, master_seed, n_max, max_cycles = args
-    h, w, m = rates.shape
-    counts = np.zeros((h, w, m), dtype=np.int64)
-    winner = np.full((h, w), -1, dtype=np.int64)
-    cycles = np.zeros((h, w), dtype=np.int64)
-    timed_out = np.zeros((h, w), dtype=bool)
-    for yy in range(h):
-        for xx in range(w):
-            rng = np.random.default_rng(stream_seed(master_seed, y0 + yy, xx))
-            res = race_product_channels(rng, rates[yy, xx], n_max, max_cycles)
-            counts[yy, xx] = res.counts
-            cycles[yy, xx] = res.cycles
-            timed_out[yy, xx] = res.timed_out
-            if res.winner is not None:
-                winner[yy, xx] = res.winner
-    return y0, counts, winner, cycles, timed_out
+    rows = [
+        race_arrivals(
+            np.random.default_rng(stream_seed(master_seed, y)), r, n_max, max_cycles
+        )
+        for y, r in enumerate(rates, start=y0)
+    ]
+    return [np.stack(field) for field in zip(*rows)]
 
 
 def run_stochastic_grid(
@@ -88,35 +79,23 @@ def run_stochastic_grid(
 ) -> StochasticResult:
     """Run one machine per valid pixel and collect counts, winners and cycles.
 
-    With workers > 1 rows are distributed over a process pool; per-pixel
+    With workers > 1 rows are distributed over a process pool; per-row
     seeding keeps the output bit-identical to a serial run.
     """
-    if n_max <= 0:
-        raise ValueError("counter maximum must be positive")
     rates = volume.channel_rates()
-    h, w, m = rates.shape
-    counts = np.zeros((h, w, m), dtype=np.int64)
-    winner = np.full((h, w), -1, dtype=np.int64)
-    cycles = np.zeros((h, w), dtype=np.int64)
-    timed_out = np.zeros((h, w), dtype=bool)
-
     if workers <= 1:
-        chunks = [_run_rows((rates, 0, master_seed, n_max, max_cycles))]
+        counts, winner, cycles, timed_out = _run_rows(
+            (rates, 0, master_seed, n_max, max_cycles)
+        )
     else:
-        rows_per_chunk = max(1, h // (workers * 4))
+        rows_per_chunk = max(1, rates.shape[0] // (workers * 4))
         jobs = [
             (rates[y0 : y0 + rows_per_chunk], y0, master_seed, n_max, max_cycles)
-            for y0 in range(0, h, rows_per_chunk)
+            for y0 in range(0, rates.shape[0], rows_per_chunk)
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_rows, jobs))
-
-    for y0, c, wi, cy, to in chunks:
-        hh = c.shape[0]
-        counts[y0 : y0 + hh] = c
-        winner[y0 : y0 + hh] = wi
-        cycles[y0 : y0 + hh] = cy
-        timed_out[y0 : y0 + hh] = to
+        counts, winner, cycles, timed_out = (np.concatenate(f) for f in zip(*chunks))
 
     return StochasticResult(
         counts=counts,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import gammaln
 
 from .bitstream import DEFAULT_MAX_CYCLES, stream_seed
 
@@ -192,54 +193,68 @@ def map_estimate(result: MachineResult) -> int:
     return result.winner
 
 
-def race_product_channels(
+# numpy's negative_binomial rejects n * (1 - p) / p near 2**63; in shares of
+# at most this many successes it accepts every p >= 2**-53.
+ARRIVAL_SHARE = 512
+
+
+def race_arrivals(
     rng: np.random.Generator,
     rates: np.ndarray,
     n_max: int,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-) -> MachineResult:
-    """Race M channels with known per-cycle rates against saturating counters.
+):
+    """Race each row of a (pixels, M) rate array in closed form.
 
-    Statistically equivalent to `run_machine` on a spec whose channel products
-    equal `rates` (the AND of independent Bernoulli streams is a Bernoulli
-    stream at the product rate), but draws one variate per channel-cycle. Used
-    for bulk per-pixel runs where building a full machine per pixel would be
-    wasteful. Cycle accounting and tie-breaking are identical.
+    A row has the law of `run_machine` on a spec with those channel products:
+    channel j's counter fills at cycle A_j = n_max + NegBin(n_max, p_j),
+    clipped at max_cycles + 1. The stop cycle is T = min A_j, the winner the
+    lowest index with A_j = T, and tied channels read n_max. Every other
+    channel reads Binomial(S, p_j) conditioned on being below n_max, with
+    S = T, or S = max_cycles on a timeout (T > max_cycles; winner -1).
+
+    Rates are quantised to ceil(p * 2**53) / 2**53, the probability of
+    `random() < p`, so p = 0 never arrives and any other rate is >= 2**-53.
+    NegBin(n_max, p) is summed over shares of at most ARRIVAL_SHARE
+    successes, so every valid rate and counter size can be drawn.
+
+    Returns per-pixel (counts, winner, cycles, timed_out).
     """
-    rates = np.asarray(rates, dtype=float)
-    m = rates.size
-    counts = np.zeros(m, dtype=np.int64)
-    cycles_done = 0
-    top = rates.max()
-    # Aim to finish in one or two blocks when the dominant rate is healthy.
-    if top > 0:
-        block = int(min(max(2.0 * n_max / top, 64), 8192))
-    else:
-        block = 1024
-    while cycles_done < max_cycles:
-        k = min(block, max_cycles - cycles_done)
-        bits = rng.random((m, k)) < rates[:, None]
-        totals = counts[:, None] + np.cumsum(bits, axis=1, dtype=np.int64)
-        hit_cycles = (totals >= n_max).any(axis=0)
-        if hit_cycles.any():
-            stop = int(np.argmax(hit_cycles))
-            final = totals[:, stop]
-            winner = int(np.argmax(final >= n_max))
-            return MachineResult(
-                winner=winner,
-                counts=final.copy(),
-                cycles=cycles_done + stop + 1,
-                readout=final / n_max,
-                n_max=n_max,
-                timed_out=False,
-            )
-        counts = totals[:, -1]
-        cycles_done += k
-    return MachineResult(
-        winner=None,
-        counts=counts.copy(),
-        cycles=cycles_done,
-        readout=counts / n_max,
-        n_max=n_max,
-        timed_out=True,
-    )
+    if n_max <= 0:
+        raise ValueError("counter maximum must be positive")
+    if max_cycles <= 0:
+        raise ValueError("max_cycles must be positive")
+    p = np.ceil(np.asarray(rates, dtype=float) * 2.0**53) / 2.0**53
+    cap = max_cycles + 1
+    arrival = np.full(p.shape, min(n_max, cap), dtype=np.int64)
+    for done in range(0, n_max, ARRIVAL_SHARE):
+        share = min(ARRIVAL_SHARE, n_max - done)
+        failures = rng.negative_binomial(share, np.where(p > 0, p, 1.0))
+        arrival += np.minimum(failures, cap - arrival)
+    arrival[p == 0] = cap
+    stop = arrival.min(axis=1)
+    timed_out = stop > max_cycles
+    cycles = np.minimum(stop, max_cycles)
+    winner = np.where(timed_out, -1, arrival.argmin(axis=1))
+    losers = arrival > cycles[:, None]
+    counts = np.full(p.shape, n_max, dtype=np.int64)
+    spans = np.broadcast_to(cycles[:, None], p.shape)[losers]
+    counts[losers] = _binomial_below(rng, spans, p[losers], n_max)
+    return counts, winner, cycles, timed_out
+
+
+def _binomial_below(rng, n: np.ndarray, p: np.ndarray, limit: int) -> np.ndarray:
+    """Binomial(n, p) draws conditioned on being below `limit`.
+
+    A plain draw below the limit already has the conditional law; the others
+    are redrawn by inverting the conditional CDF over 0 .. limit - 1, where
+    n >= limit and 0 < p < 1.
+    """
+    k = rng.binomial(n, p)
+    over = np.flatnonzero(k >= limit)
+    n_o, p_o, i = n[over, None], p[over, None], np.arange(limit)
+    log_pmf = i * (np.log(p_o) - np.log1p(-p_o))
+    log_pmf -= gammaln(i + 1) + gammaln(n_o - i + 1)
+    cdf = np.cumsum(np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)), axis=1)
+    k[over] = (cdf <= rng.random((over.size, 1)) * cdf[:, -1:]).sum(axis=1)
+    return k

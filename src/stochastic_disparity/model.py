@@ -59,8 +59,8 @@ class ModelParams:
             # the no-match channel and the machine crawls.
             raise ValueError("p_nm0 must exceed p0^3")
         for name in ("sigma_m", "sigma_gh", "sigma_gv", "sigma_nm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def n_disparities(self) -> int:
@@ -209,6 +209,10 @@ class LikelihoodVolume:
             raise ValueError("likelihood array shape mismatch")
         if self.nomatch.shape != fl.shape[:2]:
             raise ValueError("no-match array shape mismatch")
+        # min/max propagate NaN: no mask the size of the volume is needed.
+        for arr in (fl, self.nomatch):
+            if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+                raise ValueError("likelihoods must be finite and lie in [0, 1]")
 
     @property
     def height(self) -> int:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from stochastic_disparity.engine import run_stochastic_grid
+from stochastic_disparity.bitstream import stream_seed
+from stochastic_disparity.engine import _run_rows, run_stochastic_grid
+from stochastic_disparity.machine import race_arrivals
 from stochastic_disparity.model import (
     LikelihoodVolume,
     ModelParams,
@@ -42,6 +44,31 @@ class TestDeterminism:
         assert np.array_equal(serial.counts, parallel.counts)
         assert np.array_equal(serial.winner, parallel.winner)
         assert np.array_equal(serial.cycles, parallel.cycles)
+
+    def test_row_boundaries_do_not_change_results(self, small_volume):
+        rates = small_volume.channel_rates()
+        whole = _run_rows((rates, 0, 3, 8, 10**7))
+        for cuts in ([3], [1, 2, 7]):
+            bounds = [0, *cuts, rates.shape[0]]
+            parts = [
+                _run_rows((rates[a:b], a, 3, 8, 10**7))
+                for a, b in zip(bounds, bounds[1:])
+            ]
+            for field, pieces in zip(whole, zip(*parts)):
+                assert np.array_equal(field, np.concatenate(pieces))
+
+    def test_row_is_kernel_on_its_own_stream(self, small_volume):
+        result = run_stochastic_grid(small_volume, 8, master_seed=6)
+        y = 4
+        counts, winner, cycles, timed_out = race_arrivals(
+            np.random.default_rng(stream_seed(6, y)),
+            small_volume.channel_rates()[y],
+            8,
+        )
+        assert np.array_equal(result.counts[y], counts)
+        assert np.array_equal(result.winner[y], winner)
+        assert np.array_equal(result.cycles[y], cycles)
+        assert np.array_equal(result.timed_out[y], timed_out)
 
 
 class TestResultSemantics:

@@ -333,3 +333,9 @@ class TestCli:
         # d_max too large for this pair: no valid pixels
         args = ["disparity", "--left", str(lp), "--right", str(rp), "--d-max", "80"]
         assert main(args) == EXIT_VALIDATION
+
+    def test_nan_parameter_exits_with_code_2(self, tmp_path, capsys):
+        lp, rp = write_pair(tmp_path)
+        args = ["disparity", "--left", str(lp), "--right", str(rp), "--sigma-m", "nan"]
+        assert main(args) == EXIT_VALIDATION
+        assert "sigma_m" in capsys.readouterr().err

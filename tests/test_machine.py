@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from stochastic_disparity.machine import (
     FusionSpec,
     Machine,
-    MachineResult,
     build_machine,
     map_estimate,
-    race_product_channels,
+    race_arrivals,
     run_machine,
 )
 
@@ -161,37 +161,96 @@ class TestRunMachine:
             run_machine(machine, n_max=4, max_cycles=0)
 
 
-class TestRaceProductChannels:
-    def test_invariants(self):
-        rng = np.random.default_rng(0)
-        result = race_product_channels(rng, np.array([0.6, 0.3, 0.05]), n_max=32)
-        assert isinstance(result, MachineResult)
-        assert result.counts[result.winner] == 32
-        assert result.cycles >= 32
+# Significance level of each equivalence test below: the seeds are fixed, so
+# the outcome is deterministic, and a correct kernel fails a given test with
+# probability ALPHA over the choice of seeds.
+ALPHA = 1e-3
+EQUIVALENCE_RUNS = 4000
 
-    def test_statistics_match_full_machine(self):
-        """The per-channel product race and the full AND-gate machine are the
-        same stochastic process; their cycle-count means must agree."""
-        table = np.array([[0.9, 0.5], [0.8, 0.6]])
-        spec = simple_spec([1.0, 1.0], table)
-        rates = spec.channel_products()
-        n_runs, n_max = 400, 32
-        full = [
-            run_machine(build_machine(spec, seed=s), n_max).cycles
-            for s in range(n_runs)
+EQUIVALENCE_CASES = {
+    # name: (channel rates, n_max, max_cycles)
+    "equal_rates_tie_to_lowest": ([0.5, 0.5, 0.5], 4, 10**7),
+    "zero_rate": ([0.0, 0.4, 0.3], 4, 10**7),
+    "unit_rate": ([0.9, 1.0, 0.5], 3, 10**7),
+    "n_max_1": ([0.2, 0.1, 0.3], 1, 10**7),
+    "timeout_heavy": ([0.05, 0.04, 0.02], 8, 100),  # mean arrival 160-400
+}
+
+
+class TestRaceArrivals:
+    def test_invariants(self):
+        rates = np.array([[0.6, 0.3, 0.05], [0.0, 0.2, 0.2]])
+        counts, winner, cycles, timed_out = race_arrivals(
+            np.random.default_rng(0), rates, n_max=32
+        )
+        assert counts.shape == (2, 3)
+        assert not timed_out.any()
+        assert np.all(counts[[0, 1], winner] == 32)
+        assert np.all(counts <= 32)
+        assert np.all(cycles >= 32)
+        assert np.all(counts[:, 0][winner != 0] < 32)
+        assert counts[1, 0] == 0
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_matches_bit_level_machine(self, case):
+        """Winners (chi-square), stop cycles and every channel's counts (KS)
+        have the same law as `run_machine` on a spec with these products."""
+        rates, n_max, max_cycles = EQUIVALENCE_CASES[case]
+        spec = simple_spec(np.ones(len(rates)), [rates])
+        runs = [
+            run_machine(build_machine(spec, seed=s), n_max, max_cycles)
+            for s in range(EQUIVALENCE_RUNS)
         ]
-        fast = [
-            race_product_channels(
-                np.random.default_rng(10_000 + s), rates, n_max
-            ).cycles
-            for s in range(n_runs)
-        ]
-        mean_f, mean_r = np.mean(full), np.mean(fast)
-        pooled_sd = np.sqrt((np.var(full) + np.var(fast)) / n_runs)
-        assert abs(mean_f - mean_r) <= 4 * pooled_sd
+        ref_winner = np.array([-1 if r.timed_out else r.winner for r in runs])
+        ref_cycles = np.array([r.cycles for r in runs])
+        ref_counts = np.array([r.counts for r in runs])
+        counts, winner, cycles, _ = race_arrivals(
+            np.random.default_rng(7),
+            np.tile(rates, (EQUIVALENCE_RUNS, 1)),
+            n_max,
+            max_cycles,
+        )
+
+        table = np.array([
+            np.bincount(w + 1, minlength=len(rates) + 1)
+            for w in (ref_winner, winner)
+        ])
+        table = table[:, table.sum(axis=0) > 0]
+        if table.shape[1] > 1:
+            assert stats.chi2_contingency(table).pvalue > ALPHA
+        assert stats.ks_2samp(ref_cycles, cycles, method="asymp").pvalue > ALPHA
+        for ref, new in zip(ref_counts.T, counts.T):
+            assert stats.ks_2samp(ref, new, method="asymp").pvalue > ALPHA
+
+    def test_ties_resolve_to_lowest_index(self):
+        counts, winner, cycles, _ = race_arrivals(
+            np.random.default_rng(0), np.ones((1, 3)), n_max=16
+        )
+        assert winner[0] == 0
+        assert cycles[0] == 16
+        assert list(counts[0]) == [16, 16, 16]
 
     def test_timeout_path(self):
-        rng = np.random.default_rng(0)
-        result = race_product_channels(rng, np.array([0.0, 0.0]), 4, max_cycles=64)
-        assert result.timed_out
-        assert result.cycles == 64
+        counts, winner, cycles, timed_out = race_arrivals(
+            np.random.default_rng(0), np.zeros((1, 2)), 4, max_cycles=64
+        )
+        assert timed_out[0]
+        assert winner[0] == -1
+        assert cycles[0] == 64
+        assert list(counts[0]) == [0, 0]
+
+    def test_rates_numpy_cannot_draw_in_one_share_stay_valid(self):
+        # The 1e-18 rate quantises to 2**-53; NegBin(4096, 2**-53) is beyond
+        # numpy's negative_binomial in one draw.
+        counts, winner, _, timed_out = race_arrivals(
+            np.random.default_rng(0), np.array([[1e-18, 0.01]]), n_max=4096
+        )
+        assert not timed_out[0]
+        assert winner[0] == 1
+        assert list(counts[0]) == [0, 4096]
+
+    def test_argument_validation(self):
+        with pytest.raises(ValueError):
+            race_arrivals(np.random.default_rng(0), np.ones((1, 2)), n_max=0)
+        with pytest.raises(ValueError):
+            race_arrivals(np.random.default_rng(0), np.ones((1, 2)), 4, max_cycles=0)

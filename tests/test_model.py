@@ -106,6 +106,9 @@ class TestModelParams:
             {"p_nm0": 0.0},
             {"sigma_m": 0.0},
             {"sigma_nm": -1.0},
+            {"sigma_m": float("nan")},
+            {"sigma_gh": float("inf")},
+            {"sigma_nm": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -209,6 +212,17 @@ class TestLikelihoodVolume:
         rates = volume.channel_rates()
         assert np.all(rates[..., :-1] == pytest.approx(params.p0**3))
         assert np.all(rates[..., -1] > rates[..., :-1].max())
+
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    @pytest.mark.parametrize("where", ["likelihoods", "nomatch"])
+    def test_rejects_non_finite_or_out_of_range_rates(self, bad, where):
+        params = ModelParams(d_max=2)
+        lik = np.full((1, 2, 3, 3), 0.5)
+        nomatch = np.full((1, 2), 0.5)
+        (lik if where == "likelihoods" else nomatch).flat[1] = bad
+        with pytest.raises(ValueError):
+            LikelihoodVolume(lik, nomatch, params)
 
 
 class TestBuildPixelSpec:
