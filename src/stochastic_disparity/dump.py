@@ -17,7 +17,8 @@ Layout (all integers little-endian):
     ...     ...   invalid bitmap: same shape; set where x < d_max or the
                   machine timed out
 
-A matched pixel's entry at its winning index equals n_max.
+Every pixel not flagged invalid has at least one count equal to n_max (its
+winning channel; tied channels also read n_max), and no count exceeds n_max.
 """
 
 import struct
@@ -29,6 +30,9 @@ import numpy as np
 MAGIC = b"SDSP"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIIHI")
+# (field, low, high) for the header; n_max also bounds the 16-bit counts
+_HEADER_FIELDS = (("width", 0, 2**32 - 1), ("height", 0, 2**32 - 1),
+                  ("d_max", 0, 2**16 - 1), ("n_max", 1, 2**16 - 1))
 
 
 class DumpFormatError(Exception):
@@ -61,15 +65,27 @@ def _unpack_bits(data: bytes, height: int, width: int) -> np.ndarray:
     return bits[: height * width].reshape(height, width).astype(bool)
 
 
+def _check_counts(
+    counts: np.ndarray, n_max: int, invalid: np.ndarray, d_max: int
+) -> None:
+    if np.any(counts < 0) or np.any(counts > n_max):
+        raise DumpFormatError("counts outside [0, n_max]")
+    if np.any(counts.max(axis=2)[~invalid[:, d_max:]] != n_max):
+        raise DumpFormatError("a valid pixel has no counter at n_max")
+
+
 def write_dump(path, dump: DistributionDump) -> None:
-    if dump.n_max > 0xFFFF:
-        raise DumpFormatError("n_max exceeds the 16-bit count field")
+    for name, low, high in _HEADER_FIELDS:
+        if not low <= getattr(dump, name) <= high:
+            raise DumpFormatError(f"{name} outside [{low}, {high}]")
     counts = np.asarray(dump.counts)
     expected = (dump.height, dump.valid_width, dump.d_max + 2)
     if counts.shape != expected:
         raise DumpFormatError(f"counts shape {counts.shape} != {expected}")
-    if np.any(counts < 0) or np.any(counts > dump.n_max):
-        raise DumpFormatError("counts outside [0, n_max]")
+    for bitmap in (dump.no_match, dump.invalid):
+        if np.shape(bitmap) != (dump.height, dump.width):
+            raise DumpFormatError("bitmap shape does not match the header")
+    _check_counts(counts, dump.n_max, np.asarray(dump.invalid), dump.d_max)
     header = _HEADER.pack(
         MAGIC, VERSION, dump.width, dump.height, dump.d_max, dump.n_max
     )
@@ -91,6 +107,8 @@ def read_dump(path) -> DistributionDump:
     valid_width = width - d_max
     if valid_width <= 0:
         raise DumpFormatError("header implies no valid pixels")
+    if n_max == 0:
+        raise DumpFormatError("n_max is 0")
     n_counts = height * valid_width * (d_max + 2)
     bitmap_len = (width * height + 7) // 8
     expected_len = _HEADER.size + 2 * n_counts + 2 * bitmap_len
@@ -106,6 +124,7 @@ def read_dump(path) -> DistributionDump:
     no_match = _unpack_bits(data[pos : pos + bitmap_len], height, width)
     pos += bitmap_len
     invalid = _unpack_bits(data[pos : pos + bitmap_len], height, width)
+    _check_counts(counts, n_max, invalid, d_max)
     return DistributionDump(
         width=width,
         height=height,

@@ -82,7 +82,7 @@ def run_stochastic_grid(
     With workers > 1 rows are distributed over a process pool; per-row
     seeding keeps the output bit-identical to a serial run.
     """
-    rates = volume.channel_rates()
+    rates = volume.rates
     if workers <= 1:
         counts, winner, cycles, timed_out = _run_rows(
             (rates, 0, master_seed, n_max, max_cycles)

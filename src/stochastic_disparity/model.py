@@ -8,10 +8,10 @@ pixels so the machine never stalls on near-zero rates.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import correlate2d
 
 KERNEL_SIZE = 5
@@ -97,6 +97,10 @@ def validate_gray_image(img: np.ndarray) -> np.ndarray:
     return img.astype(np.int64)
 
 
+FEATURE_NAMES = ("mean", "grad_h", "grad_v")
+FEATURE_RANGES = ((0, 255), (-127, 127), (-127, 127))  # |left - right| <= 255
+
+
 @dataclass(frozen=True)
 class FeatureMaps:
     """Integer feature maps, 4 pixels smaller than the source image."""
@@ -105,6 +109,12 @@ class FeatureMaps:
     grad_h: np.ndarray
     grad_v: np.ndarray
 
+    def __post_init__(self):  # likelihoods are tabulated over |left - right|
+        for name, (lo, hi) in zip(FEATURE_NAMES, FEATURE_RANGES):
+            arr = getattr(self, name)
+            if not (arr.min() >= lo and arr.max() <= hi):
+                raise ValueError(f"{name} features must lie in [{lo}, {hi}]")
+
     @property
     def height(self) -> int:
         return self.mean.shape[0]
@@ -112,10 +122,6 @@ class FeatureMaps:
     @property
     def width(self) -> int:
         return self.mean.shape[1]
-
-    def stacked(self) -> np.ndarray:
-        """(H, W, 3) view ordered mean, grad_h, grad_v."""
-        return np.stack([self.mean, self.grad_h, self.grad_v], axis=-1)
 
 
 def compute_features(img: np.ndarray) -> FeatureMaps:
@@ -135,9 +141,6 @@ def compute_features(img: np.ndarray) -> FeatureMaps:
         grad_h=grad_h.astype(np.int64),
         grad_v=grad_v.astype(np.int64),
     )
-
-
-FEATURE_NAMES = ("mean", "grad_h", "grad_v")
 
 
 def matching_cost(
@@ -183,56 +186,40 @@ def nomatch_probability(gv_left, p_nm0: float, sigma_nm: float):
     no-match almost immediately, while the p_nm0 floor bounds the wait on
     occluded but well-contrasted pixels.
     """
-    if sigma_nm <= 0:
-        raise ValueError("sigma_nm must be positive")
-    gv = np.asarray(gv_left, dtype=float)
-    out = p_nm0 + (1.0 - p_nm0) * np.exp(-(gv**2) / (2.0 * sigma_nm**2))
-    return float(out) if out.ndim == 0 else out
+    return likelihood(np.asarray(gv_left, dtype=float) ** 2, sigma_nm, p_nm0)
 
 
 @dataclass(frozen=True)
 class LikelihoodVolume:
-    """Per-pixel, per-disparity, per-feature likelihoods for the valid region.
+    """Channel rates of every valid pixel's machine.
 
     Valid pixels are those with x >= d_max in feature-map coordinates; the
-    first axis pair is (row, x - d_max). `feature_likelihoods` has shape
-    (H_f, W_valid, d_max + 1, 3) and `nomatch` shape (H_f, W_valid).
+    first axis pair is (row, x - d_max). `rates` has shape
+    (H_f, W_valid, d_max + 2): the product of the three feature likelihoods
+    for disparities 0..d_max, then the no-match channel.
     """
 
-    feature_likelihoods: np.ndarray
-    nomatch: np.ndarray
+    rates: np.ndarray
     params: ModelParams
 
     def __post_init__(self):
-        fl = self.feature_likelihoods
-        if fl.ndim != 4 or fl.shape[2] != self.params.n_disparities or fl.shape[3] != 3:
-            raise ValueError("likelihood array shape mismatch")
-        if self.nomatch.shape != fl.shape[:2]:
-            raise ValueError("no-match array shape mismatch")
+        rates = self.rates
+        if rates.ndim != 3 or rates.shape[2] != self.params.machine_width:
+            raise ValueError("rate array shape mismatch")
         # min/max propagate NaN: no mask the size of the volume is needed.
-        for arr in (fl, self.nomatch):
-            if not (arr.min() >= 0.0 and arr.max() <= 1.0):
-                raise ValueError("likelihoods must be finite and lie in [0, 1]")
+        if not (rates.min() >= 0.0 and rates.max() <= 1.0):
+            raise ValueError("rates must be finite and lie in [0, 1]")
 
-    @property
-    def height(self) -> int:
-        return self.feature_likelihoods.shape[0]
 
-    @property
-    def valid_width(self) -> int:
-        return self.feature_likelihoods.shape[1]
-
-    def channel_rates(self) -> np.ndarray:
-        """(H_f, W_valid, d_max + 2) per-channel product rates for the machine:
-        feature products per disparity, then the no-match channel."""
-        products = np.prod(self.feature_likelihoods, axis=3)
-        return np.concatenate([products, self.nomatch[..., None]], axis=2)
+_BAND_ROWS = 16  # rows per pass of the volume build; bounds its temporaries
 
 
 def build_likelihood_volume(
     fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params: ModelParams
 ) -> LikelihoodVolume:
-    """Evaluate all likelihoods for every valid pixel and disparity."""
+    """Channel rates for every valid pixel, built in bands of rows from
+    per-feature likelihood tables over |left - right| = 0..255 (the features
+    are integers), multiplied in the order mean, grad_h, grad_v."""
     if fmaps_l.mean.shape != fmaps_r.mean.shape:
         raise ValueError("left and right feature maps must have equal shapes")
     h, w = fmaps_l.mean.shape
@@ -241,26 +228,31 @@ def build_likelihood_volume(
         raise ValueError(
             f"feature maps of width {w} leave no valid pixels at d_max={d_max}"
         )
-    w_valid = w - d_max
-    left = fmaps_l.stacked()[:, d_max:, :].astype(float)  # (h, w_valid, 3)
-    right = fmaps_r.stacked().astype(float)
-    sigmas = np.array([params.sigma_m, params.sigma_gh, params.sigma_gv])
+    cost = np.arange(256.0) ** 2
+    sigmas = np.array([[params.sigma_m], [params.sigma_gh], [params.sigma_gv]])
+    tables = params.p0 + (1.0 - params.p0) * np.exp(-cost / (2.0 * sigmas**2))
 
-    lik = np.empty((h, w_valid, d_max + 1, 3))
-    for d in range(d_max + 1):
-        shifted = right[:, d_max - d : w - d, :]
-        cost = (left - shifted) ** 2
-        lik[:, :, d, :] = params.p0 + (1.0 - params.p0) * np.exp(
-            -cost / (2.0 * sigmas**2)
-        )
-
-    nomatch = nomatch_probability(
+    rates = np.empty((h, w - d_max, params.machine_width))
+    for y0 in range(0, h, _BAND_ROWS):
+        band = slice(y0, y0 + _BAND_ROWS)
+        products = rates[band, :, : d_max + 1]
+        products[...] = 1.0
+        for table, name in zip(tables, FEATURE_NAMES):
+            left = getattr(fmaps_l, name)[band, d_max:, None]
+            # window column d_max - d of pixel x holds the right feature at x - d
+            right = sliding_window_view(
+                getattr(fmaps_r, name)[band], d_max + 1, axis=1
+            )[:, :, ::-1]
+            products *= table[np.abs(left - right)]
+    rates[:, :, -1] = nomatch_probability(
         fmaps_l.grad_v[:, d_max:], params.p_nm0, params.sigma_nm
     )
-    return LikelihoodVolume(lik, np.asarray(nomatch), params)
+    return LikelihoodVolume(rates, params)
 
 
-def build_pixel_spec(volume: LikelihoodVolume, x: int, y: int):
+def build_pixel_spec(
+    fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params: ModelParams, x: int, y: int
+):
     """Assemble the fusion problem for one valid pixel.
 
     Rows 0..d_max carry the three feature likelihoods for each disparity; the
@@ -270,21 +262,24 @@ def build_pixel_spec(volume: LikelihoodVolume, x: int, y: int):
     """
     from .machine import FusionSpec
 
-    params = volume.params
     d_max = params.d_max
-    if not d_max <= x < d_max + volume.valid_width:
+    if not d_max <= x < fmaps_l.width:
         raise ValueError("x outside the valid pixel range")
-    if not 0 <= y < volume.height:
+    if not 0 <= y < fmaps_l.height:
         raise ValueError("y outside the feature-map height")
-    lik = volume.feature_likelihoods[y, x - d_max]  # (d_max + 1, 3)
     m = params.machine_width
     term_table = np.ones((3, m))
-    term_table[:, : d_max + 1] = lik.T
-    term_table[0, params.nomatch_index] = volume.nomatch[y, x - d_max]
-    term_table[1:, params.nomatch_index] = 1.0
-    prior = np.ones(m)
-    bus_constants = np.array([float(d_max + 1), 1.0, 1.0, 1.0])
-    return FusionSpec(prior=prior, term_table=term_table, bus_constants=bus_constants)
+    sigmas = (params.sigma_m, params.sigma_gh, params.sigma_gv)
+    for row, (name, sigma) in enumerate(zip(FEATURE_NAMES, sigmas)):
+        costs = [
+            matching_cost(fmaps_l, fmaps_r, x, y, d, name) for d in range(d_max + 1)
+        ]
+        term_table[row, : d_max + 1] = likelihood(costs, sigma, params.p0)
+    term_table[0, params.nomatch_index] = nomatch_probability(
+        fmaps_l.grad_v[y, x], params.p_nm0, params.sigma_nm
+    )
+    bus_constants = [float(d_max + 1), 1.0, 1.0, 1.0]
+    return FusionSpec(np.ones(m), term_table, bus_constants)
 
 
 def disparity_to_depth(

@@ -95,12 +95,6 @@ def dump_from_result(
     )
 
 
-def emit_distribution_dump(
-    result: StochasticResult, feature_width: int, path
-) -> None:
-    write_dump(path, dump_from_result(result, feature_width))
-
-
 def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
     """Run the configured engines on one stereo pair and write artifacts.
 
@@ -162,7 +156,7 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
                 _embed_valid(stochastic.disparity_image(), feature_width, d_max),
             )
         if config.dump_out is not None:
-            emit_distribution_dump(stochastic, feature_width, config.dump_out)
+            write_dump(config.dump_out, dump_from_result(stochastic, feature_width))
         if timeout_fraction > config.timeout_warn_fraction:
             print(
                 f"warning: {n_timeouts} pixels "

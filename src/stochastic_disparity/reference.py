@@ -29,14 +29,6 @@ class ReferenceResult:
     map_disparity: np.ndarray  # (H, W_valid) int, -1 on no-match
     params: ModelParams
 
-    @property
-    def height(self) -> int:
-        return self.norm_scores.shape[0]
-
-    @property
-    def valid_width(self) -> int:
-        return self.norm_scores.shape[1]
-
     def sum_normalized(self) -> np.ndarray:
         """Disparity scores renormalized to sum to 1 per pixel (no-match
         channel included in the normalizer), for probabilistic consumers."""
@@ -52,9 +44,8 @@ def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
     stay matched, and tied disparities resolve to the lowest index, mirroring
     the counter tie-break.
     """
-    rates = volume.channel_rates()  # (H, W_valid, d_max + 2)
-    scores = rates[:, :, :-1]
-    nomatch = rates[:, :, -1]
+    scores = volume.rates[:, :, :-1]
+    nomatch = volume.rates[:, :, -1]
     best = scores.max(axis=2)
     map_d = scores.argmax(axis=2)
     no_match = nomatch > best

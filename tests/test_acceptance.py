@@ -180,8 +180,9 @@ class TestCriterion6NaturalSceneCycleBudget:
 class TestCriterion7OcclusionLimit:
     def test_featureless_volume_resolves_to_no_match(self):
         params = ModelParams(d_max=8)
-        lik = np.full((3, 4, 9, 3), params.p0)
-        volume = LikelihoodVolume(lik, np.full((3, 4), params.p_nm0), params)
+        rates = np.full((3, 4, 10), params.p0 * params.p0 * params.p0)
+        rates[..., -1] = params.p_nm0
+        volume = LikelihoodVolume(rates, params)
 
         ref = sd.reference_infer(volume)
         assert ref.no_match.all()

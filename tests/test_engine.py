@@ -46,7 +46,7 @@ class TestDeterminism:
         assert np.array_equal(serial.cycles, parallel.cycles)
 
     def test_row_boundaries_do_not_change_results(self, small_volume):
-        rates = small_volume.channel_rates()
+        rates = small_volume.rates
         whole = _run_rows((rates, 0, 3, 8, 10**7))
         for cuts in ([3], [1, 2, 7]):
             bounds = [0, *cuts, rates.shape[0]]
@@ -62,7 +62,7 @@ class TestDeterminism:
         y = 4
         counts, winner, cycles, timed_out = race_arrivals(
             np.random.default_rng(stream_seed(6, y)),
-            small_volume.channel_rates()[y],
+            small_volume.rates[y],
             8,
         )
         assert np.array_equal(result.counts[y], counts)
@@ -74,7 +74,7 @@ class TestDeterminism:
 class TestResultSemantics:
     def test_shapes_and_winner_counts(self, small_volume):
         result = run_stochastic_grid(small_volume, 16, master_seed=0)
-        h, w = small_volume.height, small_volume.valid_width
+        h, w = small_volume.rates.shape[:2]
         assert result.counts.shape == (h, w, 10)
         assert result.winner.shape == (h, w)
         picked = np.take_along_axis(
@@ -89,8 +89,9 @@ class TestResultSemantics:
 
     def test_no_match_uses_last_channel(self):
         params = ModelParams(d_max=4)
-        lik = np.full((3, 4, 5, 3), params.p0)
-        volume = LikelihoodVolume(lik, np.full((3, 4), 0.9), params)
+        rates = np.full((3, 4, 6), params.p0 * params.p0 * params.p0)
+        rates[..., -1] = 0.9
+        volume = LikelihoodVolume(rates, params)
         result = run_stochastic_grid(volume, 4, master_seed=0)
         assert np.all(result.no_match)
         assert np.all(result.map_disparity == -1)
@@ -106,8 +107,9 @@ class TestResultSemantics:
 
     def test_timeout_flagged_not_silently_dropped(self):
         params = ModelParams(d_max=2)
-        lik = np.full((1, 2, 3, 3), 0.02)
-        volume = LikelihoodVolume(lik, np.full((1, 2), 0.01), params)
+        rates = np.full((1, 2, 4), 0.02 * 0.02 * 0.02)
+        rates[..., -1] = 0.01
+        volume = LikelihoodVolume(rates, params)
         result = run_stochastic_grid(volume, 64, master_seed=0, max_cycles=100)
         assert np.all(result.timed_out)
         assert np.all(result.winner == -1)

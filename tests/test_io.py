@@ -1,8 +1,10 @@
 """Image files, distribution dumps, the pipeline and the CLI front end."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -87,18 +89,107 @@ def tiny_dump(d_max=2, n_max=16):
     rng = np.random.default_rng(0)
     h, w = 3, d_max + 4
     counts = rng.integers(0, n_max + 1, (h, w - d_max, d_max + 2)).astype(np.uint16)
+    counts[:, :, 0] = n_max  # every valid pixel has a counter at n_max
     no_match = rng.random((h, w)) < 0.3
     invalid = np.zeros((h, w), bool)
     invalid[:, :d_max] = True
     return DistributionDump(w, h, d_max, n_max, counts, no_match, invalid)
 
 
+@st.composite
+def valid_dumps(draw):
+    """Dumps as the engine writes them: each pixel that did not time out has
+    its winner (and possibly tied channels) at n_max; timeouts stay below."""
+    d_max = draw(st.integers(1, 3))
+    n_max = draw(st.sampled_from([1, 2, 16, 0xFFFF]))
+    h, vw = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    counts = draw(
+        arrays(np.uint16, (h, vw, d_max + 2), elements=st.integers(0, n_max))
+    ).copy()
+    winner = draw(arrays(np.int64, (h, vw), elements=st.integers(0, d_max + 1)))
+    timed_out = draw(arrays(bool, (h, vw)))
+    np.put_along_axis(counts, winner[..., None], n_max, axis=2)
+    counts[timed_out] = np.minimum(counts[timed_out], n_max - 1)
+    no_match = np.zeros((h, vw + d_max), bool)
+    no_match[:, d_max:] = (winner == d_max + 1) & ~timed_out
+    invalid = np.ones((h, vw + d_max), bool)
+    invalid[:, d_max:] = timed_out
+    return DistributionDump(vw + d_max, h, d_max, n_max, counts, no_match, invalid)
+
+
+def written(dump, tmp_path_factory):
+    path = tmp_path_factory.mktemp("dump") / "d.bin"
+    write_dump(path, dump)
+    return path
+
+
 class TestDump:
-    def test_round_trip(self, tmp_path):
+    def test_tied_channels_at_n_max_are_accepted(self, tmp_path):
         dump = tiny_dump()
-        path = tmp_path / "d.bin"
-        write_dump(path, dump)
-        back = read_dump(path)
+        dump.counts[0, 0, :2] = dump.n_max
+        write_dump(tmp_path / "d.bin", dump)
+        assert np.array_equal(read_dump(tmp_path / "d.bin").counts, dump.counts)
+
+    @settings(max_examples=20, deadline=None)
+    @given(dump=valid_dumps())
+    def test_zero_n_max_rejected(self, dump, tmp_path_factory):
+        path = written(dump, tmp_path_factory)
+        data = bytearray(path.read_bytes())
+        data[16:20] = bytes(4)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DumpFormatError, match="n_max"):
+            read_dump(path)
+
+    @settings(max_examples=20, deadline=None)
+    @given(dump=valid_dumps(), data=st.data())
+    def test_count_above_n_max_rejected(self, dump, data, tmp_path_factory):
+        assume(dump.n_max < 0xFFFF)
+        path = written(dump, tmp_path_factory)
+        raw = bytearray(path.read_bytes())
+        i = data.draw(st.integers(0, dump.counts.size - 1))
+        raw[20 + 2 * i : 22 + 2 * i] = (dump.n_max + 1).to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DumpFormatError, match="outside"):
+            read_dump(path)
+
+    @settings(max_examples=20, deadline=None)
+    @given(dump=valid_dumps(), data=st.data())
+    def test_valid_pixel_without_n_max_rejected(self, dump, data, tmp_path_factory):
+        valid = np.argwhere(~dump.invalid[:, dump.d_max :])
+        assume(len(valid) > 0)
+        y, x = valid[data.draw(st.integers(0, len(valid) - 1))]
+        counts = dump.counts.copy()
+        counts[y, x] = np.minimum(counts[y, x], dump.n_max - 1)
+        path = written(dump, tmp_path_factory)
+        raw = bytearray(path.read_bytes())
+        body = counts.astype("<u2").tobytes()
+        raw[20 : 20 + len(body)] = body
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DumpFormatError, match="no counter at n_max"):
+            read_dump(path)
+
+    def test_write_rejects_what_read_would(self, tmp_path):
+        dump = tiny_dump()
+        dump.counts[1, 0] = 0  # a valid pixel with no counter at n_max
+        with pytest.raises(DumpFormatError, match="no counter at n_max"):
+            write_dump(tmp_path / "d.bin", dump)
+        dump = replace(tiny_dump(), invalid=np.zeros((3, 9), bool))
+        with pytest.raises(DumpFormatError, match="bitmap shape"):
+            write_dump(tmp_path / "d.bin", dump)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("width", 1 << 32), ("height", 1 << 32), ("d_max", 70000), ("n_max", 0)],
+    )
+    def test_header_field_out_of_range_rejected_on_write(self, tmp_path, field, value):
+        dump = replace(tiny_dump(), **{field: value})
+        with pytest.raises(DumpFormatError, match=field):
+            write_dump(tmp_path / "d.bin", dump)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dump=valid_dumps())
+    def test_round_trip(self, dump, tmp_path_factory):
+        back = read_dump(written(dump, tmp_path_factory))
         assert (back.width, back.height, back.d_max, back.n_max) == (
             dump.width,
             dump.height,

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from stochastic_disparity import model
 from stochastic_disparity.model import (
     BORDER,
+    FEATURE_NAMES,
     GRAD_H_KERNEL,
     GRAD_V_KERNEL,
     MEAN_KERNEL,
     CameraGeometry,
+    FeatureMaps,
     LikelihoodVolume,
     ModelParams,
     build_likelihood_volume,
@@ -21,7 +24,7 @@ from stochastic_disparity.model import (
     matching_cost,
     nomatch_probability,
 )
-from stochastic_disparity.synthetic import planted_shift_pair
+from stochastic_disparity.synthetic import natural_scene_pair, planted_shift_pair
 
 
 class TestKernels:
@@ -177,6 +180,17 @@ class TestNomatchProbability:
         assert want == pytest.approx(0.610465, abs=1e-6)
 
 
+def sigmas(params):
+    return (params.sigma_m, params.sigma_gh, params.sigma_gv)
+
+
+def feature_pair(params, height=12, width=120, seed=3):
+    left, right = natural_scene_pair(
+        width + BORDER, height + BORDER, params.d_max // 2, seed, content_x=20
+    )
+    return compute_features(left), compute_features(right)
+
+
 class TestLikelihoodVolume:
     def test_planted_shift_scores_peak_at_true_disparity(self):
         params = ModelParams(d_max=8)
@@ -184,18 +198,58 @@ class TestLikelihoodVolume:
         volume = build_likelihood_volume(
             compute_features(left), compute_features(right), params
         )
-        rates = volume.channel_rates()
-        assert rates.shape == (8, 28, 10)
+        assert volume.rates.shape == (8, 28, 10)
         # exact match: all three likelihoods are 1 at d=5 for every pixel
-        assert np.all(rates[:, :, 5] == pytest.approx(1.0))
+        assert np.all(volume.rates[:, :, 5] == pytest.approx(1.0))
 
     def test_channel_rates_layout(self):
+        # one valid pixel (x = 2); disparity d reads right column 2 - d, so
+        # the mean costs are 3^2, 0, 10^2 and the gradients match everywhere
         params = ModelParams(d_max=2)
-        lik = np.full((1, 1, 3, 3), 0.5)
-        lik[0, 0, 1] = 1.0
-        volume = LikelihoodVolume(lik, np.full((1, 1), 0.25), params)
-        rates = volume.channel_rates()
-        assert rates[0, 0] == pytest.approx([0.125, 1.0, 0.125, 0.25])
+        flat = np.zeros((1, 3), dtype=np.int64)
+        grad_v = np.full((1, 3), 8)
+        left = FeatureMaps(np.array([[0, 0, 100]]), flat, grad_v)
+        right = FeatureMaps(np.array([[110, 100, 103]]), flat, grad_v)
+        volume = build_likelihood_volume(left, right, params)
+        assert volume.rates.shape == (1, 1, 4)
+        want = likelihood(np.array([9.0, 0.0, 100.0]), params.sigma_m, params.p0)
+        assert volume.rates[0, 0, :3] == pytest.approx(want)
+        assert volume.rates[0, 0, 3] == pytest.approx(
+            nomatch_probability(8.0, params.p_nm0, params.sigma_nm)
+        )
+
+    def test_rates_are_the_per_feature_products_bit_for_bit(self):
+        params = ModelParams(d_max=16)
+        fmaps_l, fmaps_r = feature_pair(params)
+        volume = build_likelihood_volume(fmaps_l, fmaps_r, params)
+        rng = np.random.default_rng(0)
+        ys = rng.integers(0, fmaps_l.height, 300)
+        xs = rng.integers(params.d_max, fmaps_l.width, 300)
+
+        def feature_likelihoods(x, y, name, sigma):
+            costs = (matching_cost(fmaps_l, fmaps_r, x, y, d, name) for d in range(17))
+            return np.array([likelihood(c, sigma, params.p0) for c in costs])
+
+        for x, y in zip(xs, ys):
+            mean, grad_h, grad_v = (
+                feature_likelihoods(x, y, name, sigma)
+                for name, sigma in zip(FEATURE_NAMES, sigmas(params))
+            )
+            row = volume.rates[y, x - params.d_max]
+            np.testing.assert_array_equal(row[:-1], mean * grad_h * grad_v)
+            assert row[-1] == nomatch_probability(
+                fmaps_l.grad_v[y, x], params.p_nm0, params.sigma_nm
+            )
+            spec = build_pixel_spec(fmaps_l, fmaps_r, params, x, y)
+            np.testing.assert_array_equal(spec.channel_products(), row)
+
+    def test_rates_do_not_depend_on_the_row_band(self, monkeypatch):
+        params = ModelParams(d_max=16)
+        fmaps_l, fmaps_r = feature_pair(params, height=37)
+        whole = build_likelihood_volume(fmaps_l, fmaps_r, params).rates
+        monkeypatch.setattr(model, "_BAND_ROWS", 5)
+        banded = build_likelihood_volume(fmaps_l, fmaps_r, params).rates
+        np.testing.assert_array_equal(banded, whole)
 
     def test_too_narrow_image_rejected(self):
         params = ModelParams(d_max=80)
@@ -207,55 +261,67 @@ class TestLikelihoodVolume:
         # all-feature likelihoods at the p0 floor: every disparity product is
         # p0^3 = 8e-6, strictly below the p_nm0 = 0.01 floor
         params = ModelParams(d_max=4)
-        lik = np.full((2, 3, 5, 3), params.p0)
-        volume = LikelihoodVolume(lik, np.full((2, 3), params.p_nm0), params)
-        rates = volume.channel_rates()
-        assert np.all(rates[..., :-1] == pytest.approx(params.p0**3))
-        assert np.all(rates[..., -1] > rates[..., :-1].max())
-
+        rates = np.full((2, 3, 6), params.p0 * params.p0 * params.p0)
+        rates[..., -1] = params.p_nm0
+        volume = LikelihoodVolume(rates, params)
+        assert np.all(volume.rates[..., :-1] == pytest.approx(params.p0**3))
+        assert np.all(volume.rates[..., -1] > volume.rates[..., :-1].max())
 
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
     @pytest.mark.parametrize("where", ["likelihoods", "nomatch"])
     def test_rejects_non_finite_or_out_of_range_rates(self, bad, where):
         params = ModelParams(d_max=2)
-        lik = np.full((1, 2, 3, 3), 0.5)
-        nomatch = np.full((1, 2), 0.5)
-        (lik if where == "likelihoods" else nomatch).flat[1] = bad
+        rates = np.full((1, 2, 4), 0.5)
+        rates[0, 1, 1 if where == "likelihoods" else -1] = bad
         with pytest.raises(ValueError):
-            LikelihoodVolume(lik, nomatch, params)
+            LikelihoodVolume(rates, params)
+
+    def test_rejects_wrong_channel_count(self):
+        with pytest.raises(ValueError):
+            LikelihoodVolume(np.full((1, 2, 3), 0.5), ModelParams(d_max=2))
+
+    def test_out_of_range_features_rejected(self):
+        fmaps = compute_features(np.zeros((6, 6)))
+        with pytest.raises(ValueError, match="grad_h"):
+            FeatureMaps(fmaps.mean, fmaps.grad_h + 128, fmaps.grad_v)
 
 
 class TestBuildPixelSpec:
     def test_structure(self):
         params = ModelParams(d_max=4)
-        lik = np.random.default_rng(0).uniform(0.02, 1.0, (2, 3, 5, 3))
-        volume = LikelihoodVolume(lik, np.full((2, 3), 0.3), params)
-        spec = build_pixel_spec(volume, x=5, y=1)
+        fmaps_l, fmaps_r = feature_pair(params, height=2, width=8)
+        spec = build_pixel_spec(fmaps_l, fmaps_r, params, x=5, y=1)
         assert spec.cardinality == 6
         assert spec.n_terms == 3
         assert np.all(spec.prior == 1.0)
         assert spec.bus_constants == pytest.approx([5.0, 1.0, 1.0, 1.0])
-        assert spec.term_table[:, :5] == pytest.approx(lik[1, 1].T)
+        for row, (name, sigma) in enumerate(zip(FEATURE_NAMES, sigmas(params))):
+            costs = [matching_cost(fmaps_l, fmaps_r, 5, 1, d, name) for d in range(5)]
+            assert spec.term_table[row, :5] == pytest.approx(
+                likelihood(np.array(costs), sigma, params.p0)
+            )
         # no-match channel: rate on the first term, pass-through elsewhere
-        assert spec.term_table[0, 5] == pytest.approx(0.3)
+        assert spec.term_table[0, 5] == pytest.approx(
+            nomatch_probability(fmaps_l.grad_v[1, 5], params.p_nm0, params.sigma_nm)
+        )
         assert spec.term_table[1, 5] == spec.term_table[2, 5] == 1.0
 
     def test_machine_dimensions_at_default_d_max(self):
         params = ModelParams()
-        lik = np.full((1, 1, 81, 3), 0.5)
-        volume = LikelihoodVolume(lik, np.full((1, 1), 0.5), params)
-        spec = build_pixel_spec(volume, x=80, y=0)
+        fmaps = compute_features(np.full((5, 85), 128))
+        spec = build_pixel_spec(fmaps, fmaps, params, x=80, y=0)
         assert spec.cardinality == 82
         assert spec.n_terms == 3
 
     def test_out_of_range_pixel_rejected(self):
         params = ModelParams(d_max=4)
-        lik = np.full((2, 3, 5, 3), 0.5)
-        volume = LikelihoodVolume(lik, np.full((2, 3), 0.5), params)
+        fmaps_l, fmaps_r = feature_pair(params, height=2, width=8)
         with pytest.raises(ValueError):
-            build_pixel_spec(volume, x=3, y=0)
+            build_pixel_spec(fmaps_l, fmaps_r, params, x=3, y=0)
         with pytest.raises(ValueError):
-            build_pixel_spec(volume, x=5, y=2)
+            build_pixel_spec(fmaps_l, fmaps_r, params, x=5, y=2)
+        with pytest.raises(ValueError):
+            build_pixel_spec(fmaps_l, fmaps_r, params, x=8, y=0)
 
 
 class TestDisparityToDepth:

@@ -11,19 +11,17 @@ from stochastic_disparity.reference import (
 )
 
 
-def volume_from_rates(feature_likelihoods, nomatch, d_max):
-    params = ModelParams(d_max=d_max)
-    return LikelihoodVolume(
-        np.asarray(feature_likelihoods, dtype=float),
-        np.asarray(nomatch, dtype=float),
-        params,
-    )
+def volume_from_rates(products, nomatch, d_max):
+    """Volume from disparity products (H, W, d_max + 1) and no-match rates."""
+    nomatch = np.asarray(nomatch, dtype=float)[..., None]
+    rates = np.concatenate([np.asarray(products, dtype=float), nomatch], axis=2)
+    return LikelihoodVolume(rates, ModelParams(d_max=d_max))
 
 
 class TestReferenceInfer:
     def test_toy_volume_hand_computed(self):
         # products (0.504, 0.9, 0.027) -> normalized (0.56, 1.0, 0.03), MAP 1
-        lik = np.array([[[[0.9, 0.8, 0.7], [1.0, 1.0, 0.9], [0.3, 0.3, 0.3]]]])
+        lik = np.array([[[0.9 * 0.8 * 0.7, 1.0 * 1.0 * 0.9, 0.3 * 0.3 * 0.3]]])
         result = reference_infer(volume_from_rates(lik, [[0.01]], d_max=2))
         assert result.map_disparity[0, 0] == 1
         assert not result.no_match[0, 0]
@@ -33,17 +31,17 @@ class TestReferenceInfer:
         assert result.nomatch_score[0, 0] == pytest.approx(0.01 / 0.9)
 
     def test_dominant_row_wins(self):
-        # all likelihoods 1 at d=5, p0 floor elsewhere
+        # all likelihoods 1 at d=5, p0 floor elsewhere (products p0^3)
         p0 = 0.02
-        lik = np.full((1, 2, 7, 3), p0)
-        lik[:, :, 5, :] = 1.0
+        lik = np.full((1, 2, 7), p0 * p0 * p0)
+        lik[:, :, 5] = 1.0
         result = reference_infer(volume_from_rates(lik, np.full((1, 2), 0.01), 6))
         assert np.all(result.map_disparity == 5)
         assert np.all(result.norm_scores[:, :, 5] == 1.0)
 
     def test_perfect_match_beats_nomatch(self):
         # (1, 1, 1) at d=7 with p_nomatch = 0.01: matched, MAP 7
-        lik = np.full((1, 1, 9, 3), 0.02)
+        lik = np.full((1, 1, 9), 0.02 * 0.02 * 0.02)
         lik[0, 0, 7] = 1.0
         result = reference_infer(volume_from_rates(lik, [[0.01]], d_max=8))
         assert result.map_disparity[0, 0] == 7
@@ -51,31 +49,31 @@ class TestReferenceInfer:
 
     def test_occlusion_limit_flags_no_match(self):
         # every disparity at the p0^3 product, nomatch floor above it
-        lik = np.full((2, 2, 5, 3), 0.02)
+        lik = np.full((2, 2, 5), 0.02 * 0.02 * 0.02)
         result = reference_infer(volume_from_rates(lik, np.full((2, 2), 0.01), 4))
         assert np.all(result.no_match)
         assert np.all(result.map_disparity == -1)
         assert np.all(result.nomatch_score == 1.0)
 
     def test_exact_tie_with_nomatch_stays_matched(self):
-        lik = np.full((1, 1, 3, 3), 0.5)
+        lik = np.full((1, 1, 3), 0.5 * 0.5 * 0.5)
         lik[0, 0, 1] = 1.0
         result = reference_infer(volume_from_rates(lik, [[1.0]], d_max=2))
         assert not result.no_match[0, 0]
         assert result.map_disparity[0, 0] == 1
 
     def test_tied_disparities_resolve_to_lowest_index(self):
-        lik = np.full((1, 1, 4, 3), 0.9)
+        lik = np.full((1, 1, 4), 0.9 * 0.9 * 0.9)
         result = reference_infer(volume_from_rates(lik, [[0.01]], d_max=3))
         assert result.map_disparity[0, 0] == 0
 
     def test_sum_normalized_includes_nomatch_mass(self):
-        lik = np.full((1, 1, 3, 3), 0.5)
+        lik = np.full((1, 1, 3), 0.5 * 0.5 * 0.5)
         lik[0, 0, 0] = 1.0
         volume = volume_from_rates(lik, [[0.25]], d_max=2)
         result = reference_infer(volume)
         dist = result.sum_normalized()[0, 0]
-        rates = volume.channel_rates()[0, 0]
+        rates = volume.rates[0, 0]
         assert dist.sum() == pytest.approx(rates[:-1].sum() / rates.sum())
 
 
@@ -88,7 +86,7 @@ class TestDisparityImages:
         assert disparity_to_luminance(np.array([40]), 80)[0] == 128
 
     def test_no_match_pixels_render_black(self):
-        lik = np.full((1, 2, 3, 3), 0.02)
+        lik = np.full((1, 2, 3), 0.02 * 0.02 * 0.02)
         lik[0, 0, 2] = 1.0  # pixel 0 matched at d=2, pixel 1 occluded
         result = reference_infer(volume_from_rates(lik, [[0.01, 0.01]], 2))
         img = reference_disparity_image(result, d_max=2)
