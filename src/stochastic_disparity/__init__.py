@@ -2,16 +2,7 @@
 binocular disparity, with a floating-point reference oracle and hardware
 speed/power estimation."""
 
-from .bitstream import (
-    BitSource,
-    CounterBank,
-    RunOutcome,
-    StochasticBus,
-    and_product,
-    emit_bits,
-    readout_distribution,
-    run_until_overflow,
-)
+from .bitstream import BitSource, and_product
 from .dump import DistributionDump, read_dump, write_dump
 from .engine import StochasticResult, run_stochastic_grid
 from .machine import (

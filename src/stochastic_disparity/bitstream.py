@@ -1,27 +1,15 @@
-"""Bitstream-level primitives.
+"""Bit-level primitives: seeded Bernoulli sources and the AND product.
 
 Probabilities are carried as random binary signals whose long-run fraction
-of 1 bits equals the encoded value. A bus of such signals encodes an
-unnormalized discrete distribution; saturating counters with stop-on-first-
-overflow readout recover a max-normalized distribution and the argmax index
-in one pass.
+of 1 bits equals the encoded value. The buses and counters built from these
+signals are described, and simulated, in `machine`.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass
 
 import numpy as np
 
-# Bits generated per simulation step. Overflow detection always resolves the
-# exact first cycle inside a block, so block size never changes results' cycle
-# counts, only throughput.
-DEFAULT_BLOCK = 1024
-
 DEFAULT_MAX_CYCLES = 10**7
-
-
-class TimeoutReadoutError(RuntimeError):
-    """Raised when a distribution readout is requested from a timed-out run."""
 
 
 def stream_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
@@ -59,10 +47,6 @@ class BitSource:
         return (self.rng.random(n) < self.p).astype(np.uint8)
 
 
-def emit_bits(source: BitSource, n: int) -> np.ndarray:
-    return source.emit(n)
-
-
 def and_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bitwise conjunction of two bit sequences.
 
@@ -74,170 +58,3 @@ def and_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"bit sequence length mismatch: {a.shape} vs {b.shape}")
     return a & b
-
-
-@dataclass
-class StochasticBus:
-    """M parallel bit channels jointly encoding an unnormalized distribution.
-
-    Channel j emits 1s at rate p_j = bus_constant * P(V = V_j); the channel
-    rates therefore sum to the bus constant.
-    """
-
-    sources: List[BitSource]
-    bus_constant: float
-
-    def __post_init__(self):
-        if not self.sources:
-            raise ValueError("bus width must be positive")
-        if self.bus_constant <= 0:
-            raise ValueError("bus constant must be positive")
-
-    @property
-    def width(self) -> int:
-        return len(self.sources)
-
-    @property
-    def p_values(self) -> np.ndarray:
-        return np.array([s.p for s in self.sources])
-
-    @classmethod
-    def encode(
-        cls,
-        probabilities: Sequence[float],
-        master_seed: int,
-        constant: Optional[float] = None,
-    ) -> "StochasticBus":
-        """Build a bus for a distribution, one independent source per channel.
-
-        With `constant` unset the max-normalizing choice 1/max(P) is used, so
-        the most probable value is carried at rate 1 and every other channel
-        rate is maximized.
-        """
-        probs = np.asarray(probabilities, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("need a non-empty 1-D probability vector")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if constant is None:
-            pmax = probs.max()
-            if pmax <= 0:
-                raise ValueError("cannot max-normalize an all-zero distribution")
-            constant = 1.0 / pmax
-        p_values = probs * constant
-        if np.any(p_values > 1.0 + 1e-12):
-            raise ValueError("bus constant too large: some channel rate exceeds 1")
-        p_values = np.clip(p_values, 0.0, 1.0)
-        sources = [
-            BitSource.from_seed(p, master_seed, j) for j, p in enumerate(p_values)
-        ]
-        return cls(sources, constant)
-
-
-@dataclass
-class CounterBank:
-    """M saturating counters read out by stop-on-first-overflow."""
-
-    width: int
-    n_max: int
-    counts: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("counter bank width must be positive")
-        if self.n_max <= 0:
-            raise ValueError("counter maximum must be positive")
-        if self.counts is None:
-            self.counts = np.zeros(self.width, dtype=np.int64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (self.width,):
-            raise ValueError("counts shape must match bank width")
-        if np.any(self.counts < 0) or np.any(self.counts > self.n_max):
-            raise ValueError("counts must lie in [0, n_max]")
-
-    def reset(self) -> None:
-        self.counts[:] = 0
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """Result of racing a bus against a counter bank.
-
-    `winner` is the index of the first counter to hit n_max (lowest index on
-    same-cycle ties) or None on timeout; `counts` are the counter values at
-    the stop cycle; `cycles` is the exact number of cycles consumed.
-    """
-
-    winner: Optional[int]
-    counts: np.ndarray
-    cycles: int
-    n_max: int
-    timed_out: bool
-
-
-def run_until_overflow(
-    bus: StochasticBus,
-    bank: CounterBank,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-    block: int = DEFAULT_BLOCK,
-) -> RunOutcome:
-    """Feed the bus into the counters until the first counter saturates.
-
-    Bits are generated in blocks for speed, but the stop point is resolved to
-    the exact cycle within a block, so results are identical to a cycle-by-
-    cycle simulation.
-    """
-    if bus.width != bank.width:
-        raise ValueError("bus and counter bank widths differ")
-    if max_cycles <= 0:
-        raise ValueError("max_cycles must be positive")
-    if np.any(bank.counts != 0):
-        raise ValueError("counters must be zeroed before a run")
-
-    cycles_done = 0
-    while cycles_done < max_cycles:
-        k = min(block, max_cycles - cycles_done)
-        bits = np.stack([src.emit(k) for src in bus.sources])  # (M, k)
-        totals = bank.counts[:, None] + np.cumsum(bits, axis=1, dtype=np.int64)
-        overflowed = totals >= bank.n_max
-        hit_cycles = overflowed.any(axis=0)
-        if hit_cycles.any():
-            stop = int(np.argmax(hit_cycles))
-            final = totals[:, stop]
-            winner = int(np.argmax(final >= bank.n_max))
-            bank.counts = final
-            return RunOutcome(
-                winner=winner,
-                counts=final.copy(),
-                cycles=cycles_done + stop + 1,
-                n_max=bank.n_max,
-                timed_out=False,
-            )
-        bank.counts = totals[:, -1]
-        cycles_done += k
-
-    return RunOutcome(
-        winner=None,
-        counts=bank.counts.copy(),
-        cycles=cycles_done,
-        n_max=bank.n_max,
-        timed_out=True,
-    )
-
-
-def readout_distribution(
-    outcome: Union[RunOutcome, CounterBank], allow_partial: bool = False
-) -> np.ndarray:
-    """Convert counter values to the max-normalized distribution n_j / n_max.
-
-    After an overflow-terminated run the winner maps to exactly 1. Timed-out
-    runs hold only partial counts and are rejected unless the caller opts in.
-    """
-    if isinstance(outcome, RunOutcome):
-        if outcome.timed_out and not allow_partial:
-            raise TimeoutReadoutError(
-                "run timed out before any counter overflowed; "
-                "pass allow_partial=True to read partial counts"
-            )
-        return outcome.counts / outcome.n_max
-    return outcome.counts / outcome.n_max

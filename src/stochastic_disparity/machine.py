@@ -1,10 +1,18 @@
 """Naive Bayesian fusion on stochastic buses.
 
-The machine is an M x N matrix of product modules: row j carries the signal
-for value j of the searched variable, column i multiplies in data term i via
-an AND gate fed by an independent bit source. The output bus encodes the
-posterior up to the product of the per-term bus constants, and saturating
-counters turn it into a max-normalized distribution plus the argmax index.
+A stochastic bus is M parallel bit channels jointly encoding an unnormalized
+distribution: channel j emits 1s at rate p_j = C * P(V = V_j) for a bus
+constant C. The machine is an M x N matrix of product modules: row j carries
+channel j of the prior bus, column i multiplies in data term i via an AND
+gate fed by an independent bit source. The output bus encodes the posterior
+up to the product of the bus constants. M saturating counters read it out:
+the run stops on the cycle the first counter reaches n_max, which yields the
+max-normalized distribution n_j / n_max and the argmax index (lowest index on
+ties) in one pass. A lone distribution bus is the zero-term machine, a spec
+whose `term_table` has shape (0, M).
+
+`run_machine` simulates this cycle by cycle and is the reference;
+`race_arrivals` draws the same race in closed form for many pixels at once.
 """
 
 from dataclasses import dataclass

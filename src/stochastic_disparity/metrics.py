@@ -1,6 +1,7 @@
 """Accuracy metrics and the hardware throughput/power estimator."""
 
 import io
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -105,8 +106,9 @@ def hardware_estimate(
     """
     if min(m, n, image_width, image_height, d_max) <= 0:
         raise ValueError("all dimensions must be positive")
-    if mean_cycles_per_pixel <= 0 or clock_hz <= 0 or per_generator_power_watts <= 0:
-        raise ValueError("rates and powers must be positive")
+    for value in (mean_cycles_per_pixel, clock_hz, per_generator_power_watts):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError("rates and powers must be finite and positive")
     valid = (image_width - 4 - d_max) * (image_height - 4)
     if valid <= 0:
         raise ValueError("image too small for this d_max")
@@ -133,8 +135,9 @@ def compare_results(
     both_matched = (
         (~reference.no_match) & (~stochastic.no_match) & (~stochastic.timed_out)
     )
-    readout = stochastic.readout()[:, :, : stochastic.d_max + 1]
-    rms = rms_distribution_error(readout, reference.norm_scores, both_matched)
+    # mask before comparing, so no grid-sized difference array is built
+    readout = stochastic.readout()[both_matched][:, : stochastic.d_max + 1]
+    rms = rms_distribution_error(readout, reference.norm_scores[both_matched])
     f1 = f1_nomatch(reference.no_match, stochastic.no_match)
     return AccuracyReport(
         n_max=stochastic.n_max,

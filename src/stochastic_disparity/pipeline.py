@@ -44,6 +44,8 @@ class RunConfig:
             raise ValueError("n_max and max_cycles must be positive")
         if self.workers <= 0:
             raise ValueError("worker count must be positive")
+        if not 0.0 <= self.timeout_warn_fraction <= 1.0:
+            raise ValueError("timeout_warn_fraction must lie in [0, 1]")
 
 
 @dataclass

@@ -17,23 +17,34 @@ from .model import LikelihoodVolume, ModelParams
 class ReferenceResult:
     """Exact inference output over the valid pixel grid.
 
-    `norm_scores` holds the disparity score vectors divided by each pixel's
-    overall winning score (so matched pixels peak at exactly 1);
-    `nomatch_score` is the no-match channel on the same scale. `map_disparity`
-    is -1 where the pixel is flagged no-match.
+    `rates` is the volume's own (H, W_valid, d_max + 2) channel array, held
+    without a copy, and `winning_score` each pixel's largest channel rate.
+    `map_disparity` is -1 where the pixel is flagged no-match.
     """
 
-    norm_scores: np.ndarray  # (H, W_valid, d_max + 1)
-    nomatch_score: np.ndarray  # (H, W_valid)
+    rates: np.ndarray  # (H, W_valid, d_max + 2)
+    winning_score: np.ndarray  # (H, W_valid)
     no_match: np.ndarray  # (H, W_valid) bool
     map_disparity: np.ndarray  # (H, W_valid) int, -1 on no-match
     params: ModelParams
 
+    @property
+    def norm_scores(self) -> np.ndarray:
+        """Disparity scores divided by each pixel's winning score, so matched
+        pixels peak at exactly 1; built on each access."""
+        return self.rates[:, :, :-1] / self.winning_score[..., None]
+
+    @property
+    def nomatch_score(self) -> np.ndarray:
+        """The no-match channel on the `norm_scores` scale."""
+        return self.rates[:, :, -1] / self.winning_score
+
     def sum_normalized(self) -> np.ndarray:
         """Disparity scores renormalized to sum to 1 per pixel (no-match
         channel included in the normalizer), for probabilistic consumers."""
-        total = self.norm_scores.sum(axis=2) + self.nomatch_score
-        return self.norm_scores / total[..., None]
+        scores = self.norm_scores
+        total = scores.sum(axis=2) + self.nomatch_score
+        return scores / total[..., None]
 
 
 def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
@@ -42,17 +53,17 @@ def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
     The uniform prior constant drops out of the argmax. A pixel is no-match
     iff the no-match score strictly exceeds every disparity score; exact ties
     stay matched, and tied disparities resolve to the lowest index, mirroring
-    the counter tie-break.
+    the counter tie-break. The MAP is the first index equal to the maximum:
+    `argmax` on the strided disparity view would copy it whole.
     """
     scores = volume.rates[:, :, :-1]
     nomatch = volume.rates[:, :, -1]
     best = scores.max(axis=2)
-    map_d = scores.argmax(axis=2)
+    map_d = (scores == best[..., None]).argmax(axis=2)
     no_match = nomatch > best
-    winner = np.maximum(best, nomatch)
     return ReferenceResult(
-        norm_scores=scores / winner[..., None],
-        nomatch_score=nomatch / winner,
+        rates=volume.rates,
+        winning_score=np.maximum(best, nomatch),
         no_match=no_match,
         map_disparity=np.where(no_match, -1, map_d),
         params=volume.params,

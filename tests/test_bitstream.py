@@ -1,23 +1,11 @@
-"""Bit-level primitives: sources, buses, counters, overflow readout."""
+"""Bit-level primitives: stream seeds, Bernoulli sources, AND products."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from stochastic_disparity.bitstream import (
-    BitSource,
-    CounterBank,
-    StochasticBus,
-    TimeoutReadoutError,
-    and_product,
-    emit_bits,
-    readout_distribution,
-    run_until_overflow,
-    stream_seed,
-)
+from stochastic_disparity.bitstream import BitSource, and_product, stream_seed
 
 
 def binomial_3sigma(p: float, n: int) -> float:
@@ -54,7 +42,7 @@ class TestBitSource:
     def test_empirical_rate_within_3_sigma(self):
         # p=3/8 over 1e6 bits: analytic binomial concentration bound.
         p, n = 3.0 / 8.0, 10**6
-        ones = int(emit_bits(BitSource.from_seed(p, 42), n).sum())
+        ones = int(BitSource.from_seed(p, 42).emit(n).sum())
         half_width = 3.0 * math.sqrt(n * p * (1.0 - p))
         assert abs(ones - n * p) <= half_width
 
@@ -81,157 +69,3 @@ class TestAndProduct:
         b = BitSource.from_seed(0.5, 12).emit(n)
         rate = and_product(a, b).mean()
         assert abs(rate - 0.25) <= binomial_3sigma(0.25, n)
-
-
-class TestStochasticBus:
-    def test_max_normalizing_constant(self):
-        bus = StochasticBus.encode([0.1, 0.4, 0.2], master_seed=0)
-        assert bus.bus_constant == pytest.approx(1.0 / 0.4)
-        assert bus.p_values == pytest.approx([0.25, 1.0, 0.5])
-
-    def test_explicit_constant(self):
-        bus = StochasticBus.encode([0.1, 0.4], master_seed=0, constant=2.0)
-        assert bus.p_values == pytest.approx([0.2, 0.8])
-
-    def test_constant_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            StochasticBus.encode([0.5, 0.4], master_seed=0, constant=3.0)
-
-    def test_all_zero_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            StochasticBus.encode([0.0, 0.0], master_seed=0)
-
-    def test_channel_rates_sum_to_constant(self):
-        probs = [0.05, 0.3, 0.15]
-        bus = StochasticBus.encode(probs, master_seed=1)
-        assert bus.p_values.sum() == pytest.approx(bus.bus_constant * sum(probs))
-
-
-class TestCounterBank:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CounterBank(width=0, n_max=4)
-        with pytest.raises(ValueError):
-            CounterBank(width=2, n_max=0)
-        with pytest.raises(ValueError):
-            CounterBank(width=2, n_max=4, counts=np.array([5, 0]))
-
-    def test_reset(self):
-        bank = CounterBank(width=3, n_max=4, counts=np.array([1, 2, 3]))
-        bank.reset()
-        assert not bank.counts.any()
-
-
-class TestRunUntilOverflow:
-    def test_certain_channel_wins_in_exactly_n_max_cycles(self):
-        bus = StochasticBus.encode([1.0, 0.0], master_seed=0, constant=1.0)
-        out = run_until_overflow(bus, CounterBank(width=2, n_max=4))
-        assert out.winner == 0
-        assert out.cycles == 4
-        assert list(out.counts) == [4, 0]
-
-    def test_tie_breaks_to_lowest_index(self):
-        bus = StochasticBus.encode([1.0, 1.0], master_seed=0, constant=1.0)
-        out = run_until_overflow(bus, CounterBank(width=2, n_max=8))
-        assert out.winner == 0
-        assert list(out.counts) == [8, 8]
-
-    def test_block_size_does_not_change_the_outcome(self):
-        # exact within-block stop resolution: cycle counts and counter values
-        # must be invariant to the generation block size
-        results = []
-        for block in (1, 7, 1024):
-            bus = StochasticBus.encode([0.6, 0.3, 0.1], master_seed=9)
-            out = run_until_overflow(
-                bus, CounterBank(width=3, n_max=32), block=block
-            )
-            results.append((out.winner, out.cycles, tuple(out.counts)))
-        assert results[0] == results[1] == results[2]
-
-    def test_dominant_channel_wins_almost_always(self):
-        # p=(0.8, 0.2), n_max=64: Monte-Carlo win-rate oracle says >= 99%
-        wins = 0
-        for seed in range(1000):
-            bus = StochasticBus.encode([0.8, 0.2], master_seed=seed, constant=1.0)
-            out = run_until_overflow(bus, CounterBank(width=2, n_max=64))
-            wins += out.winner == 0
-        assert wins >= 990
-
-    def test_width_mismatch_raises(self):
-        bus = StochasticBus.encode([0.5], master_seed=0)
-        with pytest.raises(ValueError):
-            run_until_overflow(bus, CounterBank(width=2, n_max=4))
-
-    def test_dirty_counters_rejected(self):
-        bus = StochasticBus.encode([0.5, 0.5], master_seed=0)
-        bank = CounterBank(width=2, n_max=4, counts=np.array([1, 0]))
-        with pytest.raises(ValueError):
-            run_until_overflow(bus, bank)
-
-    def test_timeout_flagged(self):
-        bus = StochasticBus.encode([1e-9, 1e-9], master_seed=0, constant=1.0)
-        out = run_until_overflow(bus, CounterBank(width=2, n_max=4), max_cycles=100)
-        assert out.timed_out
-        assert out.winner is None
-        assert out.cycles == 100
-
-
-class TestReadout:
-    def test_single_full_counter(self):
-        bank = CounterBank(width=1, n_max=1, counts=np.array([1]))
-        assert readout_distribution(bank) == pytest.approx([1.0])
-
-    def test_winner_reads_exactly_one(self):
-        bus = StochasticBus.encode([0.7, 0.35, 0.1], master_seed=4)
-        out = run_until_overflow(bus, CounterBank(width=3, n_max=64))
-        dist = readout_distribution(out)
-        assert dist[out.winner] == pytest.approx(1.0)
-        assert np.all(dist <= 1.0)
-
-    def test_timeout_readout_requires_opt_in(self):
-        bus = StochasticBus.encode([1e-9], master_seed=0, constant=1.0)
-        out = run_until_overflow(bus, CounterBank(width=1, n_max=4), max_cycles=10)
-        with pytest.raises(TimeoutReadoutError):
-            readout_distribution(out)
-        assert readout_distribution(out, allow_partial=True).shape == (1,)
-
-    def test_readout_ratio_tracks_rate_ratio(self):
-        # (0.9, 0.45) at n_max=4096: loser/winner readout concentrates at 0.5
-        ratios = []
-        for seed in range(100):
-            bus = StochasticBus.encode([0.9, 0.45], master_seed=seed, constant=1.0)
-            out = run_until_overflow(bus, CounterBank(width=2, n_max=4096))
-            dist = readout_distribution(out)
-            ratios.append(dist[1] / dist[0])
-        assert abs(np.mean(ratios) - 0.5) <= 0.02
-
-    def test_coarse_readout_is_less_accurate(self):
-        # same bus read at n_max=1 and n_max=256: the 1-bit readout has a
-        # strictly larger mean error over 100 seeds
-        probs = np.array([1.0, 0.6, 0.3])
-        err1, err256 = [], []
-        for seed in range(100):
-            for n_max, errs in ((1, err1), (256, err256)):
-                bus = StochasticBus.encode(probs, master_seed=seed, constant=1.0)
-                out = run_until_overflow(bus, CounterBank(width=3, n_max=n_max))
-                errs.append(
-                    np.abs(readout_distribution(out) - probs).mean()
-                )
-        assert np.mean(err1) > np.mean(err256)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    probs=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
-    n_max=st.integers(1, 64),
-    seed=st.integers(0, 2**31),
-)
-def test_overflow_run_invariants(probs, n_max, seed):
-    """Any overflow-terminated run fills the winner to exactly n_max, caps all
-    counters at n_max, and needs at least n_max cycles."""
-    bus = StochasticBus.encode(probs, master_seed=seed)
-    out = run_until_overflow(bus, CounterBank(width=len(probs), n_max=n_max))
-    assert not out.timed_out
-    assert out.counts[out.winner] == n_max
-    assert out.counts.max() == n_max
-    assert out.cycles >= n_max

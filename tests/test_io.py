@@ -315,6 +315,9 @@ class TestPipeline:
             RunConfig(left_path=lp, right_path=rp, n_max=0)
         with pytest.raises(ValueError):
             RunConfig(left_path=lp, right_path=rp, workers=0)
+        for fraction in (float("nan"), -0.1, 1.5):
+            with pytest.raises(ValueError):
+                RunConfig(left_path=lp, right_path=rp, timeout_warn_fraction=fraction)
 
 
 class TestCli:
@@ -402,6 +405,31 @@ class TestCli:
         assert float(f1) == 1.0
         assert int(n) > 0
 
+    def test_compare_dumps_of_two_seeds(self, tmp_path, capsys):
+        lp, rp = write_pair(tmp_path)
+        args = self.disparity_args(tmp_path, lp, rp, "a")
+        assert main(args) == EXIT_OK
+        args = self.disparity_args(tmp_path, lp, rp, "b")
+        args[args.index("--seed") + 1] = "6"
+        assert main(args) == EXIT_OK
+        capsys.readouterr()
+        dumps = [str(tmp_path / "dumpa.bin"), str(tmp_path / "dumpb.bin")]
+        assert main(["compare", *dumps]) == EXIT_OK
+        rms, f1, _ = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert float(rms) > 0.0
+        assert 0.0 <= float(f1) <= 1.0
+
+    def test_compare_dumps_of_different_d_max_exits_with_code_2(
+        self, tmp_path, capsys
+    ):
+        lp, rp = write_pair(tmp_path)
+        assert main(self.disparity_args(tmp_path, lp, rp, "a")) == EXIT_OK
+        args = self.disparity_args(tmp_path, lp, rp, "b")
+        args[args.index("--d-max") + 1] = "6"
+        assert main(args) == EXIT_OK
+        dumps = [str(tmp_path / "dumpa.bin"), str(tmp_path / "dumpb.bin")]
+        assert main(["compare", *dumps]) == EXIT_VALIDATION
+
     def test_missing_input_exits_with_io_code(self, tmp_path, capsys):
         args = [
             "disparity",
@@ -430,3 +458,15 @@ class TestCli:
         args = ["disparity", "--left", str(lp), "--right", str(rp), "--sigma-m", "nan"]
         assert main(args) == EXIT_VALIDATION
         assert "sigma_m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--cycles-per-pixel", "nan"],
+            ["--cycles-per-pixel", "28", "--clock-hz", "inf"],
+        ],
+        ids=["cycles_nan", "clock_inf"],
+    )
+    def test_non_finite_estimate_input_exits_with_code_2(self, extra, capsys):
+        assert main(["estimate", *extra]) == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err

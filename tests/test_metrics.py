@@ -86,6 +86,15 @@ class TestHardwareEstimate:
             hardware_estimate(0, 3, 1.0, 640, 480, 80)
         with pytest.raises(ValueError):
             hardware_estimate(82, 3, 0.0, 640, 480, 80)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                hardware_estimate(82, 3, bad, 640, 480, 80)
+            with pytest.raises(ValueError):
+                hardware_estimate(82, 3, 27.97, 640, 480, 80, clock_hz=bad)
+            with pytest.raises(ValueError):
+                hardware_estimate(
+                    82, 3, 27.97, 640, 480, 80, per_generator_power_watts=bad
+                )
         with pytest.raises(ValueError):
             # too narrow for the disparity range: no valid pixels
             hardware_estimate(82, 3, 1.0, 60, 480, 80)

@@ -1,5 +1,7 @@
 """Exact floating-point inference oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,24 @@ class TestReferenceInfer:
         lik = np.full((1, 1, 4), 0.9 * 0.9 * 0.9)
         result = reference_infer(volume_from_rates(lik, [[0.01]], d_max=3))
         assert result.map_disparity[0, 0] == 0
+        tied_pair = [[[0.3, 0.9, 0.9]]]
+        result = reference_infer(volume_from_rates(tied_pair, [[0.01]], d_max=2))
+        assert result.map_disparity[0, 0] == 1
+
+    def test_holds_the_rates_without_a_copy(self):
+        # no score-sized float copy: the largest temporary is a bool mask
+        rng = np.random.default_rng(0)
+        volume = volume_from_rates(
+            rng.random((60, 100, 81)), rng.random((60, 100)), d_max=80
+        )
+        tracemalloc.start()
+        try:
+            result = reference_infer(volume)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < volume.rates.nbytes / 2
+        assert result.rates is volume.rates
 
     def test_sum_normalized_includes_nomatch_mass(self):
         lik = np.full((1, 1, 3), 0.5 * 0.5 * 0.5)
