@@ -1,15 +1,35 @@
-"""Bit-level primitives: stream seeds, Bernoulli sources, AND products."""
+"""Bit-level primitives: stream seeds, Bernoulli sources, AND products, and a
+distribution bus raced to overflow (a fusion machine with no data terms)."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochastic_disparity.bitstream import BitSource, and_product, stream_seed
+from stochastic_disparity.machine import (
+    FusionSpec,
+    MachineResult,
+    build_machine,
+    run_machine,
+)
 
 
 def binomial_3sigma(p: float, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def run_bus(rates, seed: int, n_max: int, **kwargs) -> MachineResult:
+    """Race one counter per channel of the bus `rates` until one overflows."""
+    rates = np.asarray(rates, dtype=float)
+    spec = FusionSpec(
+        prior=rates,
+        term_table=np.empty((0, rates.size)),
+        bus_constants=np.ones(1),
+    )
+    return run_machine(build_machine(spec, seed), n_max, **kwargs)
 
 
 class TestStreamSeed:
@@ -69,3 +89,84 @@ class TestAndProduct:
         b = BitSource.from_seed(0.5, 12).emit(n)
         rate = and_product(a, b).mean()
         assert abs(rate - 0.25) <= binomial_3sigma(0.25, n)
+
+
+class TestRunUntilOverflow:
+    def test_certain_channel_wins_in_exactly_n_max_cycles(self):
+        out = run_bus([1.0, 0.0], seed=0, n_max=4)
+        assert out.winner == 0
+        assert out.cycles == 4
+        assert list(out.counts) == [4, 0]
+
+    def test_tie_breaks_to_lowest_index(self):
+        out = run_bus([1.0, 1.0], seed=0, n_max=8)
+        assert out.winner == 0
+        assert list(out.counts) == [8, 8]
+
+    def test_block_size_does_not_change_the_outcome(self):
+        # exact within-block stop resolution: cycle counts and counter values
+        # must be invariant to the generation block size
+        results = []
+        for block in (1, 7, 1024):
+            out = run_bus([0.6, 0.3, 0.1], seed=9, n_max=32, block=block)
+            results.append((out.winner, out.cycles, tuple(out.counts)))
+        assert results[0] == results[1] == results[2]
+
+    def test_dominant_channel_wins_almost_always(self):
+        # p=(0.8, 0.2), n_max=64: Monte-Carlo win-rate oracle says >= 99%
+        wins = sum(
+            run_bus([0.8, 0.2], seed=seed, n_max=64).winner == 0
+            for seed in range(1000)
+        )
+        assert wins >= 990
+
+    def test_timeout_flagged(self):
+        out = run_bus([1e-9, 1e-9], seed=0, n_max=4, max_cycles=100)
+        assert out.timed_out
+        assert out.winner is None
+        assert out.cycles == 100
+
+
+class TestReadout:
+    def test_winner_reads_exactly_one(self):
+        out = run_bus([0.7, 0.35, 0.1], seed=4, n_max=64)
+        assert out.readout[out.winner] == pytest.approx(1.0)
+        assert np.all(out.readout <= 1.0)
+
+    def test_readout_ratio_tracks_rate_ratio(self):
+        # (0.9, 0.45) at n_max=4096: loser/winner readout concentrates at 0.5
+        ratios = []
+        for seed in range(100):
+            readout = run_bus([0.9, 0.45], seed=seed, n_max=4096).readout
+            ratios.append(readout[1] / readout[0])
+        assert abs(np.mean(ratios) - 0.5) <= 0.02
+
+    def test_coarse_readout_is_less_accurate(self):
+        # the bus (1.0, 0.6, 0.3) read at n_max=1 and n_max=256: the 1-bit
+        # readout has the larger mean error over 100 seeds
+        rates = np.array([1.0, 0.6, 0.3])
+        error = {
+            n_max: np.mean([
+                np.abs(run_bus(rates, seed=s, n_max=n_max).readout - rates)
+                for s in range(100)
+            ])
+            for n_max in (1, 256)
+        }
+        assert error[1] > error[256]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rates=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+    n_max=st.integers(1, 64),
+    seed=st.integers(0, 2**31),
+)
+def test_overflow_run_invariants(rates, n_max, seed):
+    """Any overflow-terminated run fills the winner to exactly n_max, reads
+    it out as 1, caps all counters at n_max, and needs at least n_max cycles."""
+    out = run_bus(rates, seed=seed, n_max=n_max)
+    assert not out.timed_out
+    assert out.counts[out.winner] == n_max
+    assert out.readout[out.winner] == 1.0
+    assert out.counts.max() == n_max
+    assert out.cycles >= n_max
