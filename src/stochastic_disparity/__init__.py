@@ -36,8 +36,8 @@ from .model import (
     matching_cost,
     nomatch_probability,
 )
-from .pipeline import PipelineSummary, RunConfig, run_pipeline
-from .reference import ReferenceResult, reference_disparity_image, reference_infer
+from .pipeline import PipelineSummary, RunConfig, render_disparity, run_pipeline
+from .reference import ReferenceResult, reference_infer
 from .synthetic import natural_scene_pair, planted_shift_pair, textured_base
 
 __version__ = "0.1.0"

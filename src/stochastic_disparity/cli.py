@@ -15,15 +15,13 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .dump import DumpFormatError, read_dump
 from .metrics import (
     DEFAULT_CLOCK_HZ,
     DEFAULT_GENERATOR_POWER_W,
-    f1_nomatch,
+    Readout,
     hardware_estimate,
-    rms_distribution_error,
+    score_readouts,
     sweep_counter_sizes,
     sweep_to_csv,
 )
@@ -133,22 +131,21 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _dump_readout(dump) -> Readout:
+    valid = slice(dump.d_max, None)
+    return Readout(
+        dump.counts, dump.n_max, dump.no_match[:, valid], dump.invalid[:, valid]
+    )
+
+
 def _cmd_compare(args) -> int:
     ref = read_dump(args.reference_dump)
     sto = read_dump(args.stochastic_dump)
     if (ref.width, ref.height, ref.d_max) != (sto.width, sto.height, sto.d_max):
         raise ValueError("dumps cover different grids or disparity ranges")
-    valid = slice(ref.d_max, None)
-    ref_nm = ref.no_match[:, valid]
-    sto_nm = sto.no_match[:, valid]
-    usable = ~ref.invalid[:, valid] & ~sto.invalid[:, valid]
-    both_matched = usable & ~ref_nm & ~sto_nm
-    ref_dist = ref.counts[:, :, : ref.d_max + 1] / ref.n_max
-    sto_dist = sto.counts[:, :, : sto.d_max + 1] / sto.n_max
-    rms = rms_distribution_error(sto_dist, ref_dist, both_matched)
-    f1 = f1_nomatch(ref_nm & usable, sto_nm & usable)
+    rms, f1, n_matched = score_readouts(_dump_readout(sto), _dump_readout(ref))
     print("rms,f1,n_matched")
-    print(f"{rms:.6f},{f1:.6f},{int(both_matched.sum())}")
+    print(f"{rms:.6f},{f1:.6f},{n_matched}")
     return EXIT_OK
 
 

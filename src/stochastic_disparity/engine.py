@@ -13,7 +13,6 @@ import numpy as np
 from .bitstream import DEFAULT_MAX_CYCLES, stream_seed
 from .machine import race_arrivals
 from .model import LikelihoodVolume
-from .reference import disparity_to_luminance
 
 
 @dataclass(frozen=True)
@@ -50,13 +49,6 @@ class StochasticResult:
     def readout(self) -> np.ndarray:
         """Max-normalized distributions: counter values over n_max."""
         return self.counts / self.n_max
-
-    def disparity_image(self) -> np.ndarray:
-        """Grayscale rendering over the valid region: black for no-match and
-        timeouts, round(255 * d / d_max) otherwise."""
-        img = disparity_to_luminance(np.maximum(self.map_disparity, 0), self.d_max)
-        img[self.map_disparity < 0] = 0
-        return img
 
 
 def _run_rows(args):

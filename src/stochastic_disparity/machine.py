@@ -230,8 +230,8 @@ def race_arrivals(
     """
     if n_max <= 0:
         raise ValueError("counter maximum must be positive")
-    if max_cycles <= 0:
-        raise ValueError("max_cycles must be positive")
+    if not 0 < max_cycles < 2**63 - 1:  # the clip max_cycles + 1 is int64
+        raise ValueError("max_cycles must lie in [1, 2**63 - 2]")
     p = np.ceil(np.asarray(rates, dtype=float) * 2.0**53) / 2.0**53
     cap = max_cycles + 1
     arrival = np.full(p.shape, min(n_max, cap), dtype=np.int64)

@@ -3,7 +3,7 @@
 import io
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -20,21 +20,27 @@ DEFAULT_GENERATOR_POWER_W = 50e-6
 
 @dataclass(frozen=True)
 class AccuracyReport:
-    """Stochastic-vs-reference agreement for one configuration.
-
-    RMS is computed over the disparity entries of the max-normalized
-    distributions, restricted to pixels matched by both engines; F1 treats
-    the reference no-match set as ground truth.
-    """
+    """Stochastic-vs-reference agreement for one configuration, scored by
+    `score_readouts`."""
 
     n_max: int
     rms_error: float
     f1_nomatch: float
     n_matched: int
-    n_nomatch: int
     n_timeout: int
     cycles_mean: float
     cycles_sd: float
+
+
+class Readout(NamedTuple):
+    """One run over the valid pixel grid as scoring reads it: its max-normalized
+    distribution is `values[..., :-1] / scale` (counts over n_max, or oracle
+    rates over each pixel's winning score); the last channel is no-match."""
+
+    values: np.ndarray  # (H, W_valid, d_max + 2)
+    scale: Union[int, np.ndarray]  # n_max, or (H, W_valid, 1)
+    no_match: np.ndarray  # (H, W_valid) bool
+    timed_out: np.ndarray  # (H, W_valid) bool
 
 
 @dataclass(frozen=True)
@@ -50,22 +56,16 @@ class HardwareEstimate:
 
 
 def rms_distribution_error(
-    stochastic_readout: np.ndarray,
-    reference_scores: np.ndarray,
-    matched_mask: Optional[np.ndarray] = None,
+    stochastic_readout: np.ndarray, reference_scores: np.ndarray
 ) -> float:
     """Root mean squared componentwise difference between distributions.
 
-    Both inputs must be max-normalized with matching shapes (..., D+1). With a
-    mask, only pixels matched by both engines enter the mean.
+    Both inputs must be max-normalized with matching shapes (..., D+1).
     """
     a = np.asarray(stochastic_readout, dtype=float)
     b = np.asarray(reference_scores, dtype=float)
     if a.shape != b.shape:
         raise ValueError("distribution arrays must have identical shapes")
-    if matched_mask is not None:
-        a = a[matched_mask]
-        b = b[matched_mask]
     if a.size == 0:
         raise ValueError("no pixels to compare")
     return float(np.sqrt(np.mean((a - b) ** 2)))
@@ -128,23 +128,47 @@ def hardware_estimate(
     )
 
 
+def _distributions(run: Readout, mask: np.ndarray) -> np.ndarray:
+    dist = run.values[..., :-1][mask].astype(float, copy=False)
+    dist /= run.scale[mask] if np.ndim(run.scale) else run.scale
+    return dist
+
+
+def score_readouts(run: Readout, reference: Readout) -> Tuple[float, float, int]:
+    """RMS distribution error, no-match F1 and the matched pixel count.
+
+    F1 covers every pixel, with the reference's flags as truth; a timed-out
+    pixel counts as not flagging no-match. RMS covers the pixels matched by
+    both sides and timed out on neither, masked before differencing so no
+    grid-sized difference array is built.
+    """
+    both_matched = ~(
+        run.no_match | run.timed_out | reference.no_match | reference.timed_out
+    )
+    rms = rms_distribution_error(
+        _distributions(run, both_matched), _distributions(reference, both_matched)
+    )
+    f1 = f1_nomatch(
+        reference.no_match & ~reference.timed_out, run.no_match & ~run.timed_out
+    )
+    return rms, f1, int(both_matched.sum())
+
+
 def compare_results(
     stochastic: StochasticResult, reference: ReferenceResult
 ) -> AccuracyReport:
     """Score one stochastic run against the reference on the same volume."""
-    both_matched = (
-        (~reference.no_match) & (~stochastic.no_match) & (~stochastic.timed_out)
+    rms, f1, n_matched = score_readouts(
+        Readout(stochastic.counts, stochastic.n_max, stochastic.no_match,
+                stochastic.timed_out),
+        Readout(reference.rates, reference.winning_score[..., None],
+                reference.no_match, np.zeros_like(reference.no_match)),
     )
-    # mask before comparing, so no grid-sized difference array is built
-    readout = stochastic.readout()[both_matched][:, : stochastic.d_max + 1]
-    rms = rms_distribution_error(readout, reference.norm_scores[both_matched])
-    f1 = f1_nomatch(reference.no_match, stochastic.no_match)
     return AccuracyReport(
         n_max=stochastic.n_max,
         rms_error=rms,
         f1_nomatch=f1,
-        n_matched=int(both_matched.sum()),
-        n_nomatch=int(stochastic.no_match.sum()),
+        n_matched=n_matched,
         n_timeout=int(stochastic.timed_out.sum()),
         cycles_mean=float(stochastic.cycles.mean()),
         cycles_sd=float(stochastic.cycles.std()),
@@ -189,7 +213,6 @@ def sweep_counter_sizes(
                 rms_error=float(np.mean([r.rms_error for r in per_seed])),
                 f1_nomatch=float(np.mean([r.f1_nomatch for r in per_seed])),
                 n_matched=int(np.mean([r.n_matched for r in per_seed])),
-                n_nomatch=int(np.mean([r.n_nomatch for r in per_seed])),
                 n_timeout=int(sum(r.n_timeout for r in per_seed)),
                 cycles_mean=float(np.mean([r.cycles_mean for r in per_seed])),
                 cycles_sd=float(np.mean([r.cycles_sd for r in per_seed])),

@@ -63,10 +63,6 @@ class ModelParams:
                 raise ValueError(f"{name} must be positive and finite")
 
     @property
-    def n_disparities(self) -> int:
-        return self.d_max + 1
-
-    @property
     def machine_width(self) -> int:
         """Disparity channels plus the no-match channel."""
         return self.d_max + 2

@@ -9,14 +9,9 @@ import numpy as np
 
 from .dump import DistributionDump, write_dump
 from .engine import StochasticResult, run_stochastic_grid
-from .model import (
-    BORDER,
-    ModelParams,
-    build_likelihood_volume,
-    compute_features,
-)
+from .model import ModelParams, build_likelihood_volume, compute_features
 from .pgm import load_image, save_image
-from .reference import ReferenceResult, reference_disparity_image, reference_infer
+from .reference import ReferenceResult, reference_infer
 
 MODES = ("reference", "stochastic", "both")
 
@@ -52,10 +47,16 @@ class RunConfig:
 class PipelineSummary:
     reference: Optional[ReferenceResult]
     stochastic: Optional[StochasticResult]
-    timeout_fraction: float
-    n_timeouts: int
-    cycles_mean: float
-    cycles_sd: float
+
+    @property
+    def n_timeouts(self) -> int:
+        """Timed-out pixels of the stochastic run; 0 in reference mode."""
+        return 0 if self.stochastic is None else int(self.stochastic.timed_out.sum())
+
+    @property
+    def timeout_fraction(self) -> float:
+        sto = self.stochastic
+        return 0.0 if sto is None else self.n_timeouts / sto.timed_out.size
 
 
 def _apply_crop(img: np.ndarray, crop: Tuple[int, int, int, int]) -> np.ndarray:
@@ -67,12 +68,15 @@ def _apply_crop(img: np.ndarray, crop: Tuple[int, int, int, int]) -> np.ndarray:
     return img[y : y + h, x : x + w]
 
 
-def _embed_valid(image_valid: np.ndarray, full_width: int, d_max: int) -> np.ndarray:
-    """Place a valid-region image into the full feature-map frame; the x <
-    d_max border is zero-filled and flagged in the dump's invalid bitmap."""
-    out = np.zeros((image_valid.shape[0], full_width), dtype=np.uint8)
-    out[:, d_max:] = image_valid
-    return out
+def render_disparity(
+    map_disparity: np.ndarray, d_max: int, feature_width: int
+) -> np.ndarray:
+    """Grayscale image of a MAP disparity grid over the full feature-map
+    width: disparity d renders round(255 * d / d_max); -1 (no-match or
+    timeout) and the x < d_max border, which has no valid pixels, are black."""
+    img = np.zeros((map_disparity.shape[0], feature_width), dtype=np.uint8)
+    img[:, d_max:] = np.rint(255.0 * np.maximum(map_disparity, 0) / d_max)
+    return img
 
 
 def dump_from_result(
@@ -125,15 +129,12 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
     if config.mode in ("reference", "both"):
         reference = reference_infer(volume)
         if config.reference_image_out is not None:
-            img = reference_disparity_image(reference, d_max)
             save_image(
-                config.reference_image_out, _embed_valid(img, feature_width, d_max)
+                config.reference_image_out,
+                render_disparity(reference.map_disparity, d_max, feature_width),
             )
 
     stochastic = None
-    timeout_fraction = 0.0
-    n_timeouts = 0
-    cycles_mean = cycles_sd = 0.0
     if config.mode in ("stochastic", "both"):
         stochastic = run_stochastic_grid(
             volume,
@@ -142,35 +143,26 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
             max_cycles=config.max_cycles,
             workers=config.workers,
         )
-        n_timeouts = int(stochastic.timed_out.sum())
-        timeout_fraction = n_timeouts / stochastic.timed_out.size
-        cycles_mean = float(stochastic.cycles.mean())
-        cycles_sd = float(stochastic.cycles.std())
+    summary = PipelineSummary(reference=reference, stochastic=stochastic)
+    if stochastic is not None:
+        cycles = stochastic.cycles
         print(
-            f"cycles/pixel: mean {cycles_mean:.4f} sd {cycles_sd:.4f} "
-            f"(n_max={config.n_max}, {stochastic.cycles.size} pixels, "
-            f"{n_timeouts} timeouts)",
+            f"cycles/pixel: mean {cycles.mean():.4f} sd {cycles.std():.4f} "
+            f"(n_max={config.n_max}, {cycles.size} pixels, "
+            f"{summary.n_timeouts} timeouts)",
             file=log,
         )
         if config.stochastic_image_out is not None:
             save_image(
                 config.stochastic_image_out,
-                _embed_valid(stochastic.disparity_image(), feature_width, d_max),
+                render_disparity(stochastic.map_disparity, d_max, feature_width),
             )
         if config.dump_out is not None:
             write_dump(config.dump_out, dump_from_result(stochastic, feature_width))
-        if timeout_fraction > config.timeout_warn_fraction:
+        if summary.timeout_fraction > config.timeout_warn_fraction:
             print(
-                f"warning: {n_timeouts} pixels "
-                f"({timeout_fraction:.2%}) timed out before overflow",
+                f"warning: {summary.n_timeouts} pixels "
+                f"({summary.timeout_fraction:.2%}) timed out before overflow",
                 file=log,
             )
-
-    return PipelineSummary(
-        reference=reference,
-        stochastic=stochastic,
-        timeout_fraction=timeout_fraction,
-        n_timeouts=n_timeouts,
-        cycles_mean=cycles_mean,
-        cycles_sd=cycles_sd,
-    )
+    return summary

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LikelihoodVolume, ModelParams
+from .model import LikelihoodVolume
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,6 @@ class ReferenceResult:
     winning_score: np.ndarray  # (H, W_valid)
     no_match: np.ndarray  # (H, W_valid) bool
     map_disparity: np.ndarray  # (H, W_valid) int, -1 on no-match
-    params: ModelParams
 
     @property
     def norm_scores(self) -> np.ndarray:
@@ -66,19 +65,4 @@ def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
         winning_score=np.maximum(best, nomatch),
         no_match=no_match,
         map_disparity=np.where(no_match, -1, map_d),
-        params=volume.params,
     )
-
-
-def disparity_to_luminance(d: np.ndarray, d_max: int) -> np.ndarray:
-    return np.rint(255.0 * np.asarray(d, dtype=float) / d_max).astype(np.uint8)
-
-
-def reference_disparity_image(result: ReferenceResult, d_max: int) -> np.ndarray:
-    """Render MAP disparities over the valid region: no-match pixels are
-    black, disparity d maps to round(255 * d / d_max). Border pixels with
-    x < d_max are not part of this grid; callers keep their own validity mask.
-    """
-    img = disparity_to_luminance(np.maximum(result.map_disparity, 0), d_max)
-    img[result.no_match] = 0
-    return img

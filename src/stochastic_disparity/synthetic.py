@@ -11,6 +11,7 @@ from typing import Tuple
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
+from scipy.spatial import cKDTree
 
 
 def textured_base(
@@ -57,6 +58,19 @@ def planted_shift_pair(
     return left, right
 
 
+def _nearest_site(xx, yy, site_x, site_y, stroke_length, stroke_width):
+    """Index of each pixel's nearest site, looked up in a KD-tree over the
+    sites in diagonally rotated coordinates scaled per axis, (u / length,
+    w / width), where Euclidean distance is the anisotropic stroke distance."""
+
+    def coords(x, y):
+        uw = np.stack([np.ravel(x + y), np.ravel(x - y)], axis=1) / np.sqrt(2.0)
+        return uw / (stroke_length, stroke_width)
+
+    _, index = cKDTree(coords(site_x, site_y)).query(coords(xx, yy))
+    return index.reshape(xx.shape)
+
+
 def natural_scene_pair(
     width: int,
     height: int,
@@ -93,14 +107,9 @@ def natural_scene_pair(
     site_x = rng.uniform(0, full_width, n_sites)
     levels = rng.uniform(0, 255, n_sites)
     yy, xx = np.mgrid[0:height, 0:full_width]
-    # distances in diagonally rotated, anisotropically scaled coordinates
-    u = (xx + yy) / np.sqrt(2.0)
-    w = (xx - yy) / np.sqrt(2.0)
-    site_u = (site_x + site_y) / np.sqrt(2.0)
-    site_w = (site_x - site_y) / np.sqrt(2.0)
-    d2 = ((u[..., None] - site_u) / stroke_length) ** 2
-    d2 += ((w[..., None] - site_w) / stroke_width) ** 2
-    base = levels[np.argmin(d2, axis=2)]
+    base = levels[
+        _nearest_site(xx, yy, site_x, site_y, stroke_length, stroke_width)
+    ]
     base[:, :content_x] = dark_level
 
     mismatch = np.zeros(full_width)

@@ -128,9 +128,7 @@ def counter_sweep():
         both = ~ref.no_match & ~res.no_match & ~res.timed_out
         rms.append(
             sd.rms_distribution_error(
-                res.readout()[..., : params.d_max + 1],
-                ref.norm_scores[..., : params.d_max + 1],
-                both,
+                res.readout()[both][:, : params.d_max + 1], ref.norm_scores[both]
             )
         )
         f1.append(sd.f1_nomatch(ref.no_match, res.no_match))

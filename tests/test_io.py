@@ -15,13 +15,15 @@ from stochastic_disparity.dump import (
     read_dump,
     write_dump,
 )
+from stochastic_disparity.engine import run_stochastic_grid
+from stochastic_disparity.metrics import Readout, score_readouts
 from stochastic_disparity.pgm import (
     ImageFileMissingError,
     ImageFormatError,
     load_image,
     save_image,
 )
-from stochastic_disparity.pipeline import RunConfig, run_pipeline
+from stochastic_disparity.pipeline import RunConfig, dump_from_result, run_pipeline
 from stochastic_disparity.synthetic import planted_shift_pair
 
 
@@ -429,6 +431,39 @@ class TestCli:
         assert main(args) == EXIT_OK
         dumps = [str(tmp_path / "dumpa.bin"), str(tmp_path / "dumpb.bin")]
         assert main(["compare", *dumps]) == EXIT_VALIDATION
+
+    def test_compare_scores_timeouts_like_the_shared_helper(
+        self, timeout_volume, tmp_path, capsys
+    ):
+        # the reference dump flags two no-match pixels that time out in the
+        # other run; F1 counts each timeout as a missed no-match
+        runs = [
+            run_stochastic_grid(timeout_volume, 16, master_seed=0, max_cycles=cap)
+            for cap in (10**7, 50)
+        ]
+        assert not runs[0].timed_out.any() and runs[1].timed_out.sum() == 2
+        dumps = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for path, run in zip(dumps, runs):
+            write_dump(path, dump_from_result(run, feature_width=5))
+        assert main(["compare", *map(str, dumps)]) == EXIT_OK
+        reference, run = (
+            Readout(r.counts, r.n_max, r.no_match, r.timed_out) for r in runs
+        )
+        rms, f1, n_matched = score_readouts(run, reference)
+        assert (f1, n_matched) == (0.0, 1)
+        printed = capsys.readouterr().out.split("\n")[1]
+        assert printed == f"{rms:.6f},{f1:.6f},{n_matched}"
+
+    @pytest.mark.parametrize("command", ["disparity", "sweep"])
+    def test_max_cycles_beyond_int64_exits_with_code_2(
+        self, command, tmp_path, capsys
+    ):
+        lp, rp = write_pair(tmp_path)
+        args = [command, "--left", str(lp), "--right", str(rp), "--d-max", "8"]
+        if command == "sweep":
+            args += ["--n-max-list", "1"]
+        assert main([*args, "--max-cycles", str(2**63 - 1)]) == EXIT_VALIDATION
+        assert "max_cycles" in capsys.readouterr().err
 
     def test_missing_input_exits_with_io_code(self, tmp_path, capsys):
         args = [

@@ -256,3 +256,16 @@ class TestRaceArrivals:
             race_arrivals(np.random.default_rng(0), np.ones((1, 2)), n_max=0)
         with pytest.raises(ValueError):
             race_arrivals(np.random.default_rng(0), np.ones((1, 2)), 4, max_cycles=0)
+
+    def test_max_cycles_must_fit_int64(self):
+        # the largest accepted budget still clips arrivals at 2**63 - 1
+        big = 2**63 - 2
+        _, winner, cycles, timed_out = race_arrivals(
+            np.random.default_rng(0), np.zeros((1, 2)), 4, max_cycles=big
+        )
+        assert timed_out[0] and winner[0] == -1 and cycles[0] == big
+        for max_cycles in (2**63 - 1, 2**63, 2**64):
+            with pytest.raises(ValueError, match="max_cycles"):
+                race_arrivals(
+                    np.random.default_rng(0), np.ones((1, 2)), 4, max_cycles
+                )

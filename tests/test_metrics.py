@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
+from stochastic_disparity.engine import run_stochastic_grid
 from stochastic_disparity.metrics import (
     SWEEP_CSV_HEADER,
+    Readout,
+    compare_results,
     f1_nomatch,
     hardware_estimate,
     rms_distribution_error,
+    score_readouts,
     sweep_counter_sizes,
     sweep_to_csv,
 )
 from stochastic_disparity.model import ModelParams
+from stochastic_disparity.reference import reference_infer
 from stochastic_disparity.synthetic import planted_shift_pair
 
 
@@ -26,19 +31,44 @@ class TestRmsDistributionError:
         assert rms_distribution_error(a, b) == pytest.approx(1.0)
 
     def test_mask_restricts_pixels(self):
-        a = np.zeros((2, 1, 2))
-        b = np.zeros((2, 1, 2))
-        b[1] = 1.0
-        mask = np.array([[True], [False]])
-        assert rms_distribution_error(a, b, mask) == 0.0
+        # score_readouts differences only pixels that both sides matched and
+        # neither timed out: 0 agrees, 1 is run no-match, 2 reference no-match,
+        # 3 a run timeout, 4 a reference timeout. Pixel 0 reads (1, 0.5) on
+        # both sides, under its own reference scale; no-match channels differ.
+        run = Readout(
+            values=np.array([[[2, 1, 0], [0, 2, 2], [0, 2, 0], [0, 0, 0], [0, 2, 0]]]),
+            scale=2,
+            no_match=np.array([[False, True, False, False, False]]),
+            timed_out=np.array([[False, False, False, True, False]]),
+        )
+        reference = Readout(
+            values=np.tile([0.5, 0.25, 0.4], (1, 5, 1)),
+            scale=np.array([0.5, 0.8, 0.8, 0.8, 0.8]).reshape(1, 5, 1),
+            no_match=np.array([[False, False, True, False, False]]),
+            timed_out=np.array([[False, False, False, False, True]]),
+        )
+        rms, _, n_matched = score_readouts(run, reference)
+        assert rms == 0.0
+        assert n_matched == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             rms_distribution_error(np.zeros((2, 2)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            rms_distribution_error(
-                np.zeros((2, 1, 2)), np.zeros((2, 1, 2)), np.zeros((2, 1), bool)
-            )
+            rms_distribution_error(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+class TestCompareResults:
+    def test_timeouts_count_as_missed_no_match(self, timeout_volume):
+        reference = reference_infer(timeout_volume)
+        stochastic = run_stochastic_grid(
+            timeout_volume, 16, master_seed=0, max_cycles=50
+        )
+        assert list(reference.no_match[0]) == [False, True, True]
+        assert list(stochastic.timed_out[0]) == [False, True, True]
+        report = compare_results(stochastic, reference)
+        assert report.f1_nomatch == 0.0
+        assert (report.n_matched, report.n_timeout) == (1, 2)
 
 
 class TestF1Nomatch:

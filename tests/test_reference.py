@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from stochastic_disparity.model import LikelihoodVolume, ModelParams
-from stochastic_disparity.reference import (
-    disparity_to_luminance,
-    reference_disparity_image,
-    reference_infer,
-)
+from stochastic_disparity.pipeline import render_disparity
+from stochastic_disparity.reference import reference_infer
 
 
 def volume_from_rates(products, nomatch, d_max):
@@ -98,18 +95,21 @@ class TestReferenceInfer:
 
 
 class TestDisparityImages:
+    """`render_disparity` draws every disparity image, over the full
+    feature-map width."""
+
     def test_luminance_endpoints(self):
-        assert disparity_to_luminance(np.array([0]), 80)[0] == 0
-        assert disparity_to_luminance(np.array([80]), 80)[0] == 255
+        img = render_disparity(np.array([[0, 80]]), 80, 82)
+        assert list(img[0, 80:]) == [0, 255]
+        assert not img[0, :80].any()  # the x < d_max border is black
 
     def test_luminance_rounding(self):
-        assert disparity_to_luminance(np.array([40]), 80)[0] == 128
+        assert render_disparity(np.array([[40]]), 80, 81)[0, 80] == 128
 
     def test_no_match_pixels_render_black(self):
         lik = np.full((1, 2, 3), 0.02 * 0.02 * 0.02)
         lik[0, 0, 2] = 1.0  # pixel 0 matched at d=2, pixel 1 occluded
         result = reference_infer(volume_from_rates(lik, [[0.01, 0.01]], 2))
-        img = reference_disparity_image(result, d_max=2)
+        img = render_disparity(result.map_disparity, 2, 4)
         assert img.dtype == np.uint8
-        assert img[0, 0] == 255
-        assert img[0, 1] == 0
+        assert list(img[0]) == [0, 0, 255, 0]
