@@ -10,7 +10,6 @@ from .machine import (
     Machine,
     MachineResult,
     build_machine,
-    map_estimate,
     run_machine,
 )
 from .metrics import (

@@ -30,9 +30,11 @@ import numpy as np
 MAGIC = b"SDSP"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIIHI")
-# (field, low, high) for the header; n_max also bounds the 16-bit counts
+# the largest count a dump holds, so also its largest n_max
+COUNT_MAX = 2**16 - 1
+# (field, low, high) for the header
 _HEADER_FIELDS = (("width", 0, 2**32 - 1), ("height", 0, 2**32 - 1),
-                  ("d_max", 0, 2**16 - 1), ("n_max", 1, 2**16 - 1))
+                  ("d_max", 0, 2**16 - 1), ("n_max", 1, COUNT_MAX))
 
 
 class DumpFormatError(Exception):

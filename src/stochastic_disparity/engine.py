@@ -2,7 +2,8 @@
 
 Each feature-map row is raced as one block by `race_arrivals`, with its own
 generator stream keyed by the master seed and the row index, so results are
-independent of scan order and of how rows are split across workers.
+independent of scan order and of how rows are split across workers. Rows are
+written into result arrays allocated once per grid.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,7 @@ class StochasticResult:
     cycle, so readouts are counts / n_max.
     """
 
-    counts: np.ndarray  # (H, W_valid, d_max + 2)
+    counts: np.ndarray  # (H, W_valid, d_max + 2), smallest dtype for n_max
     winner: np.ndarray  # (H, W_valid) int
     cycles: np.ndarray  # (H, W_valid) int
     timed_out: np.ndarray  # (H, W_valid) bool
@@ -51,15 +52,27 @@ class StochasticResult:
         return self.counts / self.n_max
 
 
-def _run_rows(args):
+def _run_rows(args, out=None):
+    """Race rows y0, y0 + 1, ... of `rates`, each on its own stream, into
+    `out` (counts, winner, cycles, timed_out), allocated here if not given."""
     rates, y0, master_seed, n_max, max_cycles = args
-    rows = [
-        race_arrivals(
-            np.random.default_rng(stream_seed(master_seed, y)), r, n_max, max_cycles
-        )
-        for y, r in enumerate(rates, start=y0)
-    ]
-    return [np.stack(field) for field in zip(*rows)]
+    if out is None:
+        out = _allocate(rates.shape, n_max)
+    for i, row in enumerate(rates):
+        rng = np.random.default_rng(stream_seed(master_seed, y0 + i))
+        for field, value in zip(out, race_arrivals(rng, row, n_max, max_cycles)):
+            field[i] = value
+    return out
+
+
+def _allocate(shape, n_max: int):
+    grid = shape[:2]
+    return (
+        np.empty(shape, dtype=np.min_scalar_type(n_max)),
+        np.empty(grid, dtype=np.int64),
+        np.empty(grid, dtype=np.int64),
+        np.empty(grid, dtype=bool),
+    )
 
 
 def run_stochastic_grid(
@@ -71,24 +84,27 @@ def run_stochastic_grid(
 ) -> StochasticResult:
     """Run one machine per valid pixel and collect counts, winners and cycles.
 
-    With workers > 1 rows are distributed over a process pool; per-row
-    seeding keeps the output bit-identical to a serial run.
+    The outputs are allocated once and each row is written into them; counts
+    take the smallest unsigned dtype that holds n_max. With workers > 1 rows
+    are distributed over a process pool; per-row seeding keeps the output
+    bit-identical to a serial run.
     """
     rates = volume.rates
+    out = _allocate(rates.shape, n_max)
     if workers <= 1:
-        counts, winner, cycles, timed_out = _run_rows(
-            (rates, 0, master_seed, n_max, max_cycles)
-        )
+        _run_rows((rates, 0, master_seed, n_max, max_cycles), out)
     else:
         rows_per_chunk = max(1, rates.shape[0] // (workers * 4))
+        starts = range(0, rates.shape[0], rows_per_chunk)
         jobs = [
             (rates[y0 : y0 + rows_per_chunk], y0, master_seed, n_max, max_cycles)
-            for y0 in range(0, rates.shape[0], rows_per_chunk)
+            for y0 in starts
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_rows, jobs))
-        counts, winner, cycles, timed_out = (np.concatenate(f) for f in zip(*chunks))
-
+            for y0, chunk in zip(starts, pool.map(_run_rows, jobs)):
+                for field, part in zip(out, chunk):
+                    field[y0 : y0 + len(part)] = part
+    counts, winner, cycles, timed_out = out
     return StochasticResult(
         counts=counts,
         winner=winner,

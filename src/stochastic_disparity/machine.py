@@ -12,7 +12,8 @@ ties) in one pass. A lone distribution bus is the zero-term machine, a spec
 whose `term_table` has shape (0, M).
 
 `run_machine` simulates this cycle by cycle and is the reference;
-`race_arrivals` draws the same race in closed form for many pixels at once.
+`race_arrivals` draws the same race in closed form for many pixels at once,
+drawing fill cycles only for the channels that can plausibly win.
 """
 
 from dataclasses import dataclass
@@ -73,10 +74,6 @@ class FusionSpec:
         if self.n_terms == 0:
             return self.prior.copy()
         return self.prior * np.prod(self.term_table, axis=0)
-
-    def output_constant(self) -> float:
-        """Bus constant of the output bus: the exact product of C_0 .. C_N."""
-        return float(np.prod(self.bus_constants))
 
 
 @dataclass(frozen=True)
@@ -194,16 +191,16 @@ def run_machine(
     )
 
 
-def map_estimate(result: MachineResult) -> int:
-    """The argmax of the max-normalized posterior: the first counter to fill."""
-    if result.timed_out or result.winner is None:
-        raise ValueError("no MAP estimate from a timed-out run")
-    return result.winner
-
-
 # numpy's negative_binomial rejects n * (1 - p) / p near 2**63; in shares of
 # at most this many successes it accepts every p >= 2**-53.
 ARRIVAL_SHARE = 512
+# Channels below this fraction of their pixel's top rate are outsiders: they
+# draw no arrival time, only their count at the contenders' first arrival.
+_CONTENDER_CUT = 0.1
+# numpy's hypergeometric takes populations below 10**9, and an outsider that
+# fills draws from populations of up to max_cycles cycles; with a larger
+# budget every channel contends, so none is ever an outsider.
+_HYPERGEOMETRIC_LIMIT = 10**9
 
 
 def race_arrivals(
@@ -215,39 +212,183 @@ def race_arrivals(
     """Race each row of a (pixels, M) rate array in closed form.
 
     A row has the law of `run_machine` on a spec with those channel products:
-    channel j's counter fills at cycle A_j = n_max + NegBin(n_max, p_j),
-    clipped at max_cycles + 1. The stop cycle is T = min A_j, the winner the
-    lowest index with A_j = T, and tied channels read n_max. Every other
-    channel reads Binomial(S, p_j) conditioned on being below n_max, with
-    S = T, or S = max_cycles on a timeout (T > max_cycles; winner -1).
+    channel j's counter fills at cycle A_j, the n_max-th success of its
+    Bernoulli(p_j) stream. The stop cycle is T = min A_j, the winner the
+    lowest index with A_j = T, tied channels read n_max and every other
+    channel reads its count at T. If T > max_cycles the pixel times out at
+    max_cycles (winner -1), every channel reading its count there.
+
+    Only contenders, the channels with p_j >= _CONTENDER_CUT * max p, draw
+    arrivals, A_j = n_max + NegBin(n_max, p_j). Let the span be the first of
+    them, capped at max_cycles. A losing contender reads Binomial(span, p_j)
+    conditioned below n_max. The channels are independent, so each outsider
+    reads Binomial(span, p_j) (`_counts_by_span`); if none of them reaches
+    n_max the race stops at the span. Otherwise `_settle_outsiders` places
+    the arrivals inside the span. At n_max 1 the race has a closed form
+    (`_race_first_firing`).
 
     Rates are quantised to ceil(p * 2**53) / 2**53, the probability of
     `random() < p`, so p = 0 never arrives and any other rate is >= 2**-53.
     NegBin(n_max, p) is summed over shares of at most ARRIVAL_SHARE
     successes, so every valid rate and counter size can be drawn.
 
-    Returns per-pixel (counts, winner, cycles, timed_out).
+    Returns per-pixel (counts, winner, cycles, timed_out); counts have the
+    smallest unsigned dtype that holds n_max.
     """
     if n_max <= 0:
         raise ValueError("counter maximum must be positive")
     if not 0 < max_cycles < 2**63 - 1:  # the clip max_cycles + 1 is int64
         raise ValueError("max_cycles must lie in [1, 2**63 - 2]")
     p = np.ceil(np.asarray(rates, dtype=float) * 2.0**53) / 2.0**53
+    top = p.max(axis=1, keepdims=True)
+    if not (p.min() >= 0 and top.max() <= 1):
+        raise ValueError("rates must lie in [0, 1]")
+    if n_max == 1:
+        return _race_first_firing(rng, p, max_cycles)
+
+    cut = _CONTENDER_CUT if max_cycles < _HYPERGEOMETRIC_LIMIT else 0.0
+    contends = p >= cut * top
+    m = p.shape[1]
+    # row-major, so each pixel's contenders are adjacent; its top one is there
+    rows, cols = np.divmod(np.flatnonzero(contends), m)
+    p_c = p[rows, cols]
     cap = max_cycles + 1
-    arrival = np.full(p.shape, min(n_max, cap), dtype=np.int64)
+    arrival = np.full(p_c.shape, min(n_max, cap), dtype=np.int64)
     for done in range(0, n_max, ARRIVAL_SHARE):
         share = min(ARRIVAL_SHARE, n_max - done)
-        failures = rng.negative_binomial(share, np.where(p > 0, p, 1.0))
+        failures = rng.negative_binomial(share, np.where(p_c > 0, p_c, 1.0))
         arrival += np.minimum(failures, cap - arrival)
-    arrival[p == 0] = cap
-    stop = arrival.min(axis=1)
+    arrival[p_c == 0] = cap
+    starts = np.searchsorted(rows, np.arange(p.shape[0]))
+    stop = np.minimum.reduceat(arrival, starts)
     timed_out = stop > max_cycles
     cycles = np.minimum(stop, max_cycles)
-    winner = np.where(timed_out, -1, arrival.argmin(axis=1))
-    losers = arrival > cycles[:, None]
-    counts = np.full(p.shape, n_max, dtype=np.int64)
-    spans = np.broadcast_to(cycles[:, None], p.shape)[losers]
-    counts[losers] = _binomial_below(rng, spans, p[losers], n_max)
+
+    counts = np.zeros(p.shape, dtype=np.min_scalar_type(n_max))
+    fills = arrival <= cycles[rows]
+    lost = ~fills
+    counts[rows[fills], cols[fills]] = n_max
+    counts[rows[lost], cols[lost]] = _binomial_below(
+        rng, cycles[rows[lost]], p_c[lost], n_max
+    )
+    lead = np.minimum.reduceat(np.where(fills, cols, m), starts)
+    winner = np.where(lead < m, lead, -1)
+
+    # An outsider counts by the span with probability at most span * p, so
+    # only uniforms below that bound are inverted; p = 0 never passes.
+    v = rng.random(p.shape)
+    near = (v < cycles[:, None] * p) & ~contends
+    rows, cols = np.divmod(np.flatnonzero(near), m)
+    hit, k = _counts_by_span(rng, v[rows, cols], p[rows, cols], cycles[rows])
+    rows, cols = rows[hit], cols[hit]
+    short = k < n_max
+    counts[rows[short], cols[short]] = k[short]
+    if not short.all():
+        _settle_outsiders(
+            rng, (counts, winner, cycles, timed_out), rows[~short], cols[~short],
+            k[~short], n_max,
+        )
+    return counts, winner, cycles, timed_out
+
+
+def _counts_by_span(rng, v: np.ndarray, p: np.ndarray, span: np.ndarray):
+    """Binomial(span, p) draws for 0 < p < 1 from uniforms v, as (indices,
+    counts) of the nonzero ones.
+
+    The first success G = floor(log(1 - v) / log1p(-p)) + 1 is drawn by
+    inversion, and the count is 1 + Binomial(span - G, p) when G <= span.
+    """
+    first = np.floor(np.log1p(-v) / np.log1p(-p)) + 1
+    hit = np.flatnonzero(first <= span)
+    gap = span[hit] - first[hit].astype(np.int64)
+    return hit, 1 + rng.binomial(gap, p[hit])
+
+
+def _settle_outsiders(rng, result, rows, cols, k, n_max):
+    """Finish, in place, the pixels where an outsider's count k reached n_max
+    by the span.
+
+    Given k successes by the span, their cycles are a uniform k-subset of
+    1..span (Devroye 1986), so the outsider's arrival is its n_max-th
+    smallest (`_nth_position`). T is the earliest arrival of the pixel and
+    the winner the lowest index arriving at T. A channel that fills at
+    a > T placed its first n_max - 1 successes uniformly in 1..a - 1, so it
+    reads Hypergeometric(n_max - 1, a - n_max, T); one with K < n_max
+    successes by the span reads Hypergeometric(K, span - K, T).
+    """
+    counts, winner, cycles, timed_out = result
+    pixels, at = np.unique(rows, return_inverse=True)
+    span = cycles[pixels, None]
+    held = counts[pixels].astype(np.int64)
+    # a contender that read n_max filled exactly at the span
+    arrival = np.where(held == n_max, span, np.iinfo(np.int64).max)
+    held[at, cols] = k
+    arrival[at, cols] = _nth_position(rng, k, n_max, span[at, 0])
+    stop = arrival.min(axis=1, keepdims=True)
+    t = np.broadcast_to(stop, held.shape)
+    late = (arrival > stop) & (arrival <= span)
+    thin = (arrival > span) & (stop < span) & (held > 0)
+    if late.any():  # numpy's hypergeometric costs ~40 us even when empty
+        held[late] = rng.hypergeometric(n_max - 1, arrival[late] - n_max, t[late])
+    if thin.any():
+        held[thin] = rng.hypergeometric(held[thin], (span - held)[thin], t[thin])
+    held[arrival == stop] = n_max
+    counts[pixels] = held
+    winner[pixels] = arrival.argmin(axis=1)
+    cycles[pixels] = stop[:, 0]
+    timed_out[pixels] = False
+
+
+def _nth_position(rng, k: np.ndarray, n: int, span: np.ndarray) -> np.ndarray:
+    """The n-th smallest of a uniform k-subset of 1..span, for k >= n.
+
+    The interval (lo, hi] holds k of the points and the sought one is the
+    n-th among them. Its lower half holds Hypergeometric(k, hi - lo - k,
+    mid - lo) points, which says which half to keep, until one cycle is left.
+    """
+    lo, hi = np.zeros_like(span), span.copy()
+    k, n = k.copy(), np.full_like(k, n)
+    wide = np.flatnonzero(hi > lo + 1)
+    while wide.size:
+        a, b, kk, nn = lo[wide], hi[wide], k[wide], n[wide]
+        mid = (a + b) // 2
+        low = rng.hypergeometric(kk, b - a - kk, mid - a)
+        down = low >= nn
+        lo[wide], hi[wide] = np.where(down, a, mid), np.where(down, mid, b)
+        k[wide], n[wide] = np.where(down, low, kk - low), np.where(down, nn, nn - low)
+        wide = wide[hi[wide] > lo[wide] + 1]
+    return hi
+
+
+def _race_first_firing(rng, p: np.ndarray, max_cycles: int):
+    """The n_max = 1 race in closed form.
+
+    A cycle fires some channel with probability q = 1 - prod(1 - p_j), so
+    T ~ Geometric(q), drawn by inversion. In that cycle the first channel to
+    fire, J, has P(J <= j) = (1 - prod_{i <= j} (1 - p_i)) / q; the channels
+    after J fire independently at rate p_i and read 1, the rest read 0.
+    """
+    n, m = p.shape
+    with np.errstate(divide="ignore"):  # log1p(-1) is -inf
+        silent = np.cumsum(np.log1p(-p), axis=1)  # log P(0..j all silent)
+    quiet = silent[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = np.floor(np.log(1.0 - rng.random(n)) / quiet) + 1
+    first[quiet == 0] = np.inf  # an all-zero pixel never fires
+    timed_out = ~((first <= max_cycles) & (first < 2.0**63))
+    fired = np.flatnonzero(~timed_out)
+    cycles = np.full(n, max_cycles, dtype=np.int64)
+    cycles[fired] = first[fired]
+
+    below = np.log1p(-rng.random(n) * -np.expm1(quiet))  # log(1 - u * q)
+    lead = (silent >= below[:, None]).sum(axis=1)
+    # rounding at u * q ~ q must not pass the last channel that can fire
+    lead = np.minimum(lead, m - 1 - np.argmax(p[:, ::-1] > 0, axis=1))
+    lead[timed_out] = m
+    later = np.arange(m) > lead[:, None]
+    counts = ((rng.random(p.shape) < p) & later).view(np.uint8)
+    winner = np.where(timed_out, -1, lead)
+    counts[fired, lead[fired]] = 1
     return counts, winner, cycles, timed_out
 
 
@@ -260,6 +401,8 @@ def _binomial_below(rng, n: np.ndarray, p: np.ndarray, limit: int) -> np.ndarray
     """
     k = rng.binomial(n, p)
     over = np.flatnonzero(k >= limit)
+    if not over.size:
+        return k
     n_o, p_o, i = n[over, None], p[over, None], np.arange(limit)
     log_pmf = i * (np.log(p_o) - np.log1p(-p_o))
     log_pmf -= gammaln(i + 1) + gammaln(n_o - i + 1)

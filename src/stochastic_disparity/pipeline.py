@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dump import DistributionDump, write_dump
+from .dump import COUNT_MAX, DistributionDump, write_dump
 from .engine import StochasticResult, run_stochastic_grid
 from .model import ModelParams, build_likelihood_volume, compute_features
 from .pgm import load_image, save_image
@@ -35,8 +35,13 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.n_max <= 0 or self.max_cycles <= 0:
-            raise ValueError("n_max and max_cycles must be positive")
+        if self.n_max <= 0:
+            raise ValueError("n_max must be positive")
+        # the engine clips arrival cycles at max_cycles + 1 in int64
+        if not 0 < self.max_cycles < 2**63 - 1:
+            raise ValueError("max_cycles must lie in [1, 2**63 - 2]")
+        if self.dump_out is not None and self.n_max > COUNT_MAX:
+            raise ValueError(f"n_max above {COUNT_MAX} does not fit a dump")
         if self.workers <= 0:
             raise ValueError("worker count must be positive")
         if not 0.0 <= self.timeout_warn_fraction <= 1.0:
@@ -95,7 +100,7 @@ def dump_from_result(
         height=h,
         d_max=d_max,
         n_max=result.n_max,
-        counts=result.counts.astype(np.uint16),
+        counts=result.counts.astype(np.uint16, copy=False),
         no_match=no_match,
         invalid=invalid,
     )

@@ -33,18 +33,6 @@ class ReferenceResult:
         pixels peak at exactly 1; built on each access."""
         return self.rates[:, :, :-1] / self.winning_score[..., None]
 
-    @property
-    def nomatch_score(self) -> np.ndarray:
-        """The no-match channel on the `norm_scores` scale."""
-        return self.rates[:, :, -1] / self.winning_score
-
-    def sum_normalized(self) -> np.ndarray:
-        """Disparity scores renormalized to sum to 1 per pixel (no-match
-        channel included in the normalizer), for probabilistic consumers."""
-        scores = self.norm_scores
-        total = scores.sum(axis=2) + self.nomatch_score
-        return scores / total[..., None]
-
 
 def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
     """Exact posterior scores, MAP indices and no-match flags for all pixels.

@@ -114,6 +114,16 @@ class TestResultSemantics:
         assert np.all(result.winner == -1)
         assert np.all(result.cycles == 100)
 
+    @pytest.mark.parametrize(
+        "n_max, dtype", [(16, np.uint8), (300, np.uint16), (65535, np.uint16)]
+    )
+    def test_counts_take_the_smallest_dtype_for_n_max(self, n_max, dtype):
+        params = ModelParams(d_max=2)
+        rates = np.random.default_rng(0).uniform(0.2, 1.0, (2, 3, 4))
+        result = run_stochastic_grid(LikelihoodVolume(rates, params), n_max, 0)
+        assert result.counts.dtype == dtype
+        assert np.all(result.counts.max(axis=2) == n_max)
+
     def test_rejects_bad_n_max(self, small_volume):
         with pytest.raises(ValueError):
             run_stochastic_grid(small_volume, 0, master_seed=0)

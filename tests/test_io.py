@@ -454,6 +454,21 @@ class TestCli:
         printed = capsys.readouterr().out.split("\n")[1]
         assert printed == f"{rms:.6f},{f1:.6f},{n_matched}"
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--max-cycles", str(2**63 - 1)], ["--n-max", str(2**16)]],
+        ids=["max_cycles_beyond_int64", "n_max_beyond_dump"],
+    )
+    def test_bad_config_exits_with_code_2_before_any_artifact(
+        self, extra, tmp_path, capsys
+    ):
+        lp, rp = write_pair(tmp_path)
+        args = self.disparity_args(tmp_path, lp, rp)
+        assert main([*args, *extra]) == EXIT_VALIDATION
+        assert extra[0][2:].replace("-", "_") in capsys.readouterr().err
+        for name in ("ref.pgm", "sto.pgm", "dump.bin"):
+            assert not (tmp_path / name).exists()
+
     @pytest.mark.parametrize("command", ["disparity", "sweep"])
     def test_max_cycles_beyond_int64_exits_with_code_2(
         self, command, tmp_path, capsys

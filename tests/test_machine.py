@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import comb
 
 from stochastic_disparity.machine import (
     FusionSpec,
     Machine,
+    _nth_position,
+    _settle_outsiders,
     build_machine,
-    map_estimate,
     race_arrivals,
     run_machine,
 )
@@ -60,13 +62,6 @@ class TestFusionSpec:
             bus_constants=np.array([2.0]),
         )
         assert spec.channel_products() == pytest.approx([0.3, 0.7])
-        assert spec.output_constant() == pytest.approx(2.0)
-
-    def test_output_constant_is_product(self):
-        spec = simple_spec(
-            [1.0], np.ones((2, 1)), constants=[3.0, 2.0, 0.5]
-        )
-        assert spec.output_constant() == pytest.approx(3.0)
 
 
 class TestMachine:
@@ -107,7 +102,7 @@ class TestMachine:
     def test_single_channel_always_maps_to_zero(self):
         spec = simple_spec([1.0], np.full((1, 1), 0.7))
         result = run_machine(build_machine(spec, seed=5), n_max=8)
-        assert map_estimate(result) == 0
+        assert result.winner == 0
 
 
 class TestRunMachine:
@@ -145,14 +140,12 @@ class TestRunMachine:
         ]
         assert abs(np.mean(readouts) - 0.09 / 0.81) <= 0.02
 
-    def test_timeout_and_map_estimate_rejection(self):
+    def test_timeout_has_no_winner(self):
         spec = simple_spec([1.0], np.full((1, 1), 1e-9))
         result = run_machine(build_machine(spec, seed=0), n_max=4, max_cycles=50)
         assert result.timed_out
         assert result.winner is None
         assert result.cycles == 50
-        with pytest.raises(ValueError):
-            map_estimate(result)
 
     def test_argument_validation(self):
         spec = simple_spec([1.0], np.ones((1, 1)))
@@ -176,6 +169,14 @@ EQUIVALENCE_CASES = {
     "unit_rate": ([0.9, 1.0, 0.5], 3, 10**7),
     "n_max_1": ([0.2, 0.1, 0.3], 1, 10**7),
     "timeout_heavy": ([0.05, 0.04, 0.02], 8, 100),  # mean arrival 160-400
+    # Rates just under a tenth of the pixel's top rate draw no arrival time
+    # unless they fill first: at n_max 2 one of them does in about 12% of
+    # runs, at n_max 4 in under 1%.
+    "outsiders_n_max_2": ([0.049] * 8 + [0.5], 2, 10**7),
+    "outsiders_n_max_4": ([0.0499] * 8 + [0.5], 4, 10**7),
+    "outsiders_and_timeout": ([0.0019] * 6 + [0.02], 2, 100),
+    "n_max_1_unit_rate": ([0.3, 0.5, 1.0, 0.2], 1, 10**7),
+    "n_max_1_all_zero": ([0.0, 0.0, 0.0], 1, 50),
 }
 
 
@@ -251,11 +252,30 @@ class TestRaceArrivals:
         assert winner[0] == 1
         assert list(counts[0]) == [0, 4096]
 
+    def test_spans_beyond_numpy_hypergeometric_populations(self):
+        # Spans of billions of cycles: an outsider that fills first would
+        # need populations numpy's hypergeometric rejects, so every channel
+        # draws its own arrival once max_cycles reaches 10**9.
+        runs = 2000
+        rates = np.tile([4.9e-11] * 8 + [5e-10], (runs, 1))
+        counts, winner, _, timed_out = race_arrivals(
+            np.random.default_rng(0), rates, 2, max_cycles=2**40
+        )
+        assert not timed_out.any()
+        assert (winner < 8).sum() > runs / 20  # about 12% of the races
+        assert np.all(counts[np.arange(runs), winner] == 2)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             race_arrivals(np.random.default_rng(0), np.ones((1, 2)), n_max=0)
         with pytest.raises(ValueError):
             race_arrivals(np.random.default_rng(0), np.ones((1, 2)), 4, max_cycles=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.1])
+    @pytest.mark.parametrize("n_max", [1, 4])
+    def test_rates_outside_the_unit_interval_are_rejected(self, bad, n_max):
+        with pytest.raises(ValueError, match="rates"):
+            race_arrivals(np.random.default_rng(0), np.array([[0.5, bad]]), n_max)
 
     def test_max_cycles_must_fit_int64(self):
         # the largest accepted budget still clips arrivals at 2**63 - 1
@@ -269,3 +289,53 @@ class TestRaceArrivals:
                 race_arrivals(
                     np.random.default_rng(0), np.ones((1, 2)), 4, max_cycles
                 )
+
+
+class TestOutsiderFallback:
+    """The exact fallback for an outsider whose count reached n_max by the
+    span, against closed-form laws: rates under the contender cut fill first
+    too rarely for the equivalence tests to see each step."""
+
+    def test_arrival_is_an_order_statistic_of_uniform_positions(self):
+        # the 2nd smallest of a uniform 3-subset of 1..10
+        span, k, n_max = 10, 3, 2
+        arrivals = _nth_position(
+            np.random.default_rng(0),
+            np.full(EQUIVALENCE_RUNS, k),
+            n_max,
+            np.full(EQUIVALENCE_RUNS, span),
+        )
+        a = np.arange(n_max, span - k + n_max + 1)
+        pmf = comb(a - 1, n_max - 1) * comb(span - a, k - n_max) / comb(span, k)
+        observed = np.bincount(arrivals, minlength=span + 1)
+        assert observed.sum() == observed[a].sum() == EQUIVALENCE_RUNS
+        assert stats.chisquare(observed[a], pmf * EQUIVALENCE_RUNS).pvalue > ALPHA
+
+    def test_counts_thin_to_the_earlier_stop(self):
+        # At the span of 10 cycles, channel 0 lost with one success, channel
+        # 1 filled on cycle 10 and outsider 2 succeeded on every cycle, so it
+        # filled on cycle 2 and stops the race there.
+        runs, span, n_max = EQUIVALENCE_RUNS, 10, 2
+        counts = np.tile(np.array([1, n_max, 0], dtype=np.uint8), (runs, 1))
+        result = (
+            counts,
+            np.ones(runs, dtype=np.int64),
+            np.full(runs, span),
+            np.zeros(runs, dtype=bool),
+        )
+        _settle_outsiders(
+            np.random.default_rng(0),
+            result,
+            np.arange(runs),
+            np.full(runs, 2),
+            np.full(runs, span),
+            n_max,
+        )
+        _, winner, cycles, timed_out = result
+        assert np.all(winner == 2) and np.all(cycles == 2) and not timed_out.any()
+        assert np.all(counts[:, 2] == n_max)
+        # channel 0's success is uniform in 1..10, channel 1's first in 1..9
+        for j, early in ((0, 2 / 10), (1, 2 / 9)):
+            assert np.all(counts[:, j] <= 1)
+            hits = int(counts[:, j].sum())
+            assert stats.binomtest(hits, runs, early).pvalue > ALPHA

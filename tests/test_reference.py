@@ -27,7 +27,7 @@ class TestReferenceInfer:
         assert result.norm_scores[0, 0] == pytest.approx(
             [0.504 / 0.9, 1.0, 0.027 / 0.9]
         )
-        assert result.nomatch_score[0, 0] == pytest.approx(0.01 / 0.9)
+        assert result.winning_score[0, 0] == pytest.approx(0.9)
 
     def test_dominant_row_wins(self):
         # all likelihoods 1 at d=5, p0 floor elsewhere (products p0^3)
@@ -52,7 +52,7 @@ class TestReferenceInfer:
         result = reference_infer(volume_from_rates(lik, np.full((2, 2), 0.01), 4))
         assert np.all(result.no_match)
         assert np.all(result.map_disparity == -1)
-        assert np.all(result.nomatch_score == 1.0)
+        assert np.all(result.winning_score == result.rates[..., -1])
 
     def test_exact_tie_with_nomatch_stays_matched(self):
         lik = np.full((1, 1, 3), 0.5 * 0.5 * 0.5)
@@ -83,15 +83,6 @@ class TestReferenceInfer:
             tracemalloc.stop()
         assert peak < volume.rates.nbytes / 2
         assert result.rates is volume.rates
-
-    def test_sum_normalized_includes_nomatch_mass(self):
-        lik = np.full((1, 1, 3), 0.5 * 0.5 * 0.5)
-        lik[0, 0, 0] = 1.0
-        volume = volume_from_rates(lik, [[0.25]], d_max=2)
-        result = reference_infer(volume)
-        dist = result.sum_normalized()[0, 0]
-        rates = volume.rates[0, 0]
-        assert dist.sum() == pytest.approx(rates[:-1].sum() / rates.sum())
 
 
 class TestDisparityImages:
