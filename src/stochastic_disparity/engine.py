@@ -2,11 +2,11 @@
 
 Each feature-map row is raced as one block by `race_arrivals`, with its own
 generator stream keyed by the master seed and the row index, so results are
-independent of scan order and of how rows are split across workers. Rows are
-written into result arrays allocated once per grid.
+independent of scan order and of which thread races a row. Rows are written
+in place into result arrays allocated once per grid.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,29 +52,6 @@ class StochasticResult:
         return self.counts / self.n_max
 
 
-def _run_rows(args, out=None):
-    """Race rows y0, y0 + 1, ... of `rates`, each on its own stream, into
-    `out` (counts, winner, cycles, timed_out), allocated here if not given."""
-    rates, y0, master_seed, n_max, max_cycles = args
-    if out is None:
-        out = _allocate(rates.shape, n_max)
-    for i, row in enumerate(rates):
-        rng = np.random.default_rng(stream_seed(master_seed, y0 + i))
-        for field, value in zip(out, race_arrivals(rng, row, n_max, max_cycles)):
-            field[i] = value
-    return out
-
-
-def _allocate(shape, n_max: int):
-    grid = shape[:2]
-    return (
-        np.empty(shape, dtype=np.min_scalar_type(n_max)),
-        np.empty(grid, dtype=np.int64),
-        np.empty(grid, dtype=np.int64),
-        np.empty(grid, dtype=bool),
-    )
-
-
 def run_stochastic_grid(
     volume: LikelihoodVolume,
     n_max: int,
@@ -86,30 +63,36 @@ def run_stochastic_grid(
 
     The outputs are allocated once and each row is written into them; counts
     take the smallest unsigned dtype that holds n_max. With workers > 1 rows
-    are distributed over a process pool; per-row seeding keeps the output
-    bit-identical to a serial run.
+    are raced on up to that many threads, never more than there are rows;
+    per-row seeding keeps the output bit-identical to a serial run.
     """
+    if workers < 1:
+        raise ValueError("worker count must be positive")
     rates = volume.rates
-    out = _allocate(rates.shape, n_max)
-    if workers <= 1:
-        _run_rows((rates, 0, master_seed, n_max, max_cycles), out)
-    else:
-        rows_per_chunk = max(1, rates.shape[0] // (workers * 4))
-        starts = range(0, rates.shape[0], rows_per_chunk)
-        jobs = [
-            (rates[y0 : y0 + rows_per_chunk], y0, master_seed, n_max, max_cycles)
-            for y0 in starts
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for y0, chunk in zip(starts, pool.map(_run_rows, jobs)):
-                for field, part in zip(out, chunk):
-                    field[y0 : y0 + len(part)] = part
-    counts, winner, cycles, timed_out = out
-    return StochasticResult(
-        counts=counts,
-        winner=winner,
-        cycles=cycles,
-        timed_out=timed_out,
-        n_max=n_max,
-        d_max=volume.params.d_max,
+    rows, grid = rates.shape[0], rates.shape[:2]
+    out = (  # counts, winner, cycles, timed_out: StochasticResult's order
+        np.empty(rates.shape, dtype=np.min_scalar_type(n_max)),
+        np.empty(grid, dtype=np.int64),
+        np.empty(grid, dtype=np.int64),
+        np.empty(grid, dtype=bool),
     )
+    threads = max(1, min(workers, rows))
+
+    def race_rows(first):
+        # Thread `first` races rows first, first + threads, ...: rows share
+        # no generator and write disjoint slices, so threads need no lock,
+        # and numpy's draws and array kernels release the GIL. One task per
+        # thread, not per row, spares the waiting caller a wake-up per row.
+        for y in range(first, rows, threads):
+            rng = np.random.default_rng(stream_seed(master_seed, y))
+            drawn = race_arrivals(rng, rates[y], n_max, max_cycles)
+            for field, value in zip(out, drawn):
+                field[y] = value
+
+    if threads == 1:
+        race_rows(0)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            # reading every result re-raises any thread's exception
+            list(pool.map(race_rows, range(threads)))
+    return StochasticResult(*out, n_max=n_max, d_max=volume.params.d_max)

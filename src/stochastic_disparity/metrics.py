@@ -193,6 +193,10 @@ def sweep_counter_sizes(
         raise ValueError("need at least one counter size")
     if not seeds:
         raise ValueError("need at least one seed")
+    if min(n_max_values) < 1:
+        raise ValueError("counter maximum must be positive")
+    if workers < 1:
+        raise ValueError("worker count must be positive")
     fmaps_l = compute_features(left)
     fmaps_r = compute_features(right)
     volume = build_likelihood_volume(fmaps_l, fmaps_r, params)

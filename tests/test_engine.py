@@ -1,10 +1,13 @@
 """Grid execution: determinism, worker invariance, result semantics."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from stochastic_disparity import engine
 from stochastic_disparity.bitstream import stream_seed
-from stochastic_disparity.engine import _run_rows, run_stochastic_grid
+from stochastic_disparity.engine import run_stochastic_grid
 from stochastic_disparity.machine import race_arrivals
 from stochastic_disparity.model import (
     LikelihoodVolume,
@@ -40,35 +43,46 @@ class TestDeterminism:
 
     def test_worker_count_does_not_change_results(self, small_volume):
         serial = run_stochastic_grid(small_volume, 8, master_seed=1, workers=1)
-        parallel = run_stochastic_grid(small_volume, 8, master_seed=1, workers=2)
-        assert np.array_equal(serial.counts, parallel.counts)
-        assert np.array_equal(serial.winner, parallel.winner)
-        assert np.array_equal(serial.cycles, parallel.cycles)
+        rows = small_volume.rates.shape[0]
+        for workers in (2, rows + 3):
+            threaded = run_stochastic_grid(
+                small_volume, 8, master_seed=1, workers=workers
+            )
+            assert np.array_equal(serial.counts, threaded.counts)
+            assert np.array_equal(serial.winner, threaded.winner)
+            assert np.array_equal(serial.cycles, threaded.cycles)
+            assert np.array_equal(serial.timed_out, threaded.timed_out)
 
-    def test_row_boundaries_do_not_change_results(self, small_volume):
-        rates = small_volume.rates
-        whole = _run_rows((rates, 0, 3, 8, 10**7))
-        for cuts in ([3], [1, 2, 7]):
-            bounds = [0, *cuts, rates.shape[0]]
-            parts = [
-                _run_rows((rates[a:b], a, 3, 8, 10**7))
-                for a, b in zip(bounds, bounds[1:])
-            ]
-            for field, pieces in zip(whole, zip(*parts)):
-                assert np.array_equal(field, np.concatenate(pieces))
+    def test_threads_never_outnumber_rows(self, small_volume, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+        rows = small_volume.rates.shape[0]
+        run_stochastic_grid(small_volume, 8, master_seed=1, workers=rows + 3)
+        run_stochastic_grid(small_volume, 8, master_seed=1, workers=2)
+        assert sizes == [rows, 2]
 
     def test_row_is_kernel_on_its_own_stream(self, small_volume):
-        result = run_stochastic_grid(small_volume, 8, master_seed=6)
-        y = 4
-        counts, winner, cycles, timed_out = race_arrivals(
-            np.random.default_rng(stream_seed(6, y)),
-            small_volume.rates[y],
-            8,
-        )
-        assert np.array_equal(result.counts[y], counts)
-        assert np.array_equal(result.winner[y], winner)
-        assert np.array_equal(result.cycles[y], cycles)
-        assert np.array_equal(result.timed_out[y], timed_out)
+        rows = small_volume.rates.shape[0]
+        for workers in (1, 2, rows + 3):
+            result = run_stochastic_grid(
+                small_volume, 8, master_seed=6, workers=workers
+            )
+            for y in range(rows):
+                counts, winner, cycles, timed_out = race_arrivals(
+                    np.random.default_rng(stream_seed(6, y)),
+                    small_volume.rates[y],
+                    8,
+                )
+                assert np.array_equal(result.counts[y], counts)
+                assert np.array_equal(result.winner[y], winner)
+                assert np.array_equal(result.cycles[y], cycles)
+                assert np.array_equal(result.timed_out[y], timed_out)
 
 
 class TestResultSemantics:
@@ -125,5 +139,11 @@ class TestResultSemantics:
         assert np.all(result.counts.max(axis=2) == n_max)
 
     def test_rejects_bad_n_max(self, small_volume):
-        with pytest.raises(ValueError):
-            run_stochastic_grid(small_volume, 0, master_seed=0)
+        for workers in (1, 2):  # a row's error reaches the caller from a thread
+            with pytest.raises(ValueError):
+                run_stochastic_grid(small_volume, 0, master_seed=0, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_nonpositive_worker_count(self, small_volume, workers):
+        with pytest.raises(ValueError, match="worker count"):
+            run_stochastic_grid(small_volume, 8, master_seed=0, workers=workers)

@@ -480,6 +480,16 @@ class TestCli:
         assert main([*args, "--max-cycles", str(2**63 - 1)]) == EXIT_VALIDATION
         assert "max_cycles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("command", ["disparity", "sweep"])
+    def test_nonpositive_workers_exits_with_code_2(
+        self, command, workers, tmp_path, capsys
+    ):
+        lp, rp = write_pair(tmp_path)
+        args = [command, "--left", str(lp), "--right", str(rp), "--d-max", "8"]
+        assert main([*args, "--workers", str(workers)]) == EXIT_VALIDATION
+        assert "worker count" in capsys.readouterr().err
+
     def test_missing_input_exits_with_io_code(self, tmp_path, capsys):
         args = [
             "disparity",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stochastic_disparity import metrics
 from stochastic_disparity.engine import run_stochastic_grid
 from stochastic_disparity.metrics import (
     SWEEP_CSV_HEADER,
@@ -160,3 +161,22 @@ class TestSweep:
             sweep_counter_sizes(left, right, ModelParams(d_max=8), [], [0])
         with pytest.raises(ValueError):
             sweep_counter_sizes(left, right, ModelParams(d_max=8), [1], [])
+
+    @pytest.mark.parametrize(
+        "n_max_values, workers",
+        [([4, 0], 1), ([4, -2], 1), ([4], 0), ([4], -3)],
+        ids=["n_max_0", "n_max_negative", "workers_0", "workers_negative"],
+    )
+    def test_bad_arguments_fail_before_any_work(
+        self, n_max_values, workers, monkeypatch
+    ):
+        def no_work(image):
+            raise AssertionError("features computed before validation")
+
+        monkeypatch.setattr(metrics, "compute_features", no_work)
+        left, right = planted_shift_pair(36, 12, 4, seed=6)
+        with pytest.raises(ValueError, match="must be positive"):
+            sweep_counter_sizes(
+                left, right, ModelParams(d_max=8), n_max_values, [0],
+                workers=workers,
+            )
