@@ -15,6 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .bitstream import DEFAULT_MAX_CYCLES
 from .dump import DumpFormatError, read_dump
 from .metrics import (
     DEFAULT_CLOCK_HZ,
@@ -166,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.add_argument("--stoch-out", help="stochastic disparity image (PGM)")
     p_disp.add_argument("--dump-out", help="per-pixel count distribution dump")
     p_disp.add_argument("--crop", type=_parse_crop, help="X,Y,W,H input crop")
-    p_disp.add_argument("--max-cycles", type=int, default=10**7)
+    p_disp.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_CYCLES)
     p_disp.add_argument("--workers", type=int, default=1)
     p_disp.add_argument("--timeout-warn-fraction", type=float, default=0.01)
     _add_param_args(p_disp)
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--seeds", type=int, default=1, help="number of seeds")
     p_sweep.add_argument("--seed", type=int, default=0, help="first master seed")
-    p_sweep.add_argument("--max-cycles", type=int, default=10**7)
+    p_sweep.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_CYCLES)
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", help="CSV output path (default stdout)")
     _add_param_args(p_sweep)

@@ -3,7 +3,8 @@
 Each feature-map row is raced as one block by `race_arrivals`, with its own
 generator stream keyed by the master seed and the row index, so results are
 independent of scan order and of which thread races a row. Rows are written
-in place into result arrays allocated once per grid.
+in place into the counts, winner and cycles arrays, allocated once per grid;
+no-match, timeouts and the MAP are read from the winner (`Outcome`).
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -12,40 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES, stream_seed
-from .machine import race_arrivals
-from .model import LikelihoodVolume
+from .machine import check_race_args, race_arrivals
+from .model import LikelihoodVolume, Outcome
 
 
 @dataclass(frozen=True)
-class StochasticResult:
+class StochasticResult(Outcome):
     """Per-pixel machine outcomes over the valid grid.
 
-    `winner` holds the overflowing channel index (d_max + 1 is the no-match
-    channel, -1 marks a timeout); `counts` are the counter values at the stop
-    cycle, so readouts are counts / n_max.
+    `counts` are the counter values at the stop cycle, so readouts are
+    counts / n_max, and `cycles` the stop cycles (max_cycles on a timeout).
     """
 
     counts: np.ndarray  # (H, W_valid, d_max + 2), smallest dtype for n_max
-    winner: np.ndarray  # (H, W_valid) int
     cycles: np.ndarray  # (H, W_valid) int
-    timed_out: np.ndarray  # (H, W_valid) bool
     n_max: int
-    d_max: int
-
-    @property
-    def nomatch_index(self) -> int:
-        return self.d_max + 1
-
-    @property
-    def no_match(self) -> np.ndarray:
-        return self.winner == self.nomatch_index
-
-    @property
-    def map_disparity(self) -> np.ndarray:
-        """MAP disparity per pixel; -1 where no-match or timed out."""
-        return np.where(
-            (self.winner >= 0) & (self.winner <= self.d_max), self.winner, -1
-        )
 
     def readout(self) -> np.ndarray:
         """Max-normalized distributions: counter values over n_max."""
@@ -66,16 +48,12 @@ def run_stochastic_grid(
     are raced on up to that many threads, never more than there are rows;
     per-row seeding keeps the output bit-identical to a serial run.
     """
-    if workers < 1:
-        raise ValueError("worker count must be positive")
+    check_race_args(n_max, max_cycles, workers)
     rates = volume.rates
     rows, grid = rates.shape[0], rates.shape[:2]
-    out = (  # counts, winner, cycles, timed_out: StochasticResult's order
-        np.empty(rates.shape, dtype=np.min_scalar_type(n_max)),
-        np.empty(grid, dtype=np.int64),
-        np.empty(grid, dtype=np.int64),
-        np.empty(grid, dtype=bool),
-    )
+    counts = np.empty(rates.shape, dtype=np.min_scalar_type(n_max))
+    winner = np.empty(grid, dtype=np.int64)
+    cycles = np.empty(grid, dtype=np.int64)
     threads = max(1, min(workers, rows))
 
     def race_rows(first):
@@ -85,9 +63,9 @@ def run_stochastic_grid(
         # thread, not per row, spares the waiting caller a wake-up per row.
         for y in range(first, rows, threads):
             rng = np.random.default_rng(stream_seed(master_seed, y))
-            drawn = race_arrivals(rng, rates[y], n_max, max_cycles)
-            for field, value in zip(out, drawn):
-                field[y] = value
+            counts[y], winner[y], cycles[y] = race_arrivals(
+                rng, rates[y], n_max, max_cycles
+            )
 
     if threads == 1:
         race_rows(0)
@@ -95,4 +73,7 @@ def run_stochastic_grid(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # reading every result re-raises any thread's exception
             list(pool.map(race_rows, range(threads)))
-    return StochasticResult(*out, n_max=n_max, d_max=volume.params.d_max)
+    return StochasticResult(
+        winner=winner, d_max=volume.params.d_max, counts=counts, cycles=cycles,
+        n_max=n_max,
+    )

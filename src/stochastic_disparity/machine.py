@@ -144,6 +144,16 @@ def build_machine(spec: FusionSpec, seed: int) -> Machine:
     return Machine(spec, seed)
 
 
+def check_race_args(n_max: int, max_cycles: int, workers: int = 1) -> None:
+    """Reject a race that cannot run before any of its work is done."""
+    if n_max < 1:
+        raise ValueError("counter maximum n_max must be positive")
+    if not 0 < max_cycles < 2**63 - 1:  # arrivals clip at max_cycles + 1 in int64
+        raise ValueError("max_cycles must lie in [1, 2**63 - 2]")
+    if workers < 1:
+        raise ValueError("worker count must be positive")
+
+
 def run_machine(
     machine: Machine,
     n_max: int,
@@ -155,10 +165,7 @@ def run_machine(
     Ties on the stop cycle resolve to the lowest index. A run that exhausts
     `max_cycles` is flagged timed out, never silently truncated.
     """
-    if n_max <= 0:
-        raise ValueError("counter maximum must be positive")
-    if max_cycles <= 0:
-        raise ValueError("max_cycles must be positive")
+    check_race_args(n_max, max_cycles)
     m = machine.spec.cardinality
     counts = np.zeros(m, dtype=np.int64)
     cycles_done = 0
@@ -232,13 +239,10 @@ def race_arrivals(
     NegBin(n_max, p) is summed over shares of at most ARRIVAL_SHARE
     successes, so every valid rate and counter size can be drawn.
 
-    Returns per-pixel (counts, winner, cycles, timed_out); counts have the
-    smallest unsigned dtype that holds n_max.
+    Returns per-pixel (counts, winner, cycles); counts have the smallest
+    unsigned dtype that holds n_max.
     """
-    if n_max <= 0:
-        raise ValueError("counter maximum must be positive")
-    if not 0 < max_cycles < 2**63 - 1:  # the clip max_cycles + 1 is int64
-        raise ValueError("max_cycles must lie in [1, 2**63 - 2]")
+    check_race_args(n_max, max_cycles)
     p = np.ceil(np.asarray(rates, dtype=float) * 2.0**53) / 2.0**53
     top = p.max(axis=1, keepdims=True)
     if not (p.min() >= 0 and top.max() <= 1):
@@ -261,7 +265,6 @@ def race_arrivals(
     arrival[p_c == 0] = cap
     starts = np.searchsorted(rows, np.arange(p.shape[0]))
     stop = np.minimum.reduceat(arrival, starts)
-    timed_out = stop > max_cycles
     cycles = np.minimum(stop, max_cycles)
 
     counts = np.zeros(p.shape, dtype=np.min_scalar_type(n_max))
@@ -285,10 +288,10 @@ def race_arrivals(
     counts[rows[short], cols[short]] = k[short]
     if not short.all():
         _settle_outsiders(
-            rng, (counts, winner, cycles, timed_out), rows[~short], cols[~short],
-            k[~short], n_max,
+            rng, (counts, winner, cycles), rows[~short], cols[~short], k[~short],
+            n_max,
         )
-    return counts, winner, cycles, timed_out
+    return counts, winner, cycles
 
 
 def _counts_by_span(rng, v: np.ndarray, p: np.ndarray, span: np.ndarray):
@@ -316,7 +319,7 @@ def _settle_outsiders(rng, result, rows, cols, k, n_max):
     reads Hypergeometric(n_max - 1, a - n_max, T); one with K < n_max
     successes by the span reads Hypergeometric(K, span - K, T).
     """
-    counts, winner, cycles, timed_out = result
+    counts, winner, cycles = result
     pixels, at = np.unique(rows, return_inverse=True)
     span = cycles[pixels, None]
     held = counts[pixels].astype(np.int64)
@@ -336,7 +339,6 @@ def _settle_outsiders(rng, result, rows, cols, k, n_max):
     counts[pixels] = held
     winner[pixels] = arrival.argmin(axis=1)
     cycles[pixels] = stop[:, 0]
-    timed_out[pixels] = False
 
 
 def _nth_position(rng, k: np.ndarray, n: int, span: np.ndarray) -> np.ndarray:
@@ -389,7 +391,7 @@ def _race_first_firing(rng, p: np.ndarray, max_cycles: int):
     counts = ((rng.random(p.shape) < p) & later).view(np.uint8)
     winner = np.where(timed_out, -1, lead)
     counts[fired, lead[fired]] = 1
-    return counts, winner, cycles, timed_out
+    return counts, winner, cycles
 
 
 def _binomial_below(rng, n: np.ndarray, p: np.ndarray, limit: int) -> np.ndarray:

@@ -7,7 +7,9 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
+from .bitstream import DEFAULT_MAX_CYCLES
 from .engine import StochasticResult, run_stochastic_grid
+from .machine import check_race_args
 from .model import ModelParams, build_likelihood_volume, compute_features
 from .reference import ReferenceResult, reference_infer
 
@@ -162,7 +164,7 @@ def compare_results(
         Readout(stochastic.counts, stochastic.n_max, stochastic.no_match,
                 stochastic.timed_out),
         Readout(reference.rates, reference.winning_score[..., None],
-                reference.no_match, np.zeros_like(reference.no_match)),
+                reference.no_match, reference.timed_out),
     )
     return AccuracyReport(
         n_max=stochastic.n_max,
@@ -181,7 +183,7 @@ def sweep_counter_sizes(
     params: ModelParams,
     n_max_values: Sequence[int],
     seeds: Sequence[int],
-    max_cycles: int = 10**7,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
     workers: int = 1,
 ) -> List[AccuracyReport]:
     """Accuracy and runtime versus counter size on one stereo pair.
@@ -193,10 +195,8 @@ def sweep_counter_sizes(
         raise ValueError("need at least one counter size")
     if not seeds:
         raise ValueError("need at least one seed")
-    if min(n_max_values) < 1:
-        raise ValueError("counter maximum must be positive")
-    if workers < 1:
-        raise ValueError("worker count must be positive")
+    for n_max in n_max_values:
+        check_race_args(n_max, max_cycles, workers)
     fmaps_l = compute_features(left)
     fmaps_r = compute_features(right)
     volume = build_likelihood_volume(fmaps_l, fmaps_r, params)

@@ -73,6 +73,31 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
+class Outcome:
+    """Which channel of each pixel's machine won, over the valid grid.
+
+    `winner` in 0..d_max is the MAP disparity, d_max + 1 the no-match channel
+    and -1 a timeout: no counter overflowed within the cycle budget.
+    """
+
+    winner: np.ndarray  # (H, W_valid) int
+    d_max: int
+
+    @property
+    def no_match(self) -> np.ndarray:
+        return self.winner == self.d_max + 1
+
+    @property
+    def timed_out(self) -> np.ndarray:
+        return self.winner < 0
+
+    @property
+    def map_disparity(self) -> np.ndarray:
+        """MAP disparity per pixel; -1 where no-match or timed out."""
+        return np.where(self.winner <= self.d_max, self.winner, -1)
+
+
+@dataclass(frozen=True)
 class CameraGeometry:
     """Stereo rig intrinsics: focal length and baseline in the same units."""
 
@@ -225,8 +250,8 @@ def build_likelihood_volume(
             f"feature maps of width {w} leave no valid pixels at d_max={d_max}"
         )
     cost = np.arange(256.0) ** 2
-    sigmas = np.array([[params.sigma_m], [params.sigma_gh], [params.sigma_gv]])
-    tables = params.p0 + (1.0 - params.p0) * np.exp(-cost / (2.0 * sigmas**2))
+    sigmas = (params.sigma_m, params.sigma_gh, params.sigma_gv)
+    tables = [likelihood(cost, sigma, params.p0) for sigma in sigmas]
 
     rates = np.empty((h, w - d_max, params.machine_width))
     for y0 in range(0, h, _BAND_ROWS):

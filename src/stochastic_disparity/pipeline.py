@@ -7,8 +7,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .bitstream import DEFAULT_MAX_CYCLES
 from .dump import COUNT_MAX, DistributionDump, write_dump
 from .engine import StochasticResult, run_stochastic_grid
+from .machine import check_race_args
 from .model import ModelParams, build_likelihood_volume, compute_features
 from .pgm import load_image, save_image
 from .reference import ReferenceResult, reference_infer
@@ -28,22 +30,16 @@ class RunConfig:
     stochastic_image_out: Optional[Path] = None
     dump_out: Optional[Path] = None
     crop: Optional[Tuple[int, int, int, int]] = None  # x, y, w, h
-    max_cycles: int = 10**7
+    max_cycles: int = DEFAULT_MAX_CYCLES
     workers: int = 1
     timeout_warn_fraction: float = 0.01
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.n_max <= 0:
-            raise ValueError("n_max must be positive")
-        # the engine clips arrival cycles at max_cycles + 1 in int64
-        if not 0 < self.max_cycles < 2**63 - 1:
-            raise ValueError("max_cycles must lie in [1, 2**63 - 2]")
+        check_race_args(self.n_max, self.max_cycles, self.workers)
         if self.dump_out is not None and self.n_max > COUNT_MAX:
             raise ValueError(f"n_max above {COUNT_MAX} does not fit a dump")
-        if self.workers <= 0:
-            raise ValueError("worker count must be positive")
         if not 0.0 <= self.timeout_warn_fraction <= 1.0:
             raise ValueError("timeout_warn_fraction must lie in [0, 1]")
 
@@ -61,7 +57,7 @@ class PipelineSummary:
     @property
     def timeout_fraction(self) -> float:
         sto = self.stochastic
-        return 0.0 if sto is None else self.n_timeouts / sto.timed_out.size
+        return 0.0 if sto is None else self.n_timeouts / sto.winner.size
 
 
 def _apply_crop(img: np.ndarray, crop: Tuple[int, int, int, int]) -> np.ndarray:

@@ -1,31 +1,31 @@
 """Floating-point oracle for the fusion machine.
 
-Computes exact per-pixel posterior scores as products of feature likelihoods
-under a uniform prior, flags no-match pixels by strict dominance of the
-no-match channel, and emits max-normalized distributions so results compare
-directly against counter readouts.
+Reads each pixel's exact posterior scores, the products of its feature
+likelihoods under a uniform prior, straight off the likelihood volume. The
+winner is the first channel at the top score, the counter race's tie-break:
+no-match wins only by strictly exceeding every disparity score. Normalized
+scores compare directly against counter readouts.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LikelihoodVolume
+from .model import LikelihoodVolume, Outcome
 
 
 @dataclass(frozen=True)
-class ReferenceResult:
-    """Exact inference output over the valid pixel grid.
-
-    `rates` is the volume's own (H, W_valid, d_max + 2) channel array, held
-    without a copy, and `winning_score` each pixel's largest channel rate.
-    `map_disparity` is -1 where the pixel is flagged no-match.
-    """
+class ReferenceResult(Outcome):
+    """Exact inference output over the valid pixel grid: the `Outcome` of
+    the oracle, and the volume's own (H, W_valid, d_max + 2) `rates`, held
+    without a copy. The oracle never times out."""
 
     rates: np.ndarray  # (H, W_valid, d_max + 2)
-    winning_score: np.ndarray  # (H, W_valid)
-    no_match: np.ndarray  # (H, W_valid) bool
-    map_disparity: np.ndarray  # (H, W_valid) int, -1 on no-match
+
+    @property
+    def winning_score(self) -> np.ndarray:
+        """Each pixel's largest channel rate, the rate at its winner."""
+        return np.take_along_axis(self.rates, self.winner[..., None], axis=2)[..., 0]
 
     @property
     def norm_scores(self) -> np.ndarray:
@@ -35,22 +35,14 @@ class ReferenceResult:
 
 
 def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
-    """Exact posterior scores, MAP indices and no-match flags for all pixels.
+    """Exact MAP indices and no-match flags for all pixels.
 
-    The uniform prior constant drops out of the argmax. A pixel is no-match
-    iff the no-match score strictly exceeds every disparity score; exact ties
-    stay matched, and tied disparities resolve to the lowest index, mirroring
-    the counter tie-break. The MAP is the first index equal to the maximum:
-    `argmax` on the strided disparity view would copy it whole.
+    The uniform prior constant drops out of the argmax, and `argmax` takes
+    the first channel at the top rate: tied disparities resolve to the
+    lowest index, and an exact tie with no-match stays matched.
     """
-    scores = volume.rates[:, :, :-1]
-    nomatch = volume.rates[:, :, -1]
-    best = scores.max(axis=2)
-    map_d = (scores == best[..., None]).argmax(axis=2)
-    no_match = nomatch > best
     return ReferenceResult(
+        winner=volume.rates.argmax(axis=2),
+        d_max=volume.params.d_max,
         rates=volume.rates,
-        winning_score=np.maximum(best, nomatch),
-        no_match=no_match,
-        map_disparity=np.where(no_match, -1, map_d),
     )

@@ -51,7 +51,6 @@ class TestDeterminism:
             assert np.array_equal(serial.counts, threaded.counts)
             assert np.array_equal(serial.winner, threaded.winner)
             assert np.array_equal(serial.cycles, threaded.cycles)
-            assert np.array_equal(serial.timed_out, threaded.timed_out)
 
     def test_threads_never_outnumber_rows(self, small_volume, monkeypatch):
         sizes = []
@@ -74,7 +73,7 @@ class TestDeterminism:
                 small_volume, 8, master_seed=6, workers=workers
             )
             for y in range(rows):
-                counts, winner, cycles, timed_out = race_arrivals(
+                counts, winner, cycles = race_arrivals(
                     np.random.default_rng(stream_seed(6, y)),
                     small_volume.rates[y],
                     8,
@@ -82,7 +81,6 @@ class TestDeterminism:
                 assert np.array_equal(result.counts[y], counts)
                 assert np.array_equal(result.winner[y], winner)
                 assert np.array_equal(result.cycles[y], cycles)
-                assert np.array_equal(result.timed_out[y], timed_out)
 
 
 class TestResultSemantics:
@@ -139,9 +137,21 @@ class TestResultSemantics:
         assert np.all(result.counts.max(axis=2) == n_max)
 
     def test_rejects_bad_n_max(self, small_volume):
-        for workers in (1, 2):  # a row's error reaches the caller from a thread
-            with pytest.raises(ValueError):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="must be positive"):
                 run_stochastic_grid(small_volume, 0, master_seed=0, workers=workers)
+
+    def test_a_row_error_reaches_the_caller_from_a_thread(
+        self, small_volume, monkeypatch
+    ):
+        def fail_on_row_3(rng, rates, n_max, max_cycles):
+            if np.shares_memory(rates, small_volume.rates[3]):
+                raise RuntimeError("row 3 failed")
+            return race_arrivals(rng, rates, n_max, max_cycles)
+
+        monkeypatch.setattr(engine, "race_arrivals", fail_on_row_3)
+        with pytest.raises(RuntimeError, match="row 3"):
+            run_stochastic_grid(small_volume, 8, master_seed=0, workers=2)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_nonpositive_worker_count(self, small_volume, workers):

@@ -183,11 +183,11 @@ EQUIVALENCE_CASES = {
 class TestRaceArrivals:
     def test_invariants(self):
         rates = np.array([[0.6, 0.3, 0.05], [0.0, 0.2, 0.2]])
-        counts, winner, cycles, timed_out = race_arrivals(
+        counts, winner, cycles = race_arrivals(
             np.random.default_rng(0), rates, n_max=32
         )
         assert counts.shape == (2, 3)
-        assert not timed_out.any()
+        assert np.all(winner >= 0)
         assert np.all(counts[[0, 1], winner] == 32)
         assert np.all(counts <= 32)
         assert np.all(cycles >= 32)
@@ -207,7 +207,7 @@ class TestRaceArrivals:
         ref_winner = np.array([-1 if r.timed_out else r.winner for r in runs])
         ref_cycles = np.array([r.cycles for r in runs])
         ref_counts = np.array([r.counts for r in runs])
-        counts, winner, cycles, _ = race_arrivals(
+        counts, winner, cycles = race_arrivals(
             np.random.default_rng(7),
             np.tile(rates, (EQUIVALENCE_RUNS, 1)),
             n_max,
@@ -225,8 +225,25 @@ class TestRaceArrivals:
         for ref, new in zip(ref_counts.T, counts.T):
             assert stats.ks_2samp(ref, new, method="asymp").pvalue > ALPHA
 
+    @pytest.mark.parametrize("max_cycles", [30, 10**7, 2**40])
+    @pytest.mark.parametrize("n_max", [1, 2, 16])
+    def test_winner_encodes_the_timeout(self, n_max, max_cycles):
+        """The winner alone tells a timeout: it is the lowest channel that
+        reached n_max, and -1, at the full budget, where none did."""
+        rng = np.random.default_rng(n_max)
+        m = 12
+        rates = rng.random((420, m)) ** 6 * rng.choice([1.0, 0.1, 0.01], (420, 1))
+        rates[::7] = 0.0  # never fires
+        rates[1::7] = [0.049] * (m - 1) + [0.5]  # outsiders just under the cut
+        counts, winner, cycles = race_arrivals(rng, rates, n_max, max_cycles)
+        full, won = counts == n_max, winner >= 0
+        assert np.array_equal(won, full.any(axis=1))
+        assert np.array_equal(winner[won], full[won].argmax(axis=1))
+        assert np.all(cycles[~won] == max_cycles)
+        assert not won[::7].any()
+
     def test_ties_resolve_to_lowest_index(self):
-        counts, winner, cycles, _ = race_arrivals(
+        counts, winner, cycles = race_arrivals(
             np.random.default_rng(0), np.ones((1, 3)), n_max=16
         )
         assert winner[0] == 0
@@ -234,10 +251,9 @@ class TestRaceArrivals:
         assert list(counts[0]) == [16, 16, 16]
 
     def test_timeout_path(self):
-        counts, winner, cycles, timed_out = race_arrivals(
+        counts, winner, cycles = race_arrivals(
             np.random.default_rng(0), np.zeros((1, 2)), 4, max_cycles=64
         )
-        assert timed_out[0]
         assert winner[0] == -1
         assert cycles[0] == 64
         assert list(counts[0]) == [0, 0]
@@ -245,10 +261,9 @@ class TestRaceArrivals:
     def test_rates_numpy_cannot_draw_in_one_share_stay_valid(self):
         # The 1e-18 rate quantises to 2**-53; NegBin(4096, 2**-53) is beyond
         # numpy's negative_binomial in one draw.
-        counts, winner, _, timed_out = race_arrivals(
+        counts, winner, _ = race_arrivals(
             np.random.default_rng(0), np.array([[1e-18, 0.01]]), n_max=4096
         )
-        assert not timed_out[0]
         assert winner[0] == 1
         assert list(counts[0]) == [0, 4096]
 
@@ -258,10 +273,10 @@ class TestRaceArrivals:
         # draws its own arrival once max_cycles reaches 10**9.
         runs = 2000
         rates = np.tile([4.9e-11] * 8 + [5e-10], (runs, 1))
-        counts, winner, _, timed_out = race_arrivals(
+        counts, winner, _ = race_arrivals(
             np.random.default_rng(0), rates, 2, max_cycles=2**40
         )
-        assert not timed_out.any()
+        assert np.all(winner >= 0)
         assert (winner < 8).sum() > runs / 20  # about 12% of the races
         assert np.all(counts[np.arange(runs), winner] == 2)
 
@@ -280,10 +295,10 @@ class TestRaceArrivals:
     def test_max_cycles_must_fit_int64(self):
         # the largest accepted budget still clips arrivals at 2**63 - 1
         big = 2**63 - 2
-        _, winner, cycles, timed_out = race_arrivals(
+        _, winner, cycles = race_arrivals(
             np.random.default_rng(0), np.zeros((1, 2)), 4, max_cycles=big
         )
-        assert timed_out[0] and winner[0] == -1 and cycles[0] == big
+        assert winner[0] == -1 and cycles[0] == big
         for max_cycles in (2**63 - 1, 2**63, 2**64):
             with pytest.raises(ValueError, match="max_cycles"):
                 race_arrivals(
@@ -317,12 +332,7 @@ class TestOutsiderFallback:
         # filled on cycle 2 and stops the race there.
         runs, span, n_max = EQUIVALENCE_RUNS, 10, 2
         counts = np.tile(np.array([1, n_max, 0], dtype=np.uint8), (runs, 1))
-        result = (
-            counts,
-            np.ones(runs, dtype=np.int64),
-            np.full(runs, span),
-            np.zeros(runs, dtype=bool),
-        )
+        result = (counts, np.ones(runs, dtype=np.int64), np.full(runs, span))
         _settle_outsiders(
             np.random.default_rng(0),
             result,
@@ -331,8 +341,8 @@ class TestOutsiderFallback:
             np.full(runs, span),
             n_max,
         )
-        _, winner, cycles, timed_out = result
-        assert np.all(winner == 2) and np.all(cycles == 2) and not timed_out.any()
+        _, winner, cycles = result
+        assert np.all(winner == 2) and np.all(cycles == 2)
         assert np.all(counts[:, 2] == n_max)
         # channel 0's success is uniform in 1..10, channel 1's first in 1..9
         for j, early in ((0, 2 / 10), (1, 2 / 9)):

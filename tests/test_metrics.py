@@ -163,20 +163,30 @@ class TestSweep:
             sweep_counter_sizes(left, right, ModelParams(d_max=8), [1], [])
 
     @pytest.mark.parametrize(
-        "n_max_values, workers",
-        [([4, 0], 1), ([4, -2], 1), ([4], 0), ([4], -3)],
-        ids=["n_max_0", "n_max_negative", "workers_0", "workers_negative"],
+        "n_max_values, workers, max_cycles, message",
+        [
+            ([4, 0], 1, 100, "must be positive"),
+            ([4, -2], 1, 100, "must be positive"),
+            ([4], 0, 100, "worker count"),
+            ([4], -3, 100, "worker count"),
+            ([4], 1, 0, "max_cycles"),
+            ([4], 1, 2**63 - 1, "max_cycles"),
+        ],
+        ids=[
+            "n_max_0", "n_max_negative", "workers_0", "workers_negative",
+            "max_cycles_0", "max_cycles_beyond_int64",
+        ],
     )
     def test_bad_arguments_fail_before_any_work(
-        self, n_max_values, workers, monkeypatch
+        self, n_max_values, workers, max_cycles, message, monkeypatch
     ):
         def no_work(image):
             raise AssertionError("features computed before validation")
 
         monkeypatch.setattr(metrics, "compute_features", no_work)
         left, right = planted_shift_pair(36, 12, 4, seed=6)
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=message):
             sweep_counter_sizes(
                 left, right, ModelParams(d_max=8), n_max_values, [0],
-                workers=workers,
+                max_cycles=max_cycles, workers=workers,
             )

@@ -51,6 +51,7 @@ class TestReferenceInfer:
         lik = np.full((2, 2, 5), 0.02 * 0.02 * 0.02)
         result = reference_infer(volume_from_rates(lik, np.full((2, 2), 0.01), 4))
         assert np.all(result.no_match)
+        assert not result.timed_out.any()
         assert np.all(result.map_disparity == -1)
         assert np.all(result.winning_score == result.rates[..., -1])
 
@@ -70,7 +71,8 @@ class TestReferenceInfer:
         assert result.map_disparity[0, 0] == 1
 
     def test_holds_the_rates_without_a_copy(self):
-        # no score-sized float copy: the largest temporary is a bool mask
+        # no score-sized copy or mask: the only grid is the int64 winner,
+        # 1/82 of the rates here
         rng = np.random.default_rng(0)
         volume = volume_from_rates(
             rng.random((60, 100, 81)), rng.random((60, 100)), d_max=80
@@ -81,7 +83,7 @@ class TestReferenceInfer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < volume.rates.nbytes / 2
+        assert peak < volume.rates.nbytes / 20
         assert result.rates is volume.rates
 
 
