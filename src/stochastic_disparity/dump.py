@@ -17,8 +17,9 @@ Layout (all integers little-endian):
     ...     ...   invalid bitmap: same shape; set where x < d_max or the
                   machine timed out
 
-Every pixel not flagged invalid has at least one count equal to n_max (its
-winning channel; tied channels also read n_max), and no count exceeds n_max.
+Every pixel not flagged invalid has at least one count equal to n_max, and no
+count exceeds n_max. Its winner is the first channel at n_max (tied channels
+also read n_max); the no-match bit is set exactly where that is d_max + 1.
 """
 
 import struct
@@ -68,12 +69,19 @@ def _unpack_bits(data: bytes, height: int, width: int) -> np.ndarray:
 
 
 def _check_counts(
-    counts: np.ndarray, n_max: int, invalid: np.ndarray, d_max: int
+    counts: np.ndarray, n_max: int, no_match: np.ndarray, invalid: np.ndarray,
+    d_max: int,
 ) -> None:
     if np.any(counts < 0) or np.any(counts > n_max):
         raise DumpFormatError("counts outside [0, n_max]")
-    if np.any(counts.max(axis=2)[~invalid[:, d_max:]] != n_max):
+    at_max = counts == n_max
+    valid = ~invalid[:, d_max:]
+    if not np.all(at_max.any(axis=2)[valid]):
         raise DumpFormatError("a valid pixel has no counter at n_max")
+    expected = np.zeros_like(invalid)  # the winner is the first channel at n_max
+    expected[:, d_max:] = valid & (at_max.argmax(axis=2) == d_max + 1)
+    if not np.array_equal(no_match, expected):
+        raise DumpFormatError("no-match flags disagree with the counts")
 
 
 def write_dump(path, dump: DistributionDump) -> None:
@@ -87,7 +95,8 @@ def write_dump(path, dump: DistributionDump) -> None:
     for bitmap in (dump.no_match, dump.invalid):
         if np.shape(bitmap) != (dump.height, dump.width):
             raise DumpFormatError("bitmap shape does not match the header")
-    _check_counts(counts, dump.n_max, np.asarray(dump.invalid), dump.d_max)
+    _check_counts(counts, dump.n_max, np.asarray(dump.no_match),
+                  np.asarray(dump.invalid), dump.d_max)
     header = _HEADER.pack(
         MAGIC, VERSION, dump.width, dump.height, dump.d_max, dump.n_max
     )
@@ -126,7 +135,7 @@ def read_dump(path) -> DistributionDump:
     no_match = _unpack_bits(data[pos : pos + bitmap_len], height, width)
     pos += bitmap_len
     invalid = _unpack_bits(data[pos : pos + bitmap_len], height, width)
-    _check_counts(counts, n_max, invalid, d_max)
+    _check_counts(counts, n_max, no_match, invalid, d_max)
     return DistributionDump(
         width=width,
         height=height,

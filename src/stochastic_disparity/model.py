@@ -12,16 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import correlate2d
 
 KERNEL_SIZE = 5
 BORDER = KERNEL_SIZE - 1  # feature maps lose 4 pixels per dimension
 
-# Filter kernels. The mean filter is a normalized 5x5 box. The gradients are
-# separable: a flat 5-tap smoother across the differencing axis and a linear
-# ramp along it (a least-squares slope estimate). Outputs are scaled so 8-bit
-# inputs land exactly in [-127, 127]: the raw ramp response of a worst-case
-# image is 255 * (2+1) * 5 = 3825.
+# Filter kernels, which `compute_features` evaluates exactly in integers. The
+# mean filter is a normalized 5x5 box. The gradients are separable: a flat
+# 5-tap smoother across the differencing axis and a linear ramp along it (a
+# least-squares slope estimate). Outputs are scaled so 8-bit inputs land
+# exactly in [-127, 127]: the raw ramp response of a worst-case image is
+# 255 * (2+1) * 5 = 3825.
 _SMOOTH = np.ones(KERNEL_SIZE)
 _RAMP = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 GRADIENT_SCALE = 127.0 / 3825.0
@@ -29,10 +29,6 @@ GRADIENT_SCALE = 127.0 / 3825.0
 MEAN_KERNEL = np.ones((KERNEL_SIZE, KERNEL_SIZE)) / KERNEL_SIZE**2
 GRAD_H_KERNEL = np.outer(_SMOOTH, _RAMP) * GRADIENT_SCALE  # d/dx, rows smooth
 GRAD_V_KERNEL = np.outer(_RAMP, _SMOOTH) * GRADIENT_SCALE  # d/dy, cols smooth
-
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -115,6 +111,8 @@ def validate_gray_image(img: np.ndarray) -> np.ndarray:
         raise ValueError("image must be a non-empty 2-D array")
     if np.any(img < 0) or np.any(img > 255):
         raise ValueError("pixel values must lie in [0, 255]")
+    if img.dtype.kind == "f" and not np.array_equal(img, np.trunc(img)):
+        raise ValueError("pixel values must be integers")  # also rejects NaN
     return img.astype(np.int64)
 
 
@@ -130,7 +128,7 @@ class FeatureMaps:
     grad_h: np.ndarray
     grad_v: np.ndarray
 
-    def __post_init__(self):  # likelihoods are tabulated over |left - right|
+    def __post_init__(self):  # likelihoods are tabulated over left - right
         for name, (lo, hi) in zip(FEATURE_NAMES, FEATURE_RANGES):
             arr = getattr(self, name)
             if not (arr.min() >= lo and arr.max() <= hi):
@@ -145,23 +143,33 @@ class FeatureMaps:
         return self.mean.shape[1]
 
 
-def compute_features(img: np.ndarray) -> FeatureMaps:
-    """Apply the three 5x5 filters with valid-region support.
+def _window_sums(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sums of KERNEL_SIZE consecutive entries of `a` along `axis` (0 or 1)."""
+    n = a.shape[axis] - BORDER
+    out = np.take(a, range(n), axis)
+    for k in range(1, KERNEL_SIZE):
+        out += a[k : k + n] if axis == 0 else a[:, k : k + n]
+    return out
 
-    Outputs are rounded to integers (ties away from zero): the mean map stays
-    in [0, 255], gradients in [-127, 127].
-    """
+
+def _rounded(num: np.ndarray, scale: int, den: int) -> np.ndarray:
+    """num * scale / den rounded to the nearest integer (never a tie here)."""
+    return (2 * scale * num + den) // (2 * den)
+
+
+def compute_features(img: np.ndarray) -> FeatureMaps:
+    """Apply the three 5x5 filters with valid-region support, exactly: 5-pixel
+    column and row sums give the correlations, rounded half away from zero.
+    No response is near a tie (box/25 is a multiple of 0.04, 127 * ramp / 3825
+    at least 1/7650 from a half-integer), so rounding the floats agrees."""
     pixels = validate_gray_image(img)
     if pixels.shape[0] < KERNEL_SIZE or pixels.shape[1] < KERNEL_SIZE:
         raise ValueError("image smaller than the 5x5 filter support")
-    mean = _round_half_away(correlate2d(pixels, MEAN_KERNEL, mode="valid"))
-    grad_h = _round_half_away(correlate2d(pixels, GRAD_H_KERNEL, mode="valid"))
-    grad_v = _round_half_away(correlate2d(pixels, GRAD_V_KERNEL, mode="valid"))
-    return FeatureMaps(
-        mean=mean.astype(np.int64),
-        grad_h=grad_h.astype(np.int64),
-        grad_v=grad_v.astype(np.int64),
-    )
+    cols, rows = _window_sums(pixels, 0), _window_sums(pixels, 1)
+    ramp_h = 2 * (cols[:, 4:] - cols[:, :-4]) + cols[:, 3:-1] - cols[:, 1:-3]
+    ramp_v = 2 * (rows[4:] - rows[:-4]) + rows[3:-1] - rows[1:-3]
+    mean = _rounded(_window_sums(cols, 1), 1, KERNEL_SIZE**2)
+    return FeatureMaps(mean, _rounded(ramp_h, 127, 3825), _rounded(ramp_v, 127, 3825))
 
 
 def matching_cost(
@@ -232,15 +240,18 @@ class LikelihoodVolume:
             raise ValueError("rates must be finite and lie in [0, 1]")
 
 
-_BAND_ROWS = 16  # rows per pass of the volume build; bounds its temporaries
+_BAND_ROWS = 16  # rows per pass of the volume build and of its three buffers
+_SPAN = 2 * 255 + 1  # signed feature differences -255..255
 
 
 def build_likelihood_volume(
     fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params: ModelParams
 ) -> LikelihoodVolume:
     """Channel rates for every valid pixel, built in bands of rows from
-    per-feature likelihood tables over |left - right| = 0..255 (the features
-    are integers), multiplied in the order mean, grad_h, grad_v."""
+    likelihood tables over the signed integer left - right in -255..255. One
+    subtraction of per-pixel codes indexes `pair`, t_m * t_h at
+    (dm + 255) * 511 + dh + 255, and t_v gives the third factor: the floats of
+    multiplying the mean, grad_h and grad_v likelihoods in that order."""
     if fmaps_l.mean.shape != fmaps_r.mean.shape:
         raise ValueError("left and right feature maps must have equal shapes")
     h, w = fmaps_l.mean.shape
@@ -249,22 +260,31 @@ def build_likelihood_volume(
         raise ValueError(
             f"feature maps of width {w} leave no valid pixels at d_max={d_max}"
         )
-    cost = np.arange(256.0) ** 2
+    cost = np.arange(-255.0, 256.0) ** 2
     sigmas = (params.sigma_m, params.sigma_gh, params.sigma_gv)
-    tables = [likelihood(cost, sigma, params.p0) for sigma in sigmas]
+    t_m, t_h, t_v = (likelihood(cost, sigma, params.p0) for sigma in sigmas)
+    pair = (t_m[:, None] * t_h).ravel()
+    code_l = ((fmaps_l.mean + 255) * _SPAN + fmaps_l.grad_h + 255)[:, d_max:, None]
+    gv_l = fmaps_l.grad_v[:, d_max:, None] + 255
+    # [y, x, d] is the right partner of valid pixel x at disparity d
+    code_r, gv_r = (
+        sliding_window_view(right, d_max + 1, axis=1)[:, :, ::-1]
+        for right in (fmaps_r.mean * _SPAN + fmaps_r.grad_h, fmaps_r.grad_v)
+    )
 
     rates = np.empty((h, w - d_max, params.machine_width))
+    shape = (min(_BAND_ROWS, h), w - d_max, d_max + 1)
+    index, pm, pv = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
     for y0 in range(0, h, _BAND_ROWS):
         band = slice(y0, y0 + _BAND_ROWS)
-        products = rates[band, :, : d_max + 1]
-        products[...] = 1.0
-        for table, name in zip(tables, FEATURE_NAMES):
-            left = getattr(fmaps_l, name)[band, d_max:, None]
-            # window column d_max - d of pixel x holds the right feature at x - d
-            right = sliding_window_view(
-                getattr(fmaps_r, name)[band], d_max + 1, axis=1
-            )[:, :, ::-1]
-            products *= table[np.abs(left - right)]
+        i, m, v = (buf[: min(_BAND_ROWS, h - y0)] for buf in (index, pm, pv))
+        # mode="clip" writes straight into `out` ("raise" would buffer a copy);
+        # `FeatureMaps`' ranges keep every index inside its table
+        np.subtract(code_l[band], code_r[band], out=i)
+        np.take(pair, i, out=m, mode="clip")
+        np.subtract(gv_l[band], gv_r[band], out=i)
+        np.take(t_v, i, out=v, mode="clip")
+        np.multiply(m, v, out=rates[band, :, : d_max + 1])
     rates[:, :, -1] = nomatch_probability(
         fmaps_l.grad_v[:, d_max:], params.p_nm0, params.sigma_nm
     )

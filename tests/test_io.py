@@ -90,9 +90,11 @@ class TestPgm:
 def tiny_dump(d_max=2, n_max=16):
     rng = np.random.default_rng(0)
     h, w = 3, d_max + 4
-    counts = rng.integers(0, n_max + 1, (h, w - d_max, d_max + 2)).astype(np.uint16)
-    counts[:, :, 0] = n_max  # every valid pixel has a counter at n_max
-    no_match = rng.random((h, w)) < 0.3
+    counts = rng.integers(0, n_max, (h, w - d_max, d_max + 2)).astype(np.uint16)
+    counts[:, :, 0] = n_max  # every valid pixel has a counter at n_max...
+    counts[1, 2, 0], counts[1, 2, -1] = 0, n_max  # ...one at the no-match one
+    no_match = np.zeros((h, w), bool)
+    no_match[1, d_max + 2] = True
     invalid = np.zeros((h, w), bool)
     invalid[:, :d_max] = True
     return DistributionDump(w, h, d_max, n_max, counts, no_match, invalid)
@@ -101,7 +103,8 @@ def tiny_dump(d_max=2, n_max=16):
 @st.composite
 def valid_dumps(draw):
     """Dumps as the engine writes them: each pixel that did not time out has
-    its winner (and possibly tied channels) at n_max; timeouts stay below."""
+    its winner at n_max and every lower channel below it (tied channels above
+    it may also read n_max); timeouts stay below n_max."""
     d_max = draw(st.integers(1, 3))
     n_max = draw(st.sampled_from([1, 2, 16, 0xFFFF]))
     h, vw = draw(st.integers(1, 3)), draw(st.integers(1, 4))
@@ -110,6 +113,8 @@ def valid_dumps(draw):
     ).copy()
     winner = draw(arrays(np.int64, (h, vw), elements=st.integers(0, d_max + 1)))
     timed_out = draw(arrays(bool, (h, vw)))
+    below = np.arange(d_max + 2) < winner[..., None]
+    counts[below] = np.minimum(counts[below], n_max - 1)
     np.put_along_axis(counts, winner[..., None], n_max, axis=2)
     counts[timed_out] = np.minimum(counts[timed_out], n_max - 1)
     no_match = np.zeros((h, vw + d_max), bool)
@@ -117,6 +122,18 @@ def valid_dumps(draw):
     invalid = np.ones((h, vw + d_max), bool)
     invalid[:, d_max:] = timed_out
     return DistributionDump(vw + d_max, h, d_max, n_max, counts, no_match, invalid)
+
+
+def flagged_at_disparity_0(flag_x):
+    """2x5 dump, d_max 2, n_max on disparity 0 at every valid pixel, with a
+    no-match flag the counts contradict at column flag_x of row 1."""
+    counts = np.zeros((2, 3, 4), np.uint16)
+    counts[..., 0] = 16
+    no_match = np.zeros((2, 5), bool)
+    no_match[1, flag_x] = True
+    invalid = np.zeros((2, 5), bool)
+    invalid[:, :2] = True
+    return DistributionDump(5, 2, 2, 16, counts, no_match, invalid)
 
 
 def written(dump, tmp_path_factory):
@@ -178,6 +195,24 @@ class TestDump:
         dump = replace(tiny_dump(), invalid=np.zeros((3, 9), bool))
         with pytest.raises(DumpFormatError, match="bitmap shape"):
             write_dump(tmp_path / "d.bin", dump)
+
+    @pytest.mark.parametrize("flag_x", [3, 0], ids=["valid_pixel", "border_pixel"])
+    def test_no_match_flag_against_the_counts_rejected_on_write(
+        self, flag_x, tmp_path
+    ):
+        with pytest.raises(DumpFormatError, match="no-match flags"):
+            write_dump(tmp_path / "d.bin", flagged_at_disparity_0(flag_x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dump=valid_dumps(), data=st.data())
+    def test_flipped_no_match_bit_rejected(self, dump, data, tmp_path_factory):
+        path = written(dump, tmp_path_factory)
+        raw = bytearray(path.read_bytes())
+        bit = data.draw(st.integers(0, dump.width * dump.height - 1))
+        raw[20 + 2 * dump.counts.size + bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DumpFormatError, match="no-match flags"):
+            read_dump(path)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -453,6 +488,20 @@ class TestCli:
         assert (f1, n_matched) == (0.0, 1)
         printed = capsys.readouterr().out.split("\n")[1]
         assert printed == f"{rms:.6f},{f1:.6f},{n_matched}"
+
+    def test_compare_dump_with_contradicted_no_match_exits_with_code_3(
+        self, tmp_path, capsys
+    ):
+        consistent = replace(
+            flagged_at_disparity_0(3), no_match=np.zeros((2, 5), bool)
+        )
+        good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+        write_dump(good, consistent)
+        raw = bytearray(good.read_bytes())
+        raw[20 + 2 * consistent.counts.size + 1] ^= 1 << 0  # bit 8 is (1, 3)
+        bad.write_bytes(bytes(raw))
+        assert main(["compare", str(good), str(bad)]) == EXIT_IO
+        assert "no-match flags" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra",

@@ -1,9 +1,17 @@
 """Feature filters, likelihood mapping and fusion problem assembly."""
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stochastic_disparity import model
 from stochastic_disparity.model import (
@@ -85,6 +93,68 @@ class TestComputeFeatures:
             compute_features(np.full((6, 6), 300))
         with pytest.raises(ValueError):
             compute_features(np.zeros((2, 3, 4)))
+        for bad in (np.nan, 12.7):
+            img = np.zeros((6, 6))
+            img[2, 3] = bad
+            with pytest.raises(ValueError, match="integers"):
+                compute_features(img)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        img=arrays(
+            np.uint8,
+            st.tuples(st.integers(5, 12), st.integers(5, 12)),
+            elements=st.one_of(st.sampled_from([0, 255]), st.integers(0, 255)),
+        )
+    )
+    def test_matches_rounded_float_correlation(self, img):
+        from scipy.signal import correlate2d
+
+        def rounded(kernel):
+            raw = correlate2d(img.astype(np.int64), kernel, mode="valid")
+            return np.sign(raw) * np.floor(np.abs(raw) + 0.5)
+
+        fmaps = compute_features(img)
+        for name, kernel in zip(
+            FEATURE_NAMES, (MEAN_KERNEL, GRAD_H_KERNEL, GRAD_V_KERNEL)
+        ):
+            np.testing.assert_array_equal(getattr(fmaps, name), rounded(kernel))
+
+    @pytest.mark.parametrize(
+        "scale, den, lo, hi", [(1, 25, 0, 6375), (127, 3825, -3825, 3825)],
+        ids=["box", "ramp"],
+    )
+    def test_integer_rounding_is_exact_for_every_raw_response(
+        self, scale, den, lo, hi
+    ):
+        # every box sum and ramp response an 8-bit image can produce, against
+        # exact rational rounding half away from zero
+        raw = range(lo, hi + 1)
+        ratios = [Fraction(r * scale, den) for r in raw]
+        want = [
+            int(math.copysign(math.floor(abs(q) + Fraction(1, 2)), q)) for q in ratios
+        ]
+        assert model._rounded(np.array(raw), scale, den).tolist() == want
+        # no response lies within 1/7650 of a tie, so float error in the
+        # kernels' correlation cannot flip a rounding
+        gap = min(abs(abs(q) % 1 - Fraction(1, 2)) for q in ratios)
+        assert gap >= Fraction(1, 7650)
+
+    def test_package_import_loads_no_heavy_scipy_modules(self):
+        src = Path(model.__file__).parents[1]
+        code = (
+            "import sys, stochastic_disparity; print(' '.join(m for m in sys.modules"
+            " if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'],"
+            " ['scipy', 'optimize'])))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == ""
 
 
 class TestModelParams:
@@ -242,6 +312,36 @@ class TestLikelihoodVolume:
             )
             spec = build_pixel_spec(fmaps_l, fmaps_r, params, x, y)
             np.testing.assert_array_equal(spec.channel_products(), row)
+
+    def test_table_corners_bit_for_bit(self):
+        # features at their range ends make every left - right difference in
+        # {-255, 0, 255} for the mean and {-254, -127, 0, 127, 254} for the
+        # gradients: the first, middle and last entries of each table and the
+        # corners of the combined mean x grad_h table
+        params = ModelParams(d_max=6, sigma_m=90.0, sigma_gh=70.0, sigma_gv=50.0)
+        rng = np.random.default_rng(2)
+        shape = (3, 30)
+
+        def fmaps():
+            grads = [rng.choice([-127, 0, 127], shape) for _ in range(2)]
+            return FeatureMaps(rng.choice([0, 255], shape), *grads)
+
+        fmaps_l, fmaps_r = fmaps(), fmaps()
+        rates = build_likelihood_volume(fmaps_l, fmaps_r, params).rates
+        pairs = [(getattr(fmaps_l, n), getattr(fmaps_r, n)) for n in FEATURE_NAMES]
+        seen = set()
+        for y in range(shape[0]):
+            for x in range(params.d_max, shape[1]):
+                for d in range(params.d_max + 1):
+                    want = 1.0
+                    for name, sigma in zip(FEATURE_NAMES, sigmas(params)):
+                        cost = matching_cost(fmaps_l, fmaps_r, x, y, d, name)
+                        want *= likelihood(cost, sigma, params.p0)
+                    assert rates[y, x - params.d_max, d] == want
+                    seen.add(tuple(int(fl[y, x] - fr[y, x - d]) for fl, fr in pairs))
+        ends = (-254, 0, 254)
+        assert {s[:2] for s in seen} >= {(m, g) for m in (-255, 0, 255) for g in ends}
+        assert {s[2] for s in seen} >= set(ends)
 
     def test_rates_do_not_depend_on_the_row_band(self, monkeypatch):
         params = ModelParams(d_max=16)
