@@ -13,6 +13,7 @@ go to stderr. Exit codes: 0 success, 2 validation/usage error, 3 I/O error,
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bitstream import DEFAULT_MAX_CYCLES
@@ -37,27 +38,15 @@ EXIT_TIMEOUT = 4
 
 
 def _add_param_args(parser: argparse.ArgumentParser) -> None:
-    defaults = ModelParams()
     group = parser.add_argument_group("model parameters")
-    group.add_argument("--d-max", type=int, default=defaults.d_max)
-    group.add_argument("--p0", type=float, default=defaults.p0)
-    group.add_argument("--sigma-m", type=float, default=defaults.sigma_m)
-    group.add_argument("--sigma-gh", type=float, default=defaults.sigma_gh)
-    group.add_argument("--sigma-gv", type=float, default=defaults.sigma_gv)
-    group.add_argument("--p-nm0", type=float, default=defaults.p_nm0)
-    group.add_argument("--sigma-nm", type=float, default=defaults.sigma_nm)
+    for f in fields(ModelParams):  # --d-max, --p0, --sigma-m, ...
+        group.add_argument(
+            "--" + f.name.replace("_", "-"), type=f.type, default=f.default
+        )
 
 
 def _params_from_args(args) -> ModelParams:
-    return ModelParams(
-        d_max=args.d_max,
-        p0=args.p0,
-        sigma_m=args.sigma_m,
-        sigma_gh=args.sigma_gh,
-        sigma_gv=args.sigma_gv,
-        p_nm0=args.p_nm0,
-        sigma_nm=args.sigma_nm,
-    )
+    return ModelParams(**{f.name: getattr(args, f.name) for f in fields(ModelParams)})
 
 
 def _parse_crop(text):
@@ -133,10 +122,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _dump_readout(dump) -> Readout:
-    valid = slice(dump.d_max, None)
-    return Readout(
-        dump.counts, dump.n_max, dump.no_match[:, valid], dump.invalid[:, valid]
-    )
+    flags = dump.outcome
+    return Readout(dump.counts, dump.n_max, flags.no_match, flags.timed_out)
 
 
 def _cmd_compare(args) -> int:

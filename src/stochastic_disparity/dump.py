@@ -17,16 +17,21 @@ Layout (all integers little-endian):
     ...     ...   invalid bitmap: same shape; set where x < d_max or the
                   machine timed out
 
-Every pixel not flagged invalid has at least one count equal to n_max, and no
-count exceeds n_max. Its winner is the first channel at n_max (tied channels
-also read n_max); the no-match bit is set exactly where that is d_max + 1.
+No count exceeds n_max. The counts carry each pixel's outcome: its winner is
+the first channel at n_max (tied channels also read n_max), and a pixel with
+no channel at n_max timed out. Both bitmaps are derived from that outcome:
+`write_dump` builds them from the counts, and `read_dump` rejects a file
+whose stored bitmaps differ from the ones its counts give.
 """
 
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
+
+from .model import Outcome
 
 MAGIC = b"SDSP"
 VERSION = 1
@@ -44,104 +49,99 @@ class DumpFormatError(Exception):
 
 @dataclass(frozen=True)
 class DistributionDump:
-    """In-memory form of a dump file, over the full feature-map grid."""
+    """In-memory form of a dump file: the header values and the counts of
+    the valid pixels of the feature-map grid."""
 
     width: int  # W_f
     height: int  # H_f
     d_max: int
     n_max: int
     counts: np.ndarray  # (H_f, W_f - d_max, d_max + 2) uint16
-    no_match: np.ndarray  # (H_f, W_f) bool
-    invalid: np.ndarray  # (H_f, W_f) bool
 
     @property
     def valid_width(self) -> int:
         return self.width - self.d_max
 
+    @property
+    def outcome(self) -> Outcome:
+        """Each valid pixel's winner, read off its counts: the first channel
+        at n_max, or -1 (a timeout) where none reached it."""
+        at_max = np.asarray(self.counts) == self.n_max
+        winner = np.where(at_max.any(axis=2), at_max.argmax(axis=2), -1)
+        return Outcome(winner=winner, d_max=self.d_max)
 
-def _pack_bits(mask: np.ndarray) -> bytes:
-    return np.packbits(mask.reshape(-1).astype(np.uint8), bitorder="little").tobytes()
+
+def _check_header(*values: int) -> None:
+    """Reject header values (width, height, d_max, n_max) that do not fit
+    their fields or leave no valid pixel."""
+    for (name, low, high), value in zip(_HEADER_FIELDS, values):
+        if not low <= value <= high:
+            raise DumpFormatError(f"{name} outside [{low}, {high}]")
+    width, _, d_max, _ = values
+    if width <= d_max:
+        raise DumpFormatError("header implies no valid pixels")
 
 
-def _unpack_bits(data: bytes, height: int, width: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    return bits[: height * width].reshape(height, width).astype(bool)
-
-
-def _check_counts(
-    counts: np.ndarray, n_max: int, no_match: np.ndarray, invalid: np.ndarray,
-    d_max: int,
-) -> None:
+def _check_counts(counts: np.ndarray, n_max: int) -> None:
     if np.any(counts < 0) or np.any(counts > n_max):
         raise DumpFormatError("counts outside [0, n_max]")
-    at_max = counts == n_max
-    valid = ~invalid[:, d_max:]
-    if not np.all(at_max.any(axis=2)[valid]):
-        raise DumpFormatError("a valid pixel has no counter at n_max")
-    expected = np.zeros_like(invalid)  # the winner is the first channel at n_max
-    expected[:, d_max:] = valid & (at_max.argmax(axis=2) == d_max + 1)
-    if not np.array_equal(no_match, expected):
-        raise DumpFormatError("no-match flags disagree with the counts")
+
+
+def _bitmaps(dump: DistributionDump) -> Tuple[bytes, bytes]:
+    """The packed no-match and invalid bitmaps over the full feature grid,
+    built from the counts; the x < d_max border is invalid."""
+    outcome = dump.outcome
+
+    def packed(flags: np.ndarray, border: bool) -> bytes:
+        grid = np.full((dump.height, dump.width), border)
+        grid[:, dump.d_max :] = flags
+        return np.packbits(grid, axis=None, bitorder="little").tobytes()
+
+    return packed(outcome.no_match, False), packed(outcome.timed_out, True)
 
 
 def write_dump(path, dump: DistributionDump) -> None:
-    for name, low, high in _HEADER_FIELDS:
-        if not low <= getattr(dump, name) <= high:
-            raise DumpFormatError(f"{name} outside [{low}, {high}]")
+    _check_header(dump.width, dump.height, dump.d_max, dump.n_max)
     counts = np.asarray(dump.counts)
     expected = (dump.height, dump.valid_width, dump.d_max + 2)
     if counts.shape != expected:
         raise DumpFormatError(f"counts shape {counts.shape} != {expected}")
-    for bitmap in (dump.no_match, dump.invalid):
-        if np.shape(bitmap) != (dump.height, dump.width):
-            raise DumpFormatError("bitmap shape does not match the header")
-    _check_counts(counts, dump.n_max, np.asarray(dump.no_match),
-                  np.asarray(dump.invalid), dump.d_max)
+    _check_counts(counts, dump.n_max)
     header = _HEADER.pack(
         MAGIC, VERSION, dump.width, dump.height, dump.d_max, dump.n_max
     )
     body = counts.astype("<u2").tobytes()
-    bitmap_nm = _pack_bits(dump.no_match)
-    bitmap_inv = _pack_bits(dump.invalid)
-    Path(path).write_bytes(header + body + bitmap_nm + bitmap_inv)
+    Path(path).write_bytes(header + body + b"".join(_bitmaps(dump)))
 
 
 def read_dump(path) -> DistributionDump:
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise DumpFormatError("file shorter than the header")
-    magic, version, width, height, d_max, n_max = _HEADER.unpack_from(data)
+    magic, version, *header = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise DumpFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise DumpFormatError(f"unsupported dump version {version}")
-    valid_width = width - d_max
-    if valid_width <= 0:
-        raise DumpFormatError("header implies no valid pixels")
-    if n_max == 0:
-        raise DumpFormatError("n_max is 0")
-    n_counts = height * valid_width * (d_max + 2)
+    _check_header(*header)
+    width, height, d_max, n_max = header
+    n_counts = height * (width - d_max) * (d_max + 2)
     bitmap_len = (width * height + 7) // 8
     expected_len = _HEADER.size + 2 * n_counts + 2 * bitmap_len
     if len(data) != expected_len:
         raise DumpFormatError(
             f"file length {len(data)} != expected {expected_len}"
         )
-    pos = _HEADER.size
-    counts = np.frombuffer(data, dtype="<u2", count=n_counts, offset=pos).reshape(
-        height, valid_width, d_max + 2
+    counts = np.frombuffer(data, dtype="<u2", count=n_counts, offset=_HEADER.size)
+    _check_counts(counts, n_max)
+    dump = DistributionDump(
+        *header, counts.reshape(height, width - d_max, d_max + 2).copy()
     )
-    pos += 2 * n_counts
-    no_match = _unpack_bits(data[pos : pos + bitmap_len], height, width)
-    pos += bitmap_len
-    invalid = _unpack_bits(data[pos : pos + bitmap_len], height, width)
-    _check_counts(counts, n_max, no_match, invalid, d_max)
-    return DistributionDump(
-        width=width,
-        height=height,
-        d_max=d_max,
-        n_max=n_max,
-        counts=counts.copy(),
-        no_match=no_match,
-        invalid=invalid,
-    )
+    pos = _HEADER.size + 2 * n_counts
+    no_match, invalid = _bitmaps(dump)
+    # invalid first: a pixel without a counter at n_max breaks both bitmaps
+    if data[pos + bitmap_len :] != invalid:
+        raise DumpFormatError("invalid flags disagree with the counts")
+    if data[pos : pos + bitmap_len] != no_match:
+        raise DumpFormatError("no-match flags disagree with the counts")
+    return dump

@@ -17,12 +17,11 @@ drawing fill cycles only for the channels that can plausibly win.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
 
-from .bitstream import DEFAULT_MAX_CYCLES, stream_seed
+from .bitstream import DEFAULT_MAX_CYCLES, BitSource, and_product, stream_seed
 
 # Source index namespaces inside one machine's seed space: prior sources use
 # (PRIOR_LANE, j), the term source at column i, row j uses (i + 1, j).
@@ -78,12 +77,22 @@ class FusionSpec:
 
 @dataclass(frozen=True)
 class MachineResult:
-    winner: Optional[int]
+    """One run of `run_machine`. `winner` is the first channel at n_max, or
+    -1 on a timeout, as in `race_arrivals`; `cycles` is the stop cycle."""
+
+    winner: int
     counts: np.ndarray
     cycles: int
-    readout: np.ndarray
     n_max: int
-    timed_out: bool
+
+    @property
+    def timed_out(self) -> bool:
+        return self.winner < 0
+
+    @property
+    def readout(self) -> np.ndarray:
+        """Max-normalized distribution: counter values over n_max."""
+        return self.counts / self.n_max
 
 
 class Machine:
@@ -91,52 +100,38 @@ class Machine:
 
     Prior channels at rate exactly 1 are wired as constant-1 lines and consume
     no randomness; every other prior channel and every term module gets its
-    own generator stream, so no bitstream is ever reused across AND gates.
+    own `BitSource`, so no bitstream is ever reused across AND gates.
     """
 
     def __init__(self, spec: FusionSpec, seed: int):
         self.spec = spec
         self.seed = seed
-        m = spec.cardinality
-        self._prior_rngs = [
-            None
-            if spec.prior[j] == 1.0
-            else np.random.default_rng(stream_seed(seed, PRIOR_LANE, j))
-            for j in range(m)
-        ]
-        self._term_rngs = [
-            [
-                np.random.default_rng(stream_seed(seed, i + 1, j))
-                for j in range(m)
-            ]
-            for i in range(spec.n_terms)
+        # (output row, source): the prior on lane PRIOR_LANE, term i on i + 1
+        self._sources = [
+            (j, BitSource(p, np.random.default_rng(stream_seed(seed, lane, j))))
+            for lane, rates in enumerate([spec.prior, *spec.term_table])
+            for j, p in enumerate(rates)
+            if lane != PRIOR_LANE or p != 1.0
         ]
 
     @property
     def n_random_sources(self) -> int:
         """Random generators actually instantiated (term modules + non-constant
         prior channels)."""
-        n_prior = sum(1 for r in self._prior_rngs if r is not None)
-        return self.spec.n_terms * self.spec.cardinality + n_prior
+        return len(self._sources)
 
     @property
     def n_term_sources(self) -> int:
         return self.spec.n_terms * self.spec.cardinality
 
     def emit_output_bits(self, n: int) -> np.ndarray:
-        """Emit `n` cycles of the output bus as an (M, n) bit matrix."""
+        """Emit `n` cycles of the output bus as an (M, n) bit matrix: each row
+        is the AND product of its channel's sources."""
         if n <= 0:
             raise ValueError("cycle count must be positive")
-        spec = self.spec
-        m = spec.cardinality
-        bits = np.ones((m, n), dtype=bool)
-        for j, rng in enumerate(self._prior_rngs):
-            if rng is not None:
-                bits[j] &= rng.random(n) < spec.prior[j]
-        for i in range(spec.n_terms):
-            row_rates = spec.term_table[i]
-            for j in range(m):
-                bits[j] &= self._term_rngs[i][j].random(n) < row_rates[j]
+        bits = np.ones((self.spec.cardinality, n), dtype=np.uint8)
+        for j, source in self._sources:
+            bits[j] = and_product(bits[j], source.emit(n))
         return bits
 
 
@@ -163,7 +158,7 @@ def run_machine(
     """Run the machine until the first output counter saturates.
 
     Ties on the stop cycle resolve to the lowest index. A run that exhausts
-    `max_cycles` is flagged timed out, never silently truncated.
+    `max_cycles` is flagged timed out (winner -1), never silently truncated.
     """
     check_race_args(n_max, max_cycles)
     m = machine.spec.cardinality
@@ -177,24 +172,16 @@ def run_machine(
         if hit_cycles.any():
             stop = int(np.argmax(hit_cycles))
             final = totals[:, stop]
-            winner = int(np.argmax(final >= n_max))
             return MachineResult(
-                winner=winner,
+                winner=int(np.argmax(final >= n_max)),
                 counts=final.copy(),
                 cycles=cycles_done + stop + 1,
-                readout=final / n_max,
                 n_max=n_max,
-                timed_out=False,
             )
         counts = totals[:, -1]
         cycles_done += k
     return MachineResult(
-        winner=None,
-        counts=counts.copy(),
-        cycles=cycles_done,
-        readout=counts / n_max,
-        n_max=n_max,
-        timed_out=True,
+        winner=-1, counts=counts.copy(), cycles=cycles_done, n_max=n_max
     )
 
 

@@ -80,28 +80,6 @@ def render_disparity(
     return img
 
 
-def dump_from_result(
-    result: StochasticResult, feature_width: int
-) -> DistributionDump:
-    """Pack a stochastic grid result into the dump layout."""
-    h = result.counts.shape[0]
-    d_max = result.d_max
-    no_match = np.zeros((h, feature_width), dtype=bool)
-    no_match[:, d_max:] = result.no_match
-    invalid = np.zeros((h, feature_width), dtype=bool)
-    invalid[:, :d_max] = True
-    invalid[:, d_max:] |= result.timed_out
-    return DistributionDump(
-        width=feature_width,
-        height=h,
-        d_max=d_max,
-        n_max=result.n_max,
-        counts=result.counts.astype(np.uint16, copy=False),
-        no_match=no_match,
-        invalid=invalid,
-    )
-
-
 def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
     """Run the configured engines on one stereo pair and write artifacts.
 
@@ -159,7 +137,11 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
                 render_disparity(stochastic.map_disparity, d_max, feature_width),
             )
         if config.dump_out is not None:
-            write_dump(config.dump_out, dump_from_result(stochastic, feature_width))
+            dump = DistributionDump(
+                feature_width, len(stochastic.counts), d_max, stochastic.n_max,
+                stochastic.counts,
+            )
+            write_dump(config.dump_out, dump)
         if summary.timeout_fraction > config.timeout_warn_fraction:
             print(
                 f"warning: {summary.n_timeouts} pixels "

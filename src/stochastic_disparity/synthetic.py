@@ -10,47 +10,29 @@ shadow flank, photometric mismatch bands and sensor noise.
 from typing import Tuple
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 from scipy.spatial import cKDTree
 
 
-def textured_base(
-    width: int, height: int, seed: int, blur: float = 0.0
-) -> np.ndarray:
-    """Dense random texture, optionally low-pass filtered and re-stretched to
-    full 8-bit contrast."""
+def textured_base(width: int, height: int, seed: int) -> np.ndarray:
+    """Dense uniform random 8-bit texture."""
     rng = np.random.default_rng(seed)
-    img = rng.integers(0, 256, size=(height, width)).astype(float)
-    if blur > 0:
-        img = gaussian_filter(img, blur, mode="nearest")
-        lo, hi = img.min(), img.max()
-        img = (img - lo) / max(hi - lo, 1e-9) * 255.0
-    return np.rint(img).astype(np.uint8)
+    return rng.integers(0, 256, size=(height, width)).astype(np.uint8)
 
 
 def planted_shift_pair(
-    width: int,
-    height: int,
-    shift: int,
-    seed: int,
-    noise_sigma: float = 0.0,
-    offset: float = 0.0,
-    gain: float = 1.0,
-    blur: float = 0.0,
+    width: int, height: int, shift: int, seed: int, noise_sigma: float = 0.0
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Stereo pair with uniform true disparity `shift`.
 
     The right view is the base texture displaced so that the left pixel at x
-    corresponds to the right pixel at x - shift; photometric degradations
-    apply to the right view only.
+    corresponds to the right pixel at x - shift; Gaussian sensor noise with
+    `noise_sigma` applies to the right view only.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
-    base = textured_base(width + shift, height, seed, blur)
+    base = textured_base(width + shift, height, seed)
     left = base[:, :width].copy()
     right = base[:, shift : shift + width].astype(float)
-    if gain != 1.0 or offset != 0.0:
-        right = right * gain + offset
     if noise_sigma > 0:
         rng = np.random.default_rng(seed + 1)
         right = right + rng.normal(0.0, noise_sigma, right.shape)

@@ -123,7 +123,7 @@ class TestRunUntilOverflow:
     def test_timeout_flagged(self):
         out = run_bus([1e-9, 1e-9], seed=0, n_max=4, max_cycles=100)
         assert out.timed_out
-        assert out.winner is None
+        assert out.winner == -1
         assert out.cycles == 100
 
 

@@ -23,7 +23,7 @@ from stochastic_disparity.pgm import (
     load_image,
     save_image,
 )
-from stochastic_disparity.pipeline import RunConfig, dump_from_result, run_pipeline
+from stochastic_disparity.pipeline import RunConfig, run_pipeline
 from stochastic_disparity.synthetic import planted_shift_pair
 
 
@@ -93,11 +93,7 @@ def tiny_dump(d_max=2, n_max=16):
     counts = rng.integers(0, n_max, (h, w - d_max, d_max + 2)).astype(np.uint16)
     counts[:, :, 0] = n_max  # every valid pixel has a counter at n_max...
     counts[1, 2, 0], counts[1, 2, -1] = 0, n_max  # ...one at the no-match one
-    no_match = np.zeros((h, w), bool)
-    no_match[1, d_max + 2] = True
-    invalid = np.zeros((h, w), bool)
-    invalid[:, :d_max] = True
-    return DistributionDump(w, h, d_max, n_max, counts, no_match, invalid)
+    return DistributionDump(w, h, d_max, n_max, counts)
 
 
 @st.composite
@@ -117,29 +113,37 @@ def valid_dumps(draw):
     counts[below] = np.minimum(counts[below], n_max - 1)
     np.put_along_axis(counts, winner[..., None], n_max, axis=2)
     counts[timed_out] = np.minimum(counts[timed_out], n_max - 1)
-    no_match = np.zeros((h, vw + d_max), bool)
-    no_match[:, d_max:] = (winner == d_max + 1) & ~timed_out
-    invalid = np.ones((h, vw + d_max), bool)
-    invalid[:, d_max:] = timed_out
-    return DistributionDump(vw + d_max, h, d_max, n_max, counts, no_match, invalid)
+    return DistributionDump(vw + d_max, h, d_max, n_max, counts)
 
 
-def flagged_at_disparity_0(flag_x):
-    """2x5 dump, d_max 2, n_max on disparity 0 at every valid pixel, with a
-    no-match flag the counts contradict at column flag_x of row 1."""
+def at_disparity_0():
+    """2x5 dump, d_max 2, n_max on disparity 0 at every valid pixel."""
     counts = np.zeros((2, 3, 4), np.uint16)
     counts[..., 0] = 16
-    no_match = np.zeros((2, 5), bool)
-    no_match[1, flag_x] = True
-    invalid = np.zeros((2, 5), bool)
-    invalid[:, :2] = True
-    return DistributionDump(5, 2, 2, 16, counts, no_match, invalid)
+    return DistributionDump(5, 2, 2, 16, counts)
 
 
 def written(dump, tmp_path_factory):
     path = tmp_path_factory.mktemp("dump") / "d.bin"
     write_dump(path, dump)
     return path
+
+
+def stored_bitmaps(path, dump):
+    """The no-match and invalid bitmaps of a dump file, unpacked to
+    (2, height, width) bools."""
+    raw = np.frombuffer(path.read_bytes()[20 + 2 * dump.counts.size :], np.uint8)
+    bits = np.unpackbits(raw.reshape(2, -1), axis=1, bitorder="little")
+    return bits[:, : dump.width * dump.height].reshape(2, dump.height, -1) == 1
+
+
+def flip_bit(path, dump, plane, bit):
+    """Flip bit `bit` of bitmap `plane` (0 no-match, 1 invalid) in a dump
+    file."""
+    raw = bytearray(path.read_bytes())
+    bitmap_len = (dump.width * dump.height + 7) // 8
+    raw[20 + 2 * dump.counts.size + plane * bitmap_len + bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(raw))
 
 
 class TestDump:
@@ -174,7 +178,7 @@ class TestDump:
     @settings(max_examples=20, deadline=None)
     @given(dump=valid_dumps(), data=st.data())
     def test_valid_pixel_without_n_max_rejected(self, dump, data, tmp_path_factory):
-        valid = np.argwhere(~dump.invalid[:, dump.d_max :])
+        valid = np.argwhere(~dump.outcome.timed_out)
         assume(len(valid) > 0)
         y, x = valid[data.draw(st.integers(0, len(valid) - 1))]
         counts = dump.counts.copy()
@@ -184,34 +188,42 @@ class TestDump:
         body = counts.astype("<u2").tobytes()
         raw[20 : 20 + len(body)] = body
         path.write_bytes(bytes(raw))
-        with pytest.raises(DumpFormatError, match="no counter at n_max"):
+        with pytest.raises(DumpFormatError, match="invalid flags"):
             read_dump(path)
 
     def test_write_rejects_what_read_would(self, tmp_path):
         dump = tiny_dump()
-        dump.counts[1, 0] = 0  # a valid pixel with no counter at n_max
-        with pytest.raises(DumpFormatError, match="no counter at n_max"):
-            write_dump(tmp_path / "d.bin", dump)
-        dump = replace(tiny_dump(), invalid=np.zeros((3, 9), bool))
-        with pytest.raises(DumpFormatError, match="bitmap shape"):
-            write_dump(tmp_path / "d.bin", dump)
+        with pytest.raises(DumpFormatError, match="no valid pixels"):
+            write_dump(tmp_path / "d.bin", replace(dump, width=dump.d_max))
+        with pytest.raises(DumpFormatError, match="counts shape"):
+            write_dump(tmp_path / "d.bin", replace(dump, counts=dump.counts[:, 1:]))
 
-    @pytest.mark.parametrize("flag_x", [3, 0], ids=["valid_pixel", "border_pixel"])
-    def test_no_match_flag_against_the_counts_rejected_on_write(
-        self, flag_x, tmp_path
-    ):
-        with pytest.raises(DumpFormatError, match="no-match flags"):
-            write_dump(tmp_path / "d.bin", flagged_at_disparity_0(flag_x))
+    def test_written_bitmaps_are_derived_from_the_counts(self, tmp_path):
+        # row 1 of the 2x5 dump: a no-match winner at x = 3, a timeout at x = 4
+        dump = at_disparity_0()
+        dump.counts[1, 1] = [3, 0, 15, 16]
+        dump.counts[1, 2] = [15, 2, 0, 15]
+        path = tmp_path / "d.bin"
+        write_dump(path, dump)
+        no_match, invalid = stored_bitmaps(path, dump)
+        assert np.argwhere(no_match).tolist() == [[1, 3]]
+        assert np.argwhere(invalid).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 4]]
+        assert dump.outcome.winner.tolist() == [[0, 0, 0], [0, 3, -1]]
 
     @settings(max_examples=40, deadline=None)
     @given(dump=valid_dumps(), data=st.data())
     def test_flipped_no_match_bit_rejected(self, dump, data, tmp_path_factory):
         path = written(dump, tmp_path_factory)
-        raw = bytearray(path.read_bytes())
-        bit = data.draw(st.integers(0, dump.width * dump.height - 1))
-        raw[20 + 2 * dump.counts.size + bit // 8] ^= 1 << (bit % 8)
-        path.write_bytes(bytes(raw))
+        flip_bit(path, dump, 0, data.draw(st.integers(0, dump.width * dump.height - 1)))
         with pytest.raises(DumpFormatError, match="no-match flags"):
+            read_dump(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dump=valid_dumps(), data=st.data())
+    def test_flipped_invalid_bit_rejected(self, dump, data, tmp_path_factory):
+        path = written(dump, tmp_path_factory)
+        flip_bit(path, dump, 1, data.draw(st.integers(0, dump.width * dump.height - 1)))
+        with pytest.raises(DumpFormatError, match="invalid flags"):
             read_dump(path)
 
     @pytest.mark.parametrize(
@@ -234,8 +246,6 @@ class TestDump:
             dump.n_max,
         )
         assert np.array_equal(back.counts, dump.counts)
-        assert np.array_equal(back.no_match, dump.no_match)
-        assert np.array_equal(back.invalid, dump.invalid)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.bin"
@@ -270,8 +280,6 @@ class TestDump:
             dump.d_max,
             dump.n_max,
             dump.counts + dump.n_max,  # exceeds n_max
-            dump.no_match,
-            dump.invalid,
         )
         with pytest.raises(DumpFormatError):
             write_dump(tmp_path / "d.bin", bad)
@@ -284,8 +292,6 @@ class TestDump:
             dump.d_max,
             1 << 16,
             dump.counts,
-            dump.no_match,
-            dump.invalid,
         )
         with pytest.raises(DumpFormatError):
             write_dump(tmp_path / "d.bin", bad)
@@ -315,11 +321,13 @@ class TestPipeline:
         assert not ref_img[:, :8].any()
         dump = read_dump(tmp_path / "counts.bin")
         assert dump.d_max == 8 and dump.n_max == 16
-        assert np.all(dump.invalid[:, :8])
-        assert not dump.invalid[:, 8:].any()
+        invalid = stored_bitmaps(tmp_path / "counts.bin", dump)[1]
+        assert np.all(invalid[:, :8])
+        assert not invalid[:, 8:].any()
         assert np.array_equal(
             dump.counts, summary.stochastic.counts.astype(np.uint16)
         )
+        assert np.array_equal(dump.outcome.winner, summary.stochastic.winner)
 
     def test_mismatched_pair_rejected(self, tmp_path):
         lp, _ = write_pair(tmp_path)
@@ -479,7 +487,7 @@ class TestCli:
         assert not runs[0].timed_out.any() and runs[1].timed_out.sum() == 2
         dumps = [tmp_path / "a.bin", tmp_path / "b.bin"]
         for path, run in zip(dumps, runs):
-            write_dump(path, dump_from_result(run, feature_width=5))
+            write_dump(path, DistributionDump(5, 1, 2, 16, run.counts))
         assert main(["compare", *map(str, dumps)]) == EXIT_OK
         reference, run = (
             Readout(r.counts, r.n_max, r.no_match, r.timed_out) for r in runs
@@ -492,16 +500,24 @@ class TestCli:
     def test_compare_dump_with_contradicted_no_match_exits_with_code_3(
         self, tmp_path, capsys
     ):
-        consistent = replace(
-            flagged_at_disparity_0(3), no_match=np.zeros((2, 5), bool)
-        )
+        dump = at_disparity_0()
         good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
-        write_dump(good, consistent)
-        raw = bytearray(good.read_bytes())
-        raw[20 + 2 * consistent.counts.size + 1] ^= 1 << 0  # bit 8 is (1, 3)
-        bad.write_bytes(bytes(raw))
+        write_dump(good, dump)
+        write_dump(bad, dump)
+        flip_bit(bad, dump, 0, 8)  # bit 8 is (1, 3)
         assert main(["compare", str(good), str(bad)]) == EXIT_IO
         assert "no-match flags" in capsys.readouterr().err
+
+    def test_compare_dump_with_an_invalid_bit_over_n_max_exits_with_code_3(
+        self, tmp_path, capsys
+    ):
+        dump = at_disparity_0()
+        good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+        write_dump(good, dump)
+        write_dump(bad, dump)
+        flip_bit(bad, dump, 1, 8)  # bit 8 is (1, 3), which holds n_max
+        assert main(["compare", str(good), str(bad)]) == EXIT_IO
+        assert "invalid flags" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra",

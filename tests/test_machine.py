@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 from scipy.special import comb
 
+from stochastic_disparity.bitstream import BitSource, and_product, stream_seed
 from stochastic_disparity.machine import (
+    PRIOR_LANE,
     FusionSpec,
     Machine,
     _nth_position,
@@ -92,6 +94,27 @@ class TestMachine:
             sigma = np.sqrt(p * (1 - p) / n)
             assert abs(bits[j].mean() - p) <= 4 * sigma
 
+    def test_output_bus_is_the_and_of_seeded_bit_sources(self):
+        # prior lanes at 1.0 (rows 0 and 2) are wires and draw no bits
+        spec = simple_spec(
+            [1.0, 0.5, 1.0, 0.25], [[0.9, 0.5, 0.1, 0.7], [0.8, 0.6, 1.0, 0.3]]
+        )
+        n, seed = 300, 11
+
+        def bits(p, lane, j):
+            rng = np.random.default_rng(stream_seed(seed, lane, j))
+            return BitSource(p, rng).emit(n)
+
+        want = np.ones((4, n), dtype=np.uint8)
+        for j in range(4):
+            if spec.prior[j] != 1.0:
+                want[j] = and_product(want[j], bits(spec.prior[j], PRIOR_LANE, j))
+            for i, rates in enumerate(spec.term_table):
+                want[j] = and_product(want[j], bits(rates[j], i + 1, j))
+        got = build_machine(spec, seed).emit_output_bits(n)
+        assert np.array_equal(got, want)
+        assert 0 < want.sum() < want.size
+
     def test_all_ones_machine_ties_to_index_zero(self):
         spec = simple_spec(np.ones(3), np.ones((2, 3)))
         result = run_machine(build_machine(spec, seed=0), n_max=16)
@@ -144,7 +167,7 @@ class TestRunMachine:
         spec = simple_spec([1.0], np.full((1, 1), 1e-9))
         result = run_machine(build_machine(spec, seed=0), n_max=4, max_cycles=50)
         assert result.timed_out
-        assert result.winner is None
+        assert result.winner == -1
         assert result.cycles == 50
 
     def test_argument_validation(self):
@@ -204,7 +227,7 @@ class TestRaceArrivals:
             run_machine(build_machine(spec, seed=s), n_max, max_cycles)
             for s in range(EQUIVALENCE_RUNS)
         ]
-        ref_winner = np.array([-1 if r.timed_out else r.winner for r in runs])
+        ref_winner = np.array([r.winner for r in runs])
         ref_cycles = np.array([r.cycles for r in runs])
         ref_counts = np.array([r.counts for r in runs])
         counts, winner, cycles = race_arrivals(

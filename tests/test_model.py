@@ -145,7 +145,7 @@ class TestComputeFeatures:
         code = (
             "import sys, stochastic_disparity; print(' '.join(m for m in sys.modules"
             " if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'],"
-            " ['scipy', 'optimize'])))"
+            " ['scipy', 'optimize'], ['scipy', 'ndimage'])))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
