@@ -210,6 +210,21 @@ class TestDump:
         assert np.argwhere(invalid).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 4]]
         assert dump.outcome.winner.tolist() == [[0, 0, 0], [0, 3, -1]]
 
+    @pytest.mark.parametrize("flag_x", [3, 0], ids=["valid_pixel", "border_pixel"])
+    def test_no_match_flag_against_the_counts_rejected_on_write(
+        self, flag_x, tmp_path
+    ):
+        # n_max on disparity 0 everywhere: write_dump sets no no-match bit at
+        # a valid pixel or at x < d_max, and a file carrying one is rejected
+        dump = at_disparity_0()
+        path = tmp_path / "d.bin"
+        write_dump(path, dump)
+        no_match, _ = stored_bitmaps(path, dump)
+        assert not no_match.any()
+        flip_bit(path, dump, 0, dump.width + flag_x)
+        with pytest.raises(DumpFormatError, match="no-match flags"):
+            read_dump(path)
+
     @settings(max_examples=40, deadline=None)
     @given(dump=valid_dumps(), data=st.data())
     def test_flipped_no_match_bit_rejected(self, dump, data, tmp_path_factory):
