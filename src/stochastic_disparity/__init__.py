@@ -23,16 +23,13 @@ from .metrics import (
 )
 from .pgm import load_image, save_image
 from .model import (
-    CameraGeometry,
     FeatureMaps,
     LikelihoodVolume,
     ModelParams,
     build_likelihood_volume,
     build_pixel_spec,
     compute_features,
-    disparity_to_depth,
     likelihood,
-    matching_cost,
     nomatch_probability,
 )
 from .pipeline import PipelineSummary, RunConfig, render_disparity, run_pipeline

@@ -121,17 +121,14 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _dump_readout(dump) -> Readout:
-    flags = dump.outcome
-    return Readout(dump.counts, dump.n_max, flags.no_match, flags.timed_out)
-
-
 def _cmd_compare(args) -> int:
     ref = read_dump(args.reference_dump)
     sto = read_dump(args.stochastic_dump)
     if (ref.width, ref.height, ref.d_max) != (sto.width, sto.height, sto.d_max):
         raise ValueError("dumps cover different grids or disparity ranges")
-    rms, f1, n_matched = score_readouts(_dump_readout(sto), _dump_readout(ref))
+    rms, f1, n_matched = score_readouts(
+        *(Readout(d.counts, d.n_max, d.outcome) for d in (sto, ref))
+    )
     print("rms,f1,n_matched")
     print(f"{rms:.6f},{f1:.6f},{n_matched}")
     return EXIT_OK

@@ -26,6 +26,7 @@ whose stored bitmaps differ from the ones its counts give.
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Tuple
 
@@ -62,10 +63,12 @@ class DistributionDump:
     def valid_width(self) -> int:
         return self.width - self.d_max
 
-    @property
+    @cached_property
     def outcome(self) -> Outcome:
         """Each valid pixel's winner, read off its counts: the first channel
-        at n_max, or -1 (a timeout) where none reached it."""
+        at n_max, or -1 (a timeout) where none reached it. Derived once, so
+        `read_dump`'s bitmap check and the caller's scoring share it: set
+        the counts before the first read."""
         at_max = np.asarray(self.counts) == self.n_max
         winner = np.where(at_max.any(axis=2), at_max.argmax(axis=2), -1)
         return Outcome(winner=winner, d_max=self.d_max)

@@ -10,7 +10,7 @@ import numpy as np
 from .bitstream import DEFAULT_MAX_CYCLES
 from .engine import StochasticResult, run_stochastic_grid
 from .machine import check_race_args
-from .model import ModelParams, build_likelihood_volume, compute_features
+from .model import ModelParams, Outcome, build_likelihood_volume, compute_features
 from .reference import ReferenceResult, reference_infer
 
 SWEEP_CSV_HEADER = "n_max,rms,f1,cycles_mean,cycles_sd,timeouts"
@@ -37,12 +37,12 @@ class AccuracyReport:
 class Readout(NamedTuple):
     """One run over the valid pixel grid as scoring reads it: its max-normalized
     distribution is `values[..., :-1] / scale` (counts over n_max, or oracle
-    rates over each pixel's winning score); the last channel is no-match."""
+    rates over each pixel's winning score); the last channel is no-match.
+    `outcome` gives each pixel's winner: a disparity, no-match or a timeout."""
 
     values: np.ndarray  # (H, W_valid, d_max + 2)
     scale: Union[int, np.ndarray]  # n_max, or (H, W_valid, 1)
-    no_match: np.ndarray  # (H, W_valid) bool
-    timed_out: np.ndarray  # (H, W_valid) bool
+    outcome: Outcome
 
 
 @dataclass(frozen=True)
@@ -139,20 +139,18 @@ def _distributions(run: Readout, mask: np.ndarray) -> np.ndarray:
 def score_readouts(run: Readout, reference: Readout) -> Tuple[float, float, int]:
     """RMS distribution error, no-match F1 and the matched pixel count.
 
-    F1 covers every pixel, with the reference's flags as truth; a timed-out
-    pixel counts as not flagging no-match. RMS covers the pixels matched by
-    both sides and timed out on neither, masked before differencing so no
-    grid-sized difference array is built.
+    F1 covers every pixel, with the reference outcome's no-match flags as
+    truth; a timed-out pixel counts as not flagging no-match. RMS covers the
+    pixels whose winner is a disparity on both sides, masked before
+    differencing so no grid-sized difference array is built.
     """
-    both_matched = ~(
-        run.no_match | run.timed_out | reference.no_match | reference.timed_out
+    both_matched = (run.outcome.map_disparity >= 0) & (
+        reference.outcome.map_disparity >= 0
     )
     rms = rms_distribution_error(
         _distributions(run, both_matched), _distributions(reference, both_matched)
     )
-    f1 = f1_nomatch(
-        reference.no_match & ~reference.timed_out, run.no_match & ~run.timed_out
-    )
+    f1 = f1_nomatch(reference.outcome.no_match, run.outcome.no_match)
     return rms, f1, int(both_matched.sum())
 
 
@@ -161,10 +159,8 @@ def compare_results(
 ) -> AccuracyReport:
     """Score one stochastic run against the reference on the same volume."""
     rms, f1, n_matched = score_readouts(
-        Readout(stochastic.counts, stochastic.n_max, stochastic.no_match,
-                stochastic.timed_out),
-        Readout(reference.rates, reference.winning_score[..., None],
-                reference.no_match, reference.timed_out),
+        Readout(stochastic.counts, stochastic.n_max, stochastic),
+        Readout(reference.rates, reference.winning_score[..., None], reference),
     )
     return AccuracyReport(
         n_max=stochastic.n_max,

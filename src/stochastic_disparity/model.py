@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .machine import FusionSpec
+
 KERNEL_SIZE = 5
 BORDER = KERNEL_SIZE - 1  # feature maps lose 4 pixels per dimension
 
@@ -93,18 +95,6 @@ class Outcome:
         return np.where(self.winner <= self.d_max, self.winner, -1)
 
 
-@dataclass(frozen=True)
-class CameraGeometry:
-    """Stereo rig intrinsics: focal length and baseline in the same units."""
-
-    focal_length: float
-    baseline: float
-
-    def __post_init__(self):
-        if self.focal_length <= 0 or self.baseline <= 0:
-            raise ValueError("focal length and baseline must be positive")
-
-
 def validate_gray_image(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img)
     if img.ndim != 2 or img.size == 0:
@@ -172,26 +162,6 @@ def compute_features(img: np.ndarray) -> FeatureMaps:
     return FeatureMaps(mean, _rounded(ramp_h, 127, 3825), _rounded(ramp_v, 127, 3825))
 
 
-def matching_cost(
-    fmaps_l: FeatureMaps,
-    fmaps_r: FeatureMaps,
-    x: int,
-    y: int,
-    d: int,
-    feature: str,
-) -> float:
-    """Squared difference between the left feature at x and the right at x-d."""
-    if feature not in FEATURE_NAMES:
-        raise ValueError(f"unknown feature {feature!r}")
-    if not 0 <= y < fmaps_l.height:
-        raise ValueError("row out of range")
-    if not 0 <= x < fmaps_l.width or not 0 <= x - d < fmaps_r.width:
-        raise ValueError("column out of range for this disparity")
-    left = getattr(fmaps_l, feature)[y, x]
-    right = getattr(fmaps_r, feature)[y, x - d]
-    return float((left - right) ** 2)
-
-
 def likelihood(cost, sigma: float, p0: float):
     """Map a matching cost to a likelihood with floor p0.
 
@@ -244,6 +214,14 @@ _BAND_ROWS = 16  # rows per pass of the volume build and of its three buffers
 _SPAN = 2 * 255 + 1  # signed feature differences -255..255
 
 
+def _likelihood_tables(params: ModelParams):
+    """The mean, grad_h and grad_v likelihoods of every signed difference
+    left - right in -255..255; entry k is the difference k - 255."""
+    cost = np.arange(-255.0, 256.0) ** 2
+    sigmas = (params.sigma_m, params.sigma_gh, params.sigma_gv)
+    return tuple(likelihood(cost, sigma, params.p0) for sigma in sigmas)
+
+
 def build_likelihood_volume(
     fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params: ModelParams
 ) -> LikelihoodVolume:
@@ -260,9 +238,7 @@ def build_likelihood_volume(
         raise ValueError(
             f"feature maps of width {w} leave no valid pixels at d_max={d_max}"
         )
-    cost = np.arange(-255.0, 256.0) ** 2
-    sigmas = (params.sigma_m, params.sigma_gh, params.sigma_gv)
-    t_m, t_h, t_v = (likelihood(cost, sigma, params.p0) for sigma in sigmas)
+    t_m, t_h, t_v = _likelihood_tables(params)
     pair = (t_m[:, None] * t_h).ravel()
     code_l = ((fmaps_l.mean + 255) * _SPAN + fmaps_l.grad_h + 255)[:, d_max:, None]
     gv_l = fmaps_l.grad_v[:, d_max:, None] + 255
@@ -293,16 +269,17 @@ def build_likelihood_volume(
 
 def build_pixel_spec(
     fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params: ModelParams, x: int, y: int
-):
+) -> FusionSpec:
     """Assemble the fusion problem for one valid pixel.
 
     Rows 0..d_max carry the three feature likelihoods for each disparity; the
     last row is the no-match channel with its rate in the first column and
     pass-through 1s elsewhere. The uniform prior is wired as constant-1 lines
-    with bus constant d_max + 1.
+    with bus constant d_max + 1. The likelihoods come from the volume's
+    tables, so the products of its rows are the volume's rates bit for bit.
     """
-    from .machine import FusionSpec
-
+    if fmaps_l.mean.shape != fmaps_r.mean.shape:
+        raise ValueError("left and right feature maps must have equal shapes")
     d_max = params.d_max
     if not d_max <= x < fmaps_l.width:
         raise ValueError("x outside the valid pixel range")
@@ -310,31 +287,13 @@ def build_pixel_spec(
         raise ValueError("y outside the feature-map height")
     m = params.machine_width
     term_table = np.ones((3, m))
-    sigmas = (params.sigma_m, params.sigma_gh, params.sigma_gv)
-    for row, (name, sigma) in enumerate(zip(FEATURE_NAMES, sigmas)):
-        costs = [
-            matching_cost(fmaps_l, fmaps_r, x, y, d, name) for d in range(d_max + 1)
-        ]
-        term_table[row, : d_max + 1] = likelihood(costs, sigma, params.p0)
+    partners = x - np.arange(d_max + 1)  # right column at disparity d
+    tables = _likelihood_tables(params)
+    for row, (name, table) in enumerate(zip(FEATURE_NAMES, tables)):
+        left, right = getattr(fmaps_l, name), getattr(fmaps_r, name)
+        term_table[row, : d_max + 1] = table[left[y, x] - right[y, partners] + 255]
     term_table[0, params.nomatch_index] = nomatch_probability(
         fmaps_l.grad_v[y, x], params.p_nm0, params.sigma_nm
     )
     bus_constants = [float(d_max + 1), 1.0, 1.0, 1.0]
     return FusionSpec(np.ones(m), term_table, bus_constants)
-
-
-def disparity_to_depth(
-    d: int, geom: CameraGeometry, pixel_pitch: float
-) -> float:
-    """Depth from disparity: Z = B * f / (d * pixel_pitch).
-
-    Focal length, baseline and pixel pitch share one length unit; disparity is
-    in pixels. Zero disparity means an object at infinity and returns inf.
-    """
-    if pixel_pitch <= 0:
-        raise ValueError("pixel pitch must be positive")
-    if d < 0:
-        raise ValueError("disparity must be nonnegative")
-    if d == 0:
-        return math.inf
-    return geom.baseline * geom.focal_length / (d * pixel_pitch)

@@ -262,6 +262,12 @@ class TestDump:
         )
         assert np.array_equal(back.counts, dump.counts)
 
+    def test_outcome_is_derived_once(self, tmp_path):
+        # read_dump's bitmap check and compare's scoring share one outcome
+        write_dump(tmp_path / "d.bin", tiny_dump())
+        dump = read_dump(tmp_path / "d.bin")
+        assert dump.outcome is dump.outcome
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.bin"
         write_dump(path, tiny_dump())
@@ -504,9 +510,7 @@ class TestCli:
         for path, run in zip(dumps, runs):
             write_dump(path, DistributionDump(5, 1, 2, 16, run.counts))
         assert main(["compare", *map(str, dumps)]) == EXIT_OK
-        reference, run = (
-            Readout(r.counts, r.n_max, r.no_match, r.timed_out) for r in runs
-        )
+        reference, run = (Readout(r.counts, r.n_max, r) for r in runs)
         rms, f1, n_matched = score_readouts(run, reference)
         assert (f1, n_matched) == (0.0, 1)
         printed = capsys.readouterr().out.split("\n")[1]

@@ -16,7 +16,7 @@ from stochastic_disparity.metrics import (
     sweep_counter_sizes,
     sweep_to_csv,
 )
-from stochastic_disparity.model import ModelParams
+from stochastic_disparity.model import ModelParams, Outcome
 from stochastic_disparity.reference import reference_infer
 from stochastic_disparity.synthetic import planted_shift_pair
 
@@ -39,14 +39,12 @@ class TestRmsDistributionError:
         run = Readout(
             values=np.array([[[2, 1, 0], [0, 2, 2], [0, 2, 0], [0, 0, 0], [0, 2, 0]]]),
             scale=2,
-            no_match=np.array([[False, True, False, False, False]]),
-            timed_out=np.array([[False, False, False, True, False]]),
+            outcome=Outcome(np.array([[0, 2, 1, -1, 1]]), d_max=1),
         )
         reference = Readout(
             values=np.tile([0.5, 0.25, 0.4], (1, 5, 1)),
             scale=np.array([0.5, 0.8, 0.8, 0.8, 0.8]).reshape(1, 5, 1),
-            no_match=np.array([[False, False, True, False, False]]),
-            timed_out=np.array([[False, False, False, False, True]]),
+            outcome=Outcome(np.array([[0, 0, 2, 0, -1]]), d_max=1),
         )
         rms, _, n_matched = score_readouts(run, reference)
         assert rms == 0.0

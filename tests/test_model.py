@@ -20,16 +20,13 @@ from stochastic_disparity.model import (
     GRAD_H_KERNEL,
     GRAD_V_KERNEL,
     MEAN_KERNEL,
-    CameraGeometry,
     FeatureMaps,
     LikelihoodVolume,
     ModelParams,
     build_likelihood_volume,
     build_pixel_spec,
     compute_features,
-    disparity_to_depth,
     likelihood,
-    matching_cost,
     nomatch_probability,
 )
 from stochastic_disparity.synthetic import natural_scene_pair, planted_shift_pair
@@ -189,29 +186,6 @@ class TestModelParams:
             ModelParams(**kwargs)
 
 
-class TestMatchingCost:
-    def test_zero_for_identical_features(self):
-        left, right = planted_shift_pair(40, 12, 3, seed=0)
-        fl, fr = compute_features(left), compute_features(right)
-        for feature in ("mean", "grad_h", "grad_v"):
-            assert matching_cost(fl, fr, x=20, y=4, d=3, feature=feature) == 0.0
-
-    def test_squared_difference(self):
-        img_l = np.full((6, 10), 50, dtype=np.uint8)
-        img_r = np.full((6, 10), 43, dtype=np.uint8)
-        fl, fr = compute_features(img_l), compute_features(img_r)
-        assert matching_cost(fl, fr, x=3, y=1, d=0, feature="mean") == 49.0
-
-    def test_bounds_checks(self):
-        fl = compute_features(np.zeros((6, 10)))
-        with pytest.raises(ValueError):
-            matching_cost(fl, fl, x=0, y=0, d=2, feature="mean")
-        with pytest.raises(ValueError):
-            matching_cost(fl, fl, x=1, y=9, d=0, feature="mean")
-        with pytest.raises(ValueError):
-            matching_cost(fl, fl, x=1, y=0, d=0, feature="bogus")
-
-
 class TestLikelihood:
     def test_zero_cost_gives_one(self):
         assert likelihood(0.0, 10.0, 0.02) == pytest.approx(1.0)
@@ -252,6 +226,15 @@ class TestNomatchProbability:
 
 def sigmas(params):
     return (params.sigma_m, params.sigma_gh, params.sigma_gv)
+
+
+def matching_cost(fmaps_l, fmaps_r, x, y, d, feature):
+    """Squared difference between the left feature at x and the right at x - d:
+    the cost the likelihood tables are checked against, computed directly."""
+    assert 0 <= x - d
+    left = getattr(fmaps_l, feature)[y, x]
+    right = getattr(fmaps_r, feature)[y, x - d]
+    return float((left - right) ** 2)
 
 
 def feature_pair(params, height=12, width=120, seed=3):
@@ -317,7 +300,8 @@ class TestLikelihoodVolume:
         # features at their range ends make every left - right difference in
         # {-255, 0, 255} for the mean and {-254, -127, 0, 127, 254} for the
         # gradients: the first, middle and last entries of each table and the
-        # corners of the combined mean x grad_h table
+        # corners of the combined mean x grad_h table; the pixel specs read
+        # the same tables, so their rows are the per-feature likelihoods
         params = ModelParams(d_max=6, sigma_m=90.0, sigma_gh=70.0, sigma_gv=50.0)
         rng = np.random.default_rng(2)
         shape = (3, 30)
@@ -332,11 +316,16 @@ class TestLikelihoodVolume:
         seen = set()
         for y in range(shape[0]):
             for x in range(params.d_max, shape[1]):
+                spec = build_pixel_spec(fmaps_l, fmaps_r, params, x, y)
                 for d in range(params.d_max + 1):
                     want = 1.0
-                    for name, sigma in zip(FEATURE_NAMES, sigmas(params)):
+                    for row, (name, sigma) in enumerate(
+                        zip(FEATURE_NAMES, sigmas(params))
+                    ):
                         cost = matching_cost(fmaps_l, fmaps_r, x, y, d, name)
-                        want *= likelihood(cost, sigma, params.p0)
+                        feature_likelihood = likelihood(cost, sigma, params.p0)
+                        assert spec.term_table[row, d] == feature_likelihood
+                        want *= feature_likelihood
                     assert rates[y, x - params.d_max, d] == want
                     seen.add(tuple(int(fl[y, x] - fr[y, x - d]) for fl, fr in pairs))
         ends = (-254, 0, 254)
@@ -394,15 +383,15 @@ class TestBuildPixelSpec:
         assert spec.cardinality == 6
         assert spec.n_terms == 3
         assert np.all(spec.prior == 1.0)
-        assert spec.bus_constants == pytest.approx([5.0, 1.0, 1.0, 1.0])
+        assert spec.bus_constants.tolist() == [5.0, 1.0, 1.0, 1.0]
         for row, (name, sigma) in enumerate(zip(FEATURE_NAMES, sigmas(params))):
             costs = [matching_cost(fmaps_l, fmaps_r, 5, 1, d, name) for d in range(5)]
-            assert spec.term_table[row, :5] == pytest.approx(
-                likelihood(np.array(costs), sigma, params.p0)
+            np.testing.assert_array_equal(
+                spec.term_table[row, :5], likelihood(np.array(costs), sigma, params.p0)
             )
         # no-match channel: rate on the first term, pass-through elsewhere
-        assert spec.term_table[0, 5] == pytest.approx(
-            nomatch_probability(fmaps_l.grad_v[1, 5], params.p_nm0, params.sigma_nm)
+        assert spec.term_table[0, 5] == nomatch_probability(
+            fmaps_l.grad_v[1, 5], params.p_nm0, params.sigma_nm
         )
         assert spec.term_table[1, 5] == spec.term_table[2, 5] == 1.0
 
@@ -423,25 +412,9 @@ class TestBuildPixelSpec:
         with pytest.raises(ValueError):
             build_pixel_spec(fmaps_l, fmaps_r, params, x=8, y=0)
 
-
-class TestDisparityToDepth:
-    def test_calibrated_range(self):
-        # 120 mm baseline, 2.5 mm focal length; pitch chosen so d_max=80 maps
-        # to the 420 mm close range, then d=1 lands at 80x that distance
-        geom = CameraGeometry(focal_length=2.5, baseline=120.0)
-        pitch = 120.0 * 2.5 / (80 * 420.0)
-        assert disparity_to_depth(80, geom, pitch) == pytest.approx(420.0)
-        assert disparity_to_depth(1, geom, pitch) == pytest.approx(33600.0)
-
-    def test_zero_disparity_is_infinitely_far(self):
-        geom = CameraGeometry(focal_length=2.5, baseline=120.0)
-        assert disparity_to_depth(0, geom, 0.01) == math.inf
-
-    def test_validation(self):
-        geom = CameraGeometry(focal_length=2.5, baseline=120.0)
-        with pytest.raises(ValueError):
-            disparity_to_depth(1, geom, 0.0)
-        with pytest.raises(ValueError):
-            disparity_to_depth(-1, geom, 0.01)
-        with pytest.raises(ValueError):
-            CameraGeometry(focal_length=0.0, baseline=1.0)
+    def test_unequal_feature_maps_rejected(self):
+        params = ModelParams(d_max=4)
+        fmaps_l, _ = feature_pair(params, height=2, width=8)
+        _, fmaps_r = feature_pair(params, height=2, width=7)
+        with pytest.raises(ValueError, match="equal shapes"):
+            build_pixel_spec(fmaps_l, fmaps_r, params, x=6, y=0)
