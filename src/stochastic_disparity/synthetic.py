@@ -10,7 +10,6 @@ shadow flank, photometric mismatch bands and sensor noise.
 from typing import Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 def textured_base(width: int, height: int, seed: int) -> np.ndarray:
@@ -43,7 +42,10 @@ def planted_shift_pair(
 def _nearest_site(xx, yy, site_x, site_y, stroke_length, stroke_width):
     """Index of each pixel's nearest site, looked up in a KD-tree over the
     sites in diagonally rotated coordinates scaled per axis, (u / length,
-    w / width), where Euclidean distance is the anisotropic stroke distance."""
+    w / width), where Euclidean distance is the anisotropic stroke distance.
+    scipy is imported here, on first use, so that the run path needs only
+    numpy."""
+    from scipy.spatial import cKDTree
 
     def coords(x, y):
         uw = np.stack([np.ravel(x + y), np.ravel(x - y)], axis=1) / np.sqrt(2.0)

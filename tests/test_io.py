@@ -1,6 +1,10 @@
 """Image files, distribution dumps, the pipeline and the CLI front end."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import stochastic_disparity
 from stochastic_disparity.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from stochastic_disparity.dump import (
     DistributionDump,
@@ -386,6 +391,36 @@ class TestPipeline:
                 RunConfig(left_path=lp, right_path=rp, timeout_warn_fraction=fraction)
 
 
+# Runs every command on a small planted pair in the directory argv[1]; with
+# argv[2] == "blocked", every scipy import fails first.
+RUN_PATH_SCRIPT = """
+import sys
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None
+from stochastic_disparity.cli import main
+from stochastic_disparity.pgm import save_image
+from stochastic_disparity.synthetic import planted_shift_pair
+
+out = sys.argv[1]
+for name, img in zip(("left", "right"), planted_shift_pair(36, 12, 4, 6, 15.0)):
+    save_image(f"{out}/{name}.pgm", img)
+pair = ["--left", f"{out}/left.pgm", "--right", f"{out}/right.pgm", "--d-max", "8"]
+runs = [
+    ["disparity", *pair, "--mode", "both", "--seed", "1", "--ref-out",
+     f"{out}/ref.pgm", "--stoch-out", f"{out}/sto.pgm", "--dump-out",
+     f"{out}/dump1.bin"],
+    ["disparity", *pair, "--mode", "stochastic", "--seed", "2", "--dump-out",
+     f"{out}/dump2.bin"],
+    ["compare", f"{out}/dump1.bin", f"{out}/dump2.bin"],
+    ["sweep", *pair, "--n-max-list", "1,16", "--seeds", "2"],
+    ["estimate", "--cycles-per-pixel", "27.97"],
+]
+for args in runs:
+    code = main(args)
+    assert code == 0, (args, code)
+"""
+
+
 class TestCli:
     def disparity_args(self, tmp_path, lp, rp, tag=""):
         return [
@@ -407,6 +442,28 @@ class TestCli:
             "--dump-out",
             str(tmp_path / f"dump{tag}.bin"),
         ]
+
+    def test_every_command_runs_and_matches_with_scipy_blocked(self, tmp_path):
+        src = Path(stochastic_disparity.__file__).parents[1]
+        outputs = {}
+        for mode in ("blocked", "open"):
+            out = tmp_path / mode
+            out.mkdir()
+            done = subprocess.run(
+                [sys.executable, "-c", RUN_PATH_SCRIPT, str(out), mode],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                check=False,
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            outputs[mode] = (done.stdout, files)
+        stdout, files = outputs["blocked"]
+        assert set(files) == {
+            "left.pgm", "right.pgm", "ref.pgm", "sto.pgm", "dump1.bin", "dump2.bin"
+        }
+        assert b"rms,f1,n_matched" in stdout and b"n_generators=246" in stdout
+        assert outputs["blocked"] == outputs["open"]
 
     def test_disparity_runs_and_is_deterministic(self, tmp_path, capsys):
         lp, rp = write_pair(tmp_path)

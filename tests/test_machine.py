@@ -10,6 +10,7 @@ from stochastic_disparity.machine import (
     PRIOR_LANE,
     FusionSpec,
     Machine,
+    _binomial_below,
     _nth_position,
     _settle_outsiders,
     build_machine,
@@ -372,3 +373,31 @@ class TestOutsiderFallback:
             assert np.all(counts[:, j] <= 1)
             hits = int(counts[:, j].sum())
             assert stats.binomtest(hits, runs, early).pvalue > ALPHA
+
+
+class TestBinomialBelow:
+    """The redraw of a losing contender's count, Binomial(span, p) below
+    n_max, against the exact truncated law at spans up to the race's reach."""
+
+    @pytest.mark.parametrize("span", [200, 10**7, 10**14, 10**16])
+    def test_law_is_exact_at_large_spans(self, span):
+        # Binomial(span, 12 / span) is about Poisson(12), so about 16% of the
+        # draws land at or above the limit 16 and take the redraw path.
+        runs, limit, p = 20_000, 16, 12 / span
+        k = _binomial_below(
+            np.random.default_rng(span),
+            np.full(runs, span, dtype=np.int64),
+            np.full(runs, p),
+            limit,
+        )
+        pmf = [1.0]  # pmf(i + 1) / pmf(i) = (span - i) / (i + 1) * p / (1 - p)
+        for i in range(limit - 1):
+            pmf.append(pmf[-1] * (span - i) / (i + 1) * p / (1 - p))
+        expected = np.array(pmf) / sum(pmf) * runs
+        observed = np.bincount(k, minlength=limit)
+        assert observed.size == limit
+        # pool the low bins until the pooled expectation reaches 5
+        low = np.searchsorted(np.cumsum(expected), 5.0) + 1
+        observed = np.r_[observed[:low].sum(), observed[low:]]
+        expected = np.r_[expected[:low].sum(), expected[low:]]
+        assert stats.chisquare(observed, expected).pvalue > ALPHA
