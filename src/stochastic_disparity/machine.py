@@ -13,7 +13,8 @@ whose `term_table` has shape (0, M).
 
 `run_machine` simulates this cycle by cycle and is the reference;
 `race_arrivals` draws the same race in closed form for many pixels at once,
-drawing fill cycles only for the channels that can plausibly win.
+drawing fill cycles only for the channels that can plausibly win, or at
+n_max 1 every channel's first firing.
 """
 
 from dataclasses import dataclass
@@ -217,8 +218,8 @@ def race_arrivals(
     conditioned below n_max. The channels are independent, so each outsider
     reads Binomial(span, p_j) (`_counts_by_span`); if none of them reaches
     n_max the race stops at the span. Otherwise `_settle_outsiders` places
-    the arrivals inside the span. At n_max 1 the race has a closed form
-    (`_race_first_firing`).
+    the arrivals inside the span. At n_max 1 the race stops at the earliest
+    first firing (`_race_first_firing`).
 
     Rates are quantised to ceil(p * 2**53) / 2**53, the probability of
     `random() < p`, so p = 0 never arrives and any other rate is >= 2**-53.
@@ -282,15 +283,21 @@ def race_arrivals(
 
 def _counts_by_span(rng, v: np.ndarray, p: np.ndarray, span: np.ndarray):
     """Binomial(span, p) draws for 0 < p < 1 from uniforms v, as (indices,
-    counts) of the nonzero ones.
-
-    The first success G = floor(log(1 - v) / log1p(-p)) + 1 is drawn by
-    inversion, and the count is 1 + Binomial(span - G, p) when G <= span.
-    """
-    first = np.floor(np.log1p(-v) / np.log1p(-p)) + 1
+    counts) of the nonzero ones: 1 + Binomial(span - G, p) where the first
+    success G, drawn from v by `_first_success`, is at most span."""
+    first = _first_success(v, p)
     hit = np.flatnonzero(first <= span)
     gap = span[hit] - first[hit].astype(np.int64)
     return hit, 1 + rng.binomial(gap, p[hit])
+
+
+def _first_success(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """First-success cycles of Bernoulli(p) streams by inversion of uniforms
+    v, floor(log(1 - v) / log1p(-p)) + 1 (Devroye 1986), or inf where p = 0.
+    Quantised rates are >= 2**-53, so a finite cycle is an integer < 2**59."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # log1p(-1) is -inf
+        first = np.floor(np.log1p(-v) / np.log1p(-p)) + 1
+    return np.where(p > 0, first, np.inf)
 
 
 def _settle_outsiders(rng, result, rows, cols, k, n_max):
@@ -349,35 +356,18 @@ def _nth_position(rng, k: np.ndarray, n: int, span: np.ndarray) -> np.ndarray:
 
 
 def _race_first_firing(rng, p: np.ndarray, max_cycles: int):
-    """The n_max = 1 race in closed form.
-
-    A cycle fires some channel with probability q = 1 - prod(1 - p_j), so
-    T ~ Geometric(q), drawn by inversion. In that cycle the first channel to
-    fire, J, has P(J <= j) = (1 - prod_{i <= j} (1 - p_i)) / q; the channels
-    after J fire independently at rate p_i and read 1, the rest read 0.
-    """
-    n, m = p.shape
-    with np.errstate(divide="ignore"):  # log1p(-1) is -inf
-        silent = np.cumsum(np.log1p(-p), axis=1)  # log P(0..j all silent)
-    quiet = silent[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first = np.floor(np.log(1.0 - rng.random(n)) / quiet) + 1
-    first[quiet == 0] = np.inf  # an all-zero pixel never fires
-    timed_out = ~((first <= max_cycles) & (first < 2.0**63))
-    fired = np.flatnonzero(~timed_out)
-    cycles = np.full(n, max_cycles, dtype=np.int64)
-    cycles[fired] = first[fired]
-
-    below = np.log1p(-rng.random(n) * -np.expm1(quiet))  # log(1 - u * q)
-    lead = (silent >= below[:, None]).sum(axis=1)
-    # rounding at u * q ~ q must not pass the last channel that can fire
-    lead = np.minimum(lead, m - 1 - np.argmax(p[:, ::-1] > 0, axis=1))
-    lead[timed_out] = m
-    later = np.arange(m) > lead[:, None]
-    counts = ((rng.random(p.shape) < p) & later).view(np.uint8)
-    winner = np.where(timed_out, -1, lead)
-    counts[fired, lead[fired]] = 1
-    return counts, winner, cycles
+    """The n_max = 1 race: channel j first fires at an independent
+    Geometric(p_j) cycle. The stop T is the earliest, the winner the lowest
+    index firing at T, and each channel firing at T reads 1. If T exceeds
+    max_cycles the pixel times out, every channel reading 0."""
+    first = _first_success(rng.random(p.shape), p)
+    stop = first.min(axis=1)
+    # exact in int64: a finite stop is below 2**59, and inf never wins
+    t = np.minimum(stop, 2.0**62).astype(np.int64)
+    won = np.isfinite(stop) & (t <= max_cycles)
+    counts = ((first == stop[:, None]) & won[:, None]).view(np.uint8)
+    winner = np.where(won, counts.argmax(axis=1), -1)
+    return counts, winner, np.where(won, t, max_cycles)
 
 
 def _binomial_below(rng, n: np.ndarray, p: np.ndarray, limit: int) -> np.ndarray:

@@ -83,6 +83,8 @@ def save_image(path, pixels: np.ndarray) -> None:
     if pixels.dtype != np.uint8:
         if np.any(pixels < 0) or np.any(pixels > 255):
             raise ImageFormatError("pixel values out of 8-bit range")
+        if pixels.dtype.kind == "f" and not np.array_equal(pixels, np.trunc(pixels)):
+            raise ImageFormatError("pixel values must be integers")  # also NaN
         pixels = pixels.astype(np.uint8)
     height, width = pixels.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")

@@ -38,6 +38,11 @@ class RunConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         check_race_args(self.n_max, self.max_cycles, self.workers)
+        stochastic_outs = (self.stochastic_image_out, self.dump_out)
+        if self.mode == "reference" and any(p is not None for p in stochastic_outs):
+            raise ValueError("reference mode writes no stochastic image or dump")
+        if self.mode == "stochastic" and self.reference_image_out is not None:
+            raise ValueError("stochastic mode writes no reference image")
         if self.dump_out is not None and self.n_max > COUNT_MAX:
             raise ValueError(f"n_max above {COUNT_MAX} does not fit a dump")
         if not 0.0 <= self.timeout_warn_fraction <= 1.0:

@@ -88,8 +88,10 @@ class TestPgm:
             load_image(path)
 
     def test_save_rejects_out_of_range(self, tmp_path):
-        with pytest.raises(ImageFormatError):
-            save_image(tmp_path / "x.pgm", np.full((2, 2), 300))
+        for value in (300, -1, 3.7, np.nan):
+            with pytest.raises(ImageFormatError):
+                save_image(tmp_path / "x.pgm", np.full((2, 2), value))
+        assert not (tmp_path / "x.pgm").exists()
 
 
 def tiny_dump(d_max=2, n_max=16):
@@ -597,8 +599,16 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--max-cycles", str(2**63 - 1)], ["--n-max", str(2**16)]],
-        ids=["max_cycles_beyond_int64", "n_max_beyond_dump"],
+        [
+            ["--max-cycles", str(2**63 - 1)],
+            ["--n-max", str(2**16)],
+            ["--mode", "reference"],  # with a stochastic image and a dump
+            ["--mode", "stochastic"],  # with a reference image
+        ],
+        ids=[
+            "max_cycles_beyond_int64", "n_max_beyond_dump",
+            "reference_mode_stochastic_outputs", "stochastic_mode_reference_output",
+        ],
     )
     def test_bad_config_exits_with_code_2_before_any_artifact(
         self, extra, tmp_path, capsys

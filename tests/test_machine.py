@@ -201,6 +201,8 @@ EQUIVALENCE_CASES = {
     "outsiders_and_timeout": ([0.0019] * 6 + [0.02], 2, 100),
     "n_max_1_unit_rate": ([0.3, 0.5, 1.0, 0.2], 1, 10**7),
     "n_max_1_all_zero": ([0.0, 0.0, 0.0], 1, 50),
+    "n_max_1_timeout": ([0.01, 0.02, 0.005], 1, 20),  # about half time out
+    "n_max_1_near_equal_small": ([0.049] * 8 + [0.5], 1, 10**7),
 }
 
 
@@ -316,17 +318,18 @@ class TestRaceArrivals:
         with pytest.raises(ValueError, match="rates"):
             race_arrivals(np.random.default_rng(0), np.array([[0.5, bad]]), n_max)
 
-    def test_max_cycles_must_fit_int64(self):
+    @pytest.mark.parametrize("n_max", [1, 4])
+    def test_max_cycles_must_fit_int64(self, n_max):
         # the largest accepted budget still clips arrivals at 2**63 - 1
         big = 2**63 - 2
         _, winner, cycles = race_arrivals(
-            np.random.default_rng(0), np.zeros((1, 2)), 4, max_cycles=big
+            np.random.default_rng(0), np.zeros((1, 2)), n_max, max_cycles=big
         )
         assert winner[0] == -1 and cycles[0] == big
         for max_cycles in (2**63 - 1, 2**63, 2**64):
             with pytest.raises(ValueError, match="max_cycles"):
                 race_arrivals(
-                    np.random.default_rng(0), np.ones((1, 2)), 4, max_cycles
+                    np.random.default_rng(0), np.ones((1, 2)), n_max, max_cycles
                 )
 
 
