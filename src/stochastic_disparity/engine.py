@@ -1,10 +1,14 @@
 """Grid execution of the fusion machine over all valid pixels of an image.
 
-Each feature-map row is raced as one block by `race_arrivals`, with its own
-generator stream keyed by the master seed and the row index, so results are
-independent of scan order and of which thread races a row. Rows are written
-in place into the counts, winner and cycles arrays, allocated once per grid;
-no-match, timeouts and the MAP are read from the winner (`Outcome`).
+The valid pixels are taken in row-major order and raced in fixed blocks of
+`RACE_BLOCK` pixels, one `race_arrivals` call per block. Block k draws from
+its own generator stream keyed by the master seed and k, so results are
+independent of scan order and of which thread races a block. `RACE_BLOCK`
+is part of the determinism contract: the same seed gives the same bytes for
+every worker count, and another block size would give other bytes with the
+same law. Blocks are written in place into the counts, winner and cycles
+arrays, allocated once per grid; no-match, timeouts and the MAP are read
+from the winner (`Outcome`).
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +19,12 @@ import numpy as np
 from .bitstream import DEFAULT_MAX_CYCLES, stream_seed
 from .machine import check_race_args, race_arrivals
 from .model import LikelihoodVolume, Outcome
+
+# Valid pixels per race call and per generator stream, a term of the
+# determinism contract and so not a parameter. Large enough that numpy's
+# fixed per-call cost is a small share of a block's race, small enough that
+# a block's working arrays stay about 2 MB at any image width.
+RACE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -43,36 +53,48 @@ def run_stochastic_grid(
 ) -> StochasticResult:
     """Run one machine per valid pixel and collect counts, winners and cycles.
 
-    The outputs are allocated once and each row is written into them; counts
-    take the smallest unsigned dtype that holds n_max. With workers > 1 rows
-    are raced on up to that many threads, never more than there are rows;
-    per-row seeding keeps the output bit-identical to a serial run.
+    Block k holds the row-major valid pixels k * RACE_BLOCK ..
+    (k + 1) * RACE_BLOCK - 1, so a block may straddle rows and the last may
+    be short; it races on `stream_seed(master_seed, k)`. The outputs are
+    allocated once and each block is written into them; counts take the
+    smallest unsigned dtype that holds n_max. With workers > 1 blocks are
+    raced on up to that many threads, never more than there are blocks;
+    per-block seeding keeps the output bit-identical to a serial run.
     """
     check_race_args(n_max, max_cycles, workers)
     rates = volume.rates
-    rows, grid = rates.shape[0], rates.shape[:2]
     counts = np.empty(rates.shape, dtype=np.min_scalar_type(n_max))
-    winner = np.empty(grid, dtype=np.int64)
-    cycles = np.empty(grid, dtype=np.int64)
-    threads = max(1, min(workers, rows))
+    winner = np.empty(rates.shape[:2], dtype=np.int64)
+    cycles = np.empty(rates.shape[:2], dtype=np.int64)
+    # row-major (pixels, M) and (pixels,) views of the grid arrays; only a
+    # rate array that is not C-contiguous is copied
+    m = rates.shape[2]
+    pixels, counts_px = rates.reshape(-1, m), counts.reshape(-1, m)
+    winner_px, cycles_px = winner.reshape(-1), cycles.reshape(-1)
+    blocks = -(-winner.size // RACE_BLOCK)
+    threads = max(1, min(workers, blocks))
 
-    def race_rows(first):
-        # Thread `first` races rows first, first + threads, ...: rows share
-        # no generator and write disjoint slices, so threads need no lock,
-        # and numpy's draws and array kernels release the GIL. One task per
-        # thread, not per row, spares the waiting caller a wake-up per row.
-        for y in range(first, rows, threads):
-            rng = np.random.default_rng(stream_seed(master_seed, y))
-            counts[y], winner[y], cycles[y] = race_arrivals(
-                rng, rates[y], n_max, max_cycles
+    def race_blocks(first):
+        # Thread `first` races blocks first, first + threads, ...: blocks
+        # share no generator and write disjoint slices, so threads need no
+        # lock, and numpy's draws and array kernels release the GIL. One task
+        # per thread, not per block, spares the caller a wake-up per block.
+        for k in range(first, blocks, threads):
+            part = slice(k * RACE_BLOCK, (k + 1) * RACE_BLOCK)
+            rng = np.random.default_rng(stream_seed(master_seed, k))
+            counts_px[part], winner_px[part], cycles_px[part] = race_arrivals(
+                rng, pixels[part], n_max, max_cycles
             )
 
     if threads == 1:
-        race_rows(0)
+        race_blocks(0)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # reading every result re-raises any thread's exception
-            list(pool.map(race_rows, range(threads)))
+        # The caller races share 0 itself: one thread fewer to start, and
+        # its blocks reuse memory the caller's earlier stages freed.
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            rest = pool.map(race_blocks, range(1, threads))
+            race_blocks(0)
+            list(rest)  # re-raises any pool thread's exception
     return StochasticResult(
         winner=winner, d_max=volume.params.d_max, counts=counts, cycles=cycles,
         n_max=n_max,

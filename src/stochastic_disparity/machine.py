@@ -230,7 +230,8 @@ def race_arrivals(
     unsigned dtype that holds n_max.
     """
     check_race_args(n_max, max_cycles)
-    p = np.ceil(np.asarray(rates, dtype=float) * 2.0**53) / 2.0**53
+    rates = np.asarray(rates, dtype=float)
+    p = _quantised(rates)
     top = p.max(axis=1, keepdims=True)
     if not (p.min() >= 0 and top.max() <= 1):
         raise ValueError("rates must lie in [0, 1]")
@@ -265,11 +266,16 @@ def race_arrivals(
     winner = np.where(lead < m, lead, -1)
 
     # An outsider counts by the span with probability at most span * p, so
-    # only uniforms below that bound are inverted; p = 0 never passes.
+    # only uniforms below that bound are inverted; p = 0 never passes. The
+    # bound is formed in p's buffer, and once the near channels are gathered
+    # the full-size arrays are let go and their rates quantised again.
+    np.multiply(p, cycles[:, None], out=p)
     v = rng.random(p.shape)
-    near = (v < cycles[:, None] * p) & ~contends
+    near = (v < p) & ~contends
     rows, cols = np.divmod(np.flatnonzero(near), m)
-    hit, k = _counts_by_span(rng, v[rows, cols], p[rows, cols], cycles[rows])
+    v = v[rows, cols]
+    p = _quantised(rates[rows, cols])
+    hit, k = _counts_by_span(rng, v, p, cycles[rows])
     rows, cols = rows[hit], cols[hit]
     short = k < n_max
     counts[rows[short], cols[short]] = k[short]
@@ -281,23 +287,37 @@ def race_arrivals(
     return counts, winner, cycles
 
 
+def _quantised(rates: np.ndarray) -> np.ndarray:
+    """ceil(rates * 2**53) / 2**53, the probability of `random() < rate`."""
+    p = rates * 2.0**53
+    np.ceil(p, out=p)
+    p /= 2.0**53
+    return p
+
+
 def _counts_by_span(rng, v: np.ndarray, p: np.ndarray, span: np.ndarray):
     """Binomial(span, p) draws for 0 < p < 1 from uniforms v, as (indices,
     counts) of the nonzero ones: 1 + Binomial(span - G, p) where the first
     success G, drawn from v by `_first_success`, is at most span."""
-    first = _first_success(v, p)
+    first = _first_success(v, np.log1p(-p))
     hit = np.flatnonzero(first <= span)
     gap = span[hit] - first[hit].astype(np.int64)
     return hit, 1 + rng.binomial(gap, p[hit])
 
 
-def _first_success(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _first_success(v: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     """First-success cycles of Bernoulli(p) streams by inversion of uniforms
-    v, floor(log(1 - v) / log1p(-p)) + 1 (Devroye 1986), or inf where p = 0.
-    Quantised rates are >= 2**-53, so a finite cycle is an integer < 2**59."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # log1p(-1) is -inf
-        first = np.floor(np.log1p(-v) / np.log1p(-p)) + 1
-    return np.where(p > 0, first, np.inf)
+    v, floor(log(1 - v) / log_q) + 1 with log_q = log1p(-p) (Devroye 1986),
+    or inf where p = 0. Quantised rates are >= 2**-53, so log_q is 0 only
+    there and a finite cycle is an integer < 2**59. The cycles are computed
+    in v's buffer, which is overwritten."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # log_q is 0 at p = 0
+        first = np.log1p(np.negative(v, out=v), out=v)
+        first /= log_q
+    np.floor(first, out=first)
+    first += 1
+    first[log_q == 0] = np.inf
+    return first
 
 
 def _settle_outsiders(rng, result, rows, cols, k, n_max):
@@ -359,8 +379,12 @@ def _race_first_firing(rng, p: np.ndarray, max_cycles: int):
     """The n_max = 1 race: channel j first fires at an independent
     Geometric(p_j) cycle. The stop T is the earliest, the winner the lowest
     index firing at T, and each channel firing at T reads 1. If T exceeds
-    max_cycles the pixel times out, every channel reading 0."""
-    first = _first_success(rng.random(p.shape), p)
+    max_cycles the pixel times out, every channel reading 0. log1p(-p) is
+    formed in p's buffer, which is overwritten."""
+    v = rng.random(p.shape)
+    with np.errstate(divide="ignore"):  # log1p(-1) is -inf
+        log_q = np.log1p(np.negative(p, out=p), out=p)
+    first = _first_success(v, log_q)
     stop = first.min(axis=1)
     # exact in int64: a finite stop is below 2**59, and inf never wins
     t = np.minimum(stop, 2.0**62).astype(np.int64)

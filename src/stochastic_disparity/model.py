@@ -14,6 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .machine import FusionSpec
+from .pgm import check_gray_pixels
 
 KERNEL_SIZE = 5
 BORDER = KERNEL_SIZE - 1  # feature maps lose 4 pixels per dimension
@@ -99,10 +100,7 @@ def validate_gray_image(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img)
     if img.ndim != 2 or img.size == 0:
         raise ValueError("image must be a non-empty 2-D array")
-    if np.any(img < 0) or np.any(img > 255):
-        raise ValueError("pixel values must lie in [0, 255]")
-    if img.dtype.kind == "f" and not np.array_equal(img, np.trunc(img)):
-        raise ValueError("pixel values must be integers")  # also rejects NaN
+    check_gray_pixels(img, ValueError)
     return img.astype(np.int64)
 
 

@@ -75,17 +75,24 @@ def load_image(path) -> np.ndarray:
     return pixels[:, :, 0].copy()
 
 
+def check_gray_pixels(pixels: np.ndarray, error: type) -> None:
+    """Raise `error` unless every pixel is an integer in 0..255 (NaN is not);
+    the one pixel rule for images read in and written out."""
+    if pixels.dtype == np.uint8:
+        return
+    if np.any(pixels < 0) or np.any(pixels > 255):
+        raise error("pixel values must lie in [0, 255]")
+    if pixels.dtype.kind == "f" and not np.array_equal(pixels, np.trunc(pixels)):
+        raise error("pixel values must be integers")  # NaN fails this too
+
+
 def save_image(path, pixels: np.ndarray) -> None:
     """Write an 8-bit grayscale image as binary P5."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 2:
         raise ImageFormatError("image must be 2-D")
-    if pixels.dtype != np.uint8:
-        if np.any(pixels < 0) or np.any(pixels > 255):
-            raise ImageFormatError("pixel values out of 8-bit range")
-        if pixels.dtype.kind == "f" and not np.array_equal(pixels, np.trunc(pixels)):
-            raise ImageFormatError("pixel values must be integers")  # also NaN
-        pixels = pixels.astype(np.uint8)
+    check_gray_pixels(pixels, ImageFormatError)
+    pixels = pixels.astype(np.uint8, copy=False)
     height, width = pixels.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + pixels.tobytes())

@@ -1,5 +1,7 @@
 """Grid execution: determinism, worker invariance, result semantics."""
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,6 +30,18 @@ def small_volume():
     )
 
 
+# Blocks of 37 pixels straddle the fixture's 28-pixel rows, and its 280
+# pixels leave a short last block of 21, so 8 blocks in all.
+SMALL_BLOCK = 37
+
+
+@pytest.fixture
+def small_blocks(small_volume, monkeypatch):
+    """Race blocks of SMALL_BLOCK pixels; the value is their number."""
+    monkeypatch.setattr(engine, "RACE_BLOCK", SMALL_BLOCK)
+    return -(-small_volume.rates[..., 0].size // SMALL_BLOCK)
+
+
 class TestDeterminism:
     def test_same_seed_is_bit_identical(self, small_volume):
         a = run_stochastic_grid(small_volume, 16, master_seed=4)
@@ -41,18 +55,25 @@ class TestDeterminism:
         b = run_stochastic_grid(small_volume, 16, master_seed=5)
         assert not np.array_equal(a.counts, b.counts)
 
-    def test_worker_count_does_not_change_results(self, small_volume):
+    def test_worker_count_does_not_change_results(self, small_volume, small_blocks):
         serial = run_stochastic_grid(small_volume, 8, master_seed=1, workers=1)
-        rows = small_volume.rates.shape[0]
-        for workers in (2, rows + 3):
-            threaded = run_stochastic_grid(
-                small_volume, 8, master_seed=1, workers=workers
-            )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+        try:
+            results = [
+                run_stochastic_grid(small_volume, 8, master_seed=1, workers=w)
+                for w in (2, small_blocks + 3)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        for threaded in results:
             assert np.array_equal(serial.counts, threaded.counts)
             assert np.array_equal(serial.winner, threaded.winner)
             assert np.array_equal(serial.cycles, threaded.cycles)
 
-    def test_threads_never_outnumber_rows(self, small_volume, monkeypatch):
+    def test_threads_never_outnumber_blocks(
+        self, small_volume, small_blocks, monkeypatch
+    ):
         sizes = []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -61,26 +82,30 @@ class TestDeterminism:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
-        rows = small_volume.rates.shape[0]
-        run_stochastic_grid(small_volume, 8, master_seed=1, workers=rows + 3)
+        run_stochastic_grid(
+            small_volume, 8, master_seed=1, workers=small_blocks + 3
+        )
         run_stochastic_grid(small_volume, 8, master_seed=1, workers=2)
-        assert sizes == [rows, 2]
+        # the calling thread races one share of the blocks itself
+        assert sizes == [small_blocks - 1, 1]
 
-    def test_row_is_kernel_on_its_own_stream(self, small_volume):
-        rows = small_volume.rates.shape[0]
-        for workers in (1, 2, rows + 3):
+    def test_block_is_kernel_on_its_own_stream(self, small_volume, small_blocks):
+        m = small_volume.rates.shape[2]
+        pixels = small_volume.rates.reshape(-1, m)
+        assert (small_blocks, len(pixels) % SMALL_BLOCK) == (8, 21)
+        for workers in (1, 2, small_blocks + 3):
             result = run_stochastic_grid(
                 small_volume, 8, master_seed=6, workers=workers
             )
-            for y in range(rows):
-                counts, winner, cycles = race_arrivals(
-                    np.random.default_rng(stream_seed(6, y)),
-                    small_volume.rates[y],
-                    8,
+            flat = (result.counts.reshape(-1, m), result.winner.reshape(-1),
+                    result.cycles.reshape(-1))
+            for k in range(small_blocks):
+                part = slice(k * SMALL_BLOCK, (k + 1) * SMALL_BLOCK)
+                expected = race_arrivals(
+                    np.random.default_rng(stream_seed(6, k)), pixels[part], 8
                 )
-                assert np.array_equal(result.counts[y], counts)
-                assert np.array_equal(result.winner[y], winner)
-                assert np.array_equal(result.cycles[y], cycles)
+                for got, want in zip(flat, expected):
+                    assert np.array_equal(got[part], want)
 
 
 class TestResultSemantics:
@@ -142,10 +167,11 @@ class TestResultSemantics:
                 run_stochastic_grid(small_volume, 0, master_seed=0, workers=workers)
 
     def test_a_row_error_reaches_the_caller_from_a_thread(
-        self, small_volume, monkeypatch
+        self, small_volume, small_blocks, monkeypatch
     ):
         def fail_on_row_3(rng, rates, n_max, max_cycles):
-            if np.shares_memory(rates, small_volume.rates[3]):
+            pooled = threading.current_thread() is not threading.main_thread()
+            if pooled and np.shares_memory(rates, small_volume.rates[3]):
                 raise RuntimeError("row 3 failed")
             return race_arrivals(rng, rates, n_max, max_cycles)
 

@@ -22,6 +22,7 @@ from stochastic_disparity.dump import (
 )
 from stochastic_disparity.engine import run_stochastic_grid
 from stochastic_disparity.metrics import Readout, score_readouts
+from stochastic_disparity.model import validate_gray_image
 from stochastic_disparity.pgm import (
     ImageFileMissingError,
     ImageFormatError,
@@ -92,6 +93,15 @@ class TestPgm:
             with pytest.raises(ImageFormatError):
                 save_image(tmp_path / "x.pgm", np.full((2, 2), value))
         assert not (tmp_path / "x.pgm").exists()
+
+    @pytest.mark.parametrize("value", [300, -1, 3.7, np.nan])
+    def test_writing_and_filtering_share_one_pixel_rule(self, tmp_path, value):
+        image = np.full((2, 2), value)
+        with pytest.raises(ImageFormatError) as written:
+            save_image(tmp_path / "x.pgm", image)
+        with pytest.raises(ValueError) as filtered:
+            validate_gray_image(image)
+        assert str(written.value) == str(filtered.value)
 
 
 def tiny_dump(d_max=2, n_max=16):

@@ -206,6 +206,30 @@ EQUIVALENCE_CASES = {
 }
 
 
+def assert_same_law_as_machine(rates, n_max, max_cycles, counts, winner, cycles):
+    """Check race outcomes of one pixel's rates against EQUIVALENCE_RUNS
+    seeded `run_machine` runs: winners by chi-square, stop cycles and each
+    channel's counts by two-sample KS, each at level ALPHA."""
+    spec = simple_spec(np.ones(len(rates)), [rates])
+    runs = [
+        run_machine(build_machine(spec, seed=s), n_max, max_cycles)
+        for s in range(EQUIVALENCE_RUNS)
+    ]
+    ref_winner = np.array([r.winner for r in runs])
+    ref_cycles = np.array([r.cycles for r in runs])
+    ref_counts = np.array([r.counts for r in runs])
+    table = np.array([
+        np.bincount(w + 1, minlength=len(rates) + 1)
+        for w in (ref_winner, winner)
+    ])
+    table = table[:, table.sum(axis=0) > 0]
+    if table.shape[1] > 1:
+        assert stats.chi2_contingency(table).pvalue > ALPHA
+    assert stats.ks_2samp(ref_cycles, cycles, method="asymp").pvalue > ALPHA
+    for ref, new in zip(ref_counts.T, counts.T):
+        assert stats.ks_2samp(ref, new, method="asymp").pvalue > ALPHA
+
+
 class TestRaceArrivals:
     def test_invariants(self):
         rates = np.array([[0.6, 0.3, 0.05], [0.0, 0.2, 0.2]])
@@ -225,31 +249,37 @@ class TestRaceArrivals:
         """Winners (chi-square), stop cycles and every channel's counts (KS)
         have the same law as `run_machine` on a spec with these products."""
         rates, n_max, max_cycles = EQUIVALENCE_CASES[case]
-        spec = simple_spec(np.ones(len(rates)), [rates])
-        runs = [
-            run_machine(build_machine(spec, seed=s), n_max, max_cycles)
-            for s in range(EQUIVALENCE_RUNS)
-        ]
-        ref_winner = np.array([r.winner for r in runs])
-        ref_cycles = np.array([r.cycles for r in runs])
-        ref_counts = np.array([r.counts for r in runs])
         counts, winner, cycles = race_arrivals(
             np.random.default_rng(7),
             np.tile(rates, (EQUIVALENCE_RUNS, 1)),
             n_max,
             max_cycles,
         )
+        assert_same_law_as_machine(rates, n_max, max_cycles, counts, winner, cycles)
 
-        table = np.array([
-            np.bincount(w + 1, minlength=len(rates) + 1)
-            for w in (ref_winner, winner)
-        ])
-        table = table[:, table.sum(axis=0) > 0]
-        if table.shape[1] > 1:
-            assert stats.chi2_contingency(table).pvalue > ALPHA
-        assert stats.ks_2samp(ref_cycles, cycles, method="asymp").pvalue > ALPHA
-        for ref, new in zip(ref_counts.T, counts.T):
-            assert stats.ks_2samp(ref, new, method="asymp").pvalue > ALPHA
+    def test_case_keeps_its_law_among_other_pixels(self):
+        """One case's rows, interleaved in a single call with pixels that
+        settle outsiders, time out or race fast, have the law they have
+        alone: a block of the grid holds such a mix of pixels."""
+        rates, n_max, max_cycles = EQUIVALENCE_CASES["outsiders_and_timeout"]
+        neighbours = [
+            [0.049] * 6 + [0.5],  # an outsider fills first in about 9%
+            [0.001] * 7,  # mean arrival 2000 cycles: times out
+            [0.9, 0.0, 0.3, 1.0, 0.5, 0.2, 0.8],  # ends on cycle 2
+        ]
+        mixed = np.array([rates, *neighbours] * EQUIVALENCE_RUNS)
+        stride = len(neighbours) + 1
+        counts, winner, cycles = race_arrivals(
+            np.random.default_rng(11), mixed, n_max, max_cycles
+        )
+        # the neighbours do what they are there for
+        assert 0.05 < (winner[1::stride] < 6).mean() < 0.15
+        assert (winner[2::stride] < 0).mean() > 0.9
+        assert not (winner[3::stride] < 0).any()
+        assert_same_law_as_machine(
+            rates, n_max, max_cycles,
+            counts[::stride], winner[::stride], cycles[::stride],
+        )
 
     @pytest.mark.parametrize("max_cycles", [30, 10**7, 2**40])
     @pytest.mark.parametrize("n_max", [1, 2, 16])
