@@ -24,14 +24,15 @@ no channel at n_max timed out. Both bitmaps are derived from that outcome:
 whose stored bitmaps differ from the ones its counts give.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Tuple
 
 import numpy as np
 
+from .engine import RACE_BLOCK
 from .model import Outcome
 
 MAGIC = b"SDSP"
@@ -66,12 +67,15 @@ class DistributionDump:
     @cached_property
     def outcome(self) -> Outcome:
         """Each valid pixel's winner, read off its counts: the first channel
-        at n_max, or -1 (a timeout) where none reached it. Derived once, so
-        `read_dump`'s bitmap check and the caller's scoring share it: set
-        the counts before the first read."""
-        at_max = np.asarray(self.counts) == self.n_max
-        winner = np.where(at_max.any(axis=2), at_max.argmax(axis=2), -1)
-        return Outcome(winner=winner, d_max=self.d_max)
+        at n_max, or -1 (a timeout) where none reached it, in blocks of
+        `RACE_BLOCK` pixels. Derived once, so `read_dump`'s bitmap check and
+        the caller's scoring share it: set the counts before the first read."""
+        pixels = np.reshape(self.counts, (-1, self.d_max + 2))
+        winner = np.empty(len(pixels), np.int64)
+        for k in range(0, len(pixels), RACE_BLOCK):
+            at_max = pixels[k : k + RACE_BLOCK] == self.n_max
+            winner[k : k + RACE_BLOCK] = np.where(at_max.any(1), at_max.argmax(1), -1)
+        return Outcome(winner.reshape(np.shape(self.counts)[:2]), self.d_max)
 
 
 def _check_header(*values: int) -> None:
@@ -86,65 +90,63 @@ def _check_header(*values: int) -> None:
 
 
 def _check_counts(counts: np.ndarray, n_max: int) -> None:
-    if np.any(counts < 0) or np.any(counts > n_max):
+    if not (counts.min(initial=0) >= 0 and counts.max(initial=0) <= n_max):
         raise DumpFormatError("counts outside [0, n_max]")
 
 
 def _bitmaps(dump: DistributionDump) -> Tuple[bytes, bytes]:
     """The packed no-match and invalid bitmaps over the full feature grid,
     built from the counts; the x < d_max border is invalid."""
-    outcome = dump.outcome
-
     def packed(flags: np.ndarray, border: bool) -> bytes:
         grid = np.full((dump.height, dump.width), border)
         grid[:, dump.d_max :] = flags
         return np.packbits(grid, axis=None, bitorder="little").tobytes()
 
-    return packed(outcome.no_match, False), packed(outcome.timed_out, True)
+    return packed(dump.outcome.no_match, False), packed(dump.outcome.timed_out, True)
 
 
 def write_dump(path, dump: DistributionDump) -> None:
-    _check_header(dump.width, dump.height, dump.d_max, dump.n_max)
+    header = (dump.width, dump.height, dump.d_max, dump.n_max)
+    _check_header(*header)
     counts = np.asarray(dump.counts)
     expected = (dump.height, dump.valid_width, dump.d_max + 2)
     if counts.shape != expected:
         raise DumpFormatError(f"counts shape {counts.shape} != {expected}")
     _check_counts(counts, dump.n_max)
-    header = _HEADER.pack(
-        MAGIC, VERSION, dump.width, dump.height, dump.d_max, dump.n_max
-    )
-    body = counts.astype("<u2").tobytes()
-    Path(path).write_bytes(header + body + b"".join(_bitmaps(dump)))
+    bitmaps, pixels = _bitmaps(dump), counts.reshape(-1, dump.d_max + 2)
+    with open(path, "wb") as f:  # the counts go out block by block, as <u2
+        f.write(_HEADER.pack(MAGIC, VERSION, *header))
+        for k in range(0, len(pixels), RACE_BLOCK):
+            f.write(np.ascontiguousarray(pixels[k : k + RACE_BLOCK], "<u2"))
+        f.writelines(bitmaps)
 
 
 def read_dump(path) -> DistributionDump:
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise DumpFormatError("file shorter than the header")
-    magic, version, *header = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise DumpFormatError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise DumpFormatError(f"unsupported dump version {version}")
-    _check_header(*header)
-    width, height, d_max, n_max = header
-    n_counts = height * (width - d_max) * (d_max + 2)
-    bitmap_len = (width * height + 7) // 8
-    expected_len = _HEADER.size + 2 * n_counts + 2 * bitmap_len
-    if len(data) != expected_len:
-        raise DumpFormatError(
-            f"file length {len(data)} != expected {expected_len}"
-        )
-    counts = np.frombuffer(data, dtype="<u2", count=n_counts, offset=_HEADER.size)
+    with open(path, "rb") as f:  # the counts are read once, into their array
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise DumpFormatError("file shorter than the header")
+        magic, version, *header = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise DumpFormatError(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise DumpFormatError(f"unsupported dump version {version}")
+        _check_header(*header)
+        width, height, d_max, n_max = header
+        n_counts = height * (width - d_max) * (d_max + 2)
+        bitmap_len = (width * height + 7) // 8
+        expected_len = _HEADER.size + 2 * n_counts + 2 * bitmap_len
+        length = os.fstat(f.fileno()).st_size
+        if length != expected_len:
+            raise DumpFormatError(f"file length {length} != expected {expected_len}")
+        counts = np.fromfile(f, dtype="<u2", count=n_counts)
+        bitmaps = f.read()
     _check_counts(counts, n_max)
-    dump = DistributionDump(
-        *header, counts.reshape(height, width - d_max, d_max + 2).copy()
-    )
-    pos = _HEADER.size + 2 * n_counts
+    dump = DistributionDump(*header, counts.reshape(height, width - d_max, d_max + 2))
     no_match, invalid = _bitmaps(dump)
     # invalid first: a pixel without a counter at n_max breaks both bitmaps
-    if data[pos + bitmap_len :] != invalid:
+    if bitmaps[bitmap_len:] != invalid:
         raise DumpFormatError("invalid flags disagree with the counts")
-    if data[pos : pos + bitmap_len] != no_match:
+    if bitmaps[:bitmap_len] != no_match:
         raise DumpFormatError("no-match flags disagree with the counts")
     return dump

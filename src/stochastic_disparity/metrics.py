@@ -8,7 +8,7 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES
-from .engine import StochasticResult, run_stochastic_grid
+from .engine import RACE_BLOCK, StochasticResult, run_stochastic_grid
 from .machine import check_race_args
 from .model import ModelParams, Outcome, build_likelihood_volume, compute_features
 from .reference import ReferenceResult, reference_infer
@@ -130,9 +130,9 @@ def hardware_estimate(
     )
 
 
-def _distributions(run: Readout, mask: np.ndarray) -> np.ndarray:
-    dist = run.values[..., :-1][mask].astype(float, copy=False)
-    dist /= run.scale[mask] if np.ndim(run.scale) else run.scale
+def _distributions(values, scale, part: slice, keep: np.ndarray) -> np.ndarray:
+    dist = values[part][keep, :-1].astype(float, copy=False)
+    dist /= scale[part][keep]
     return dist
 
 
@@ -141,17 +141,27 @@ def score_readouts(run: Readout, reference: Readout) -> Tuple[float, float, int]
 
     F1 covers every pixel, with the reference outcome's no-match flags as
     truth; a timed-out pixel counts as not flagging no-match. RMS covers the
-    pixels whose winner is a disparity on both sides, masked before
-    differencing so no grid-sized difference array is built.
+    pixels whose winner is a disparity on both sides, summed over blocks of
+    `RACE_BLOCK` row-major pixels so no grid-sized distribution is built.
     """
-    both_matched = (run.outcome.map_disparity >= 0) & (
-        reference.outcome.map_disparity >= 0
-    )
-    rms = rms_distribution_error(
-        _distributions(run, both_matched), _distributions(reference, both_matched)
-    )
-    f1 = f1_nomatch(reference.outcome.no_match, run.outcome.no_match)
-    return rms, f1, int(both_matched.sum())
+    if np.shape(run.values) != np.shape(reference.values):
+        raise ValueError("distribution arrays must have identical shapes")
+    matched = (run.outcome.map_disparity >= 0) & (reference.outcome.map_disparity >= 0)
+    n, m, n_matched = matched.size, np.shape(run.values)[-1], int(matched.sum())
+    if n_matched == 0:
+        raise ValueError("no pixels to compare")
+    sides = [  # (pixels, m) values and a (pixels, 1) view of the scale
+        (np.reshape(r.values, (n, m)),
+         np.broadcast_to(np.reshape(r.scale, (-1, 1)), (n, 1)))
+        for r in (run, reference)
+    ]
+    matched, total = matched.reshape(n), 0.0
+    for part in (slice(k, k + RACE_BLOCK) for k in range(0, n, RACE_BLOCK)):
+        diff = _distributions(*sides[0], part, matched[part])
+        diff -= _distributions(*sides[1], part, matched[part])
+        total += float(np.square(diff, out=diff).sum())
+    rms = math.sqrt(total / (n_matched * (m - 1)))
+    return rms, f1_nomatch(reference.outcome.no_match, run.outcome.no_match), n_matched
 
 
 def compare_results(

@@ -8,7 +8,7 @@ pixels so the machine never stalls on near-zero rates.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -198,13 +198,14 @@ class LikelihoodVolume:
 
     rates: np.ndarray
     params: ModelParams
+    _factors_checked: InitVar[bool] = False  # see `build_likelihood_volume`
 
-    def __post_init__(self):
+    def __post_init__(self, _factors_checked):
         rates = self.rates
         if rates.ndim != 3 or rates.shape[2] != self.params.machine_width:
             raise ValueError("rate array shape mismatch")
         # min/max propagate NaN: no mask the size of the volume is needed.
-        if not (rates.min() >= 0.0 and rates.max() <= 1.0):
+        if not (_factors_checked or (rates.min() >= 0.0 and rates.max() <= 1.0)):
             raise ValueError("rates must be finite and lie in [0, 1]")
 
 
@@ -262,7 +263,9 @@ def build_likelihood_volume(
     rates[:, :, -1] = nomatch_probability(
         fmaps_l.grad_v[:, d_max:], params.p_nm0, params.sigma_nm
     )
-    return LikelihoodVolume(rates, params)
+    # products of factors in [0, 1] stay in [0, 1]: no scan of the whole volume
+    checked = all(0 <= f.min() <= f.max() <= 1 for f in (t_m, t_h, t_v, rates[..., -1]))
+    return LikelihoodVolume(rates, params, checked)
 
 
 def build_pixel_spec(

@@ -1,8 +1,10 @@
 """Image files, distribution dumps, the pipeline and the CLI front end."""
 
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from stochastic_disparity.dump import (
     read_dump,
     write_dump,
 )
-from stochastic_disparity.engine import run_stochastic_grid
+from stochastic_disparity.engine import RACE_BLOCK, run_stochastic_grid
 from stochastic_disparity.metrics import Readout, score_readouts
 from stochastic_disparity.model import validate_gray_image
 from stochastic_disparity.pgm import (
@@ -30,7 +32,7 @@ from stochastic_disparity.pgm import (
     save_image,
 )
 from stochastic_disparity.pipeline import RunConfig, run_pipeline
-from stochastic_disparity.synthetic import planted_shift_pair
+from stochastic_disparity.synthetic import natural_scene_pair, planted_shift_pair
 
 
 def write_pair(tmp_path, width=36, height=12, shift=4, seed=6, noise=15.0):
@@ -138,6 +140,26 @@ def at_disparity_0():
     counts = np.zeros((2, 3, 4), np.uint16)
     counts[..., 0] = 16
     return DistributionDump(5, 2, 2, 16, counts)
+
+
+def engine_like_dump(height, valid_width, d_max=80, n_max=16, seed=0):
+    """uint8 counts as the engine leaves them at n_max 16: a random winner
+    at n_max, every lower channel below it; about one pixel in twenty a
+    timeout and one in twenty no-match."""
+    rng = np.random.default_rng(seed)
+    shape = (height, valid_width)
+    counts = rng.integers(0, n_max, (*shape, d_max + 2), dtype=np.uint8)
+    winner = rng.integers(0, d_max + 1, shape)
+    winner[rng.random(shape) < 0.05] = d_max + 1
+    winner[rng.random(shape) < 0.05] = -1
+    np.put_along_axis(counts, np.maximum(winner, 0)[..., None], n_max, axis=2)
+    counts[winner < 0, 0] = 0
+    return DistributionDump(valid_width + d_max, height, d_max, n_max, counts)
+
+
+def whole_array_outcome(dump):
+    at_max = dump.counts == dump.n_max
+    return np.where(at_max.any(axis=2), at_max.argmax(axis=2), -1)
 
 
 def written(dump, tmp_path_factory):
@@ -277,6 +299,52 @@ class TestDump:
             dump.d_max,
             dump.n_max,
         )
+        assert np.array_equal(back.counts, dump.counts)
+
+    @pytest.mark.parametrize("layout", ["uint8", "uint16", "fortran_order"])
+    def test_bytes_equal_the_whole_array_layout(self, layout, tmp_path):
+        # 40 x 60 valid pixels, three blocks of RACE_BLOCK: header, then all
+        # counts as <u2, then the no-match and invalid bitmaps
+        dump = engine_like_dump(40, 60, d_max=12)
+        counts = {
+            "uint8": dump.counts,
+            "uint16": dump.counts.astype(np.uint16),
+            "fortran_order": np.asfortranarray(dump.counts),
+        }[layout]
+        assert counts.shape[0] * counts.shape[1] > 2 * RACE_BLOCK
+        winner = whole_array_outcome(dump)
+        assert (winner == -1).any() and (winner == dump.d_max + 1).any()
+        write_dump(tmp_path / "d.bin", replace(dump, counts=counts))
+
+        def packed(flags, border):
+            grid = np.full((dump.height, dump.width), border)
+            grid[:, dump.d_max :] = flags
+            return np.packbits(grid, axis=None, bitorder="little").tobytes()
+
+        header = struct.pack("<4sHIIHI", b"SDSP", 1, dump.width, dump.height, 12, 16)
+        body = dump.counts.astype("<u2").tobytes()
+        bitmaps = packed(winner == dump.d_max + 1, False) + packed(winner < 0, True)
+        assert (tmp_path / "d.bin").read_bytes() == header + body + bitmaps
+        back = read_dump(tmp_path / "d.bin")
+        assert np.array_equal(back.counts, dump.counts)
+        assert np.array_equal(back.outcome.winner, winner)
+
+    def test_write_and_read_hold_one_copy_of_the_counts(self, tmp_path):
+        # 38,400 valid pixels: blocks of RACE_BLOCK are a small share
+        dump = engine_like_dump(160, 240)
+        path = tmp_path / "d.bin"
+        tracemalloc.start()
+        try:
+            write_dump(path, dump)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = read_dump(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert write_peak < dump.counts.nbytes / 4
+        # the uint16 counts read back, and little more
+        assert read_peak < 1.25 * back.counts.nbytes
         assert np.array_equal(back.counts, dump.counts)
 
     def test_outcome_is_derived_once(self, tmp_path):
@@ -511,6 +579,29 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "n_max,rms,f1,cycles_mean,cycles_sd,timeouts"
         assert len(lines) == 3
+
+    def test_sweep_and_compare_text_is_pinned(self, tmp_path, capsys):
+        # text of the whole-grid scoring on a natural pair with 5600 valid
+        # pixels (six race blocks): summing the RMS block by block may move
+        # its last bits, never these digits
+        for name, img in zip(("l", "r"), natural_scene_pair(120, 60, 8, seed=1)):
+            save_image(tmp_path / f"{name}.pgm", img)
+        pair = ["--left", str(tmp_path / "l.pgm"), "--right", str(tmp_path / "r.pgm"),
+                "--d-max", "16"]
+        assert main(["sweep", *pair, "--n-max-list", "1,16", "--seeds", "2"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "n_max,rms,f1,cycles_mean,cycles_sd,timeouts\n"
+            "1,0.240102,0.138160,1.1421,0.8010,0\n"
+            "16,0.062912,0.371766,20.5144,15.4410,0\n"
+        )
+        for seed in (1, 2):
+            args = ["disparity", *pair, "--seed", str(seed),
+                    "--dump-out", str(tmp_path / f"d{seed}.bin")]
+            assert main(args) == EXIT_OK
+        capsys.readouterr()
+        dumps = [str(tmp_path / f"d{seed}.bin") for seed in (1, 2)]
+        assert main(["compare", *dumps]) == EXIT_OK
+        assert capsys.readouterr().out == "rms,f1,n_matched\n0.091394,0.772455,4985\n"
 
     def test_estimate_prints_projection(self, capsys):
         args = ["estimate", "--cycles-per-pixel", "27.97"]

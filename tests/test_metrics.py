@@ -1,10 +1,12 @@
 """Accuracy metrics, counter-size sweeps and hardware projections."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stochastic_disparity import metrics
-from stochastic_disparity.engine import run_stochastic_grid
+from stochastic_disparity.engine import RACE_BLOCK, run_stochastic_grid
 from stochastic_disparity.metrics import (
     SWEEP_CSV_HEADER,
     Readout,
@@ -16,7 +18,7 @@ from stochastic_disparity.metrics import (
     sweep_counter_sizes,
     sweep_to_csv,
 )
-from stochastic_disparity.model import ModelParams, Outcome
+from stochastic_disparity.model import LikelihoodVolume, ModelParams, Outcome
 from stochastic_disparity.reference import reference_infer
 from stochastic_disparity.synthetic import planted_shift_pair
 
@@ -55,6 +57,78 @@ class TestRmsDistributionError:
             rms_distribution_error(np.zeros((2, 2)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             rms_distribution_error(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+def grid_readouts(seed):
+    """A counter run and an oracle over 30 x 100 pixels, three race blocks,
+    d_max 8, with random outcomes: about one pixel in eleven a timeout of
+    the run and one in eleven no-match."""
+    rng = np.random.default_rng(seed)
+    shape, d_max = (30, 100), 8
+    counts = rng.integers(0, 17, (*shape, d_max + 2)).astype(np.uint8)
+    winner = rng.integers(-1, d_max + 2, shape)
+    run = Readout(counts, 16, Outcome(winner, d_max))
+    rates = rng.random((*shape, d_max + 2))
+    rates[rng.random(shape) < 0.1, -1] = 1.0
+    oracle = Outcome(rates.argmax(axis=2), d_max)
+    return run, Readout(rates, rates.max(axis=2, keepdims=True), oracle)
+
+
+def whole_grid_rms(run, reference):
+    """The RMS over the masked whole-grid distributions of both sides."""
+    mask = (run.outcome.map_disparity >= 0) & (reference.outcome.map_disparity >= 0)
+    dists = [
+        r.values[..., :-1][mask] / (r.scale[mask] if np.ndim(r.scale) else r.scale)
+        for r in (run, reference)
+    ]
+    return rms_distribution_error(*dists)
+
+
+class TestBlockwiseScore:
+    @pytest.mark.parametrize(
+        "sides",
+        ["run_vs_oracle", "oracle_vs_run", "run_vs_run", "oracle_vs_oracle"],
+    )
+    def test_equals_the_whole_grid_rms(self, sides):
+        (run, oracle), (run2, oracle2) = grid_readouts(0), grid_readouts(1)
+        a, b = {
+            "run_vs_oracle": (run, oracle),
+            "oracle_vs_run": (oracle, run),
+            "run_vs_run": (run, run2),
+            "oracle_vs_oracle": (oracle, oracle2),
+        }[sides]
+        assert a.outcome.winner.size > 2 * RACE_BLOCK
+        rms, _, n_matched = score_readouts(a, b)
+        assert rms == pytest.approx(whole_grid_rms(a, b), rel=1e-12, abs=0)
+        assert 0 < n_matched < a.outcome.winner.size
+
+    def test_no_matched_pixel_raises(self):
+        run, oracle = grid_readouts(0)
+        timed_out = run._replace(outcome=Outcome(np.full((30, 100), -1), 8))
+        with pytest.raises(ValueError, match="no pixels to compare"):
+            score_readouts(timed_out, oracle)
+
+    def test_shape_mismatch_raises(self):
+        run, oracle = grid_readouts(0)
+        narrow = oracle._replace(values=oracle.values[..., 1:])
+        with pytest.raises(ValueError, match="identical shapes"):
+            score_readouts(run, narrow)
+
+    def test_compare_holds_no_grid_sized_copy(self):
+        # 38,400 valid pixels, 37.5 race blocks: one block's pair of float
+        # distributions is about 5% of the rates
+        rng = np.random.default_rng(0)
+        volume = LikelihoodVolume(rng.random((160, 240, 82)), ModelParams(d_max=80))
+        reference = reference_infer(volume)
+        stochastic = run_stochastic_grid(volume, 1, master_seed=0)
+        tracemalloc.start()
+        try:
+            report = compare_results(stochastic, reference)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.n_matched > 0
+        assert peak < volume.rates.nbytes / 10
 
 
 class TestCompareResults:

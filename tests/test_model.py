@@ -339,6 +339,32 @@ class TestLikelihoodVolume:
         banded = build_likelihood_volume(fmaps_l, fmaps_r, params).rates
         np.testing.assert_array_equal(banded, whole)
 
+    def test_built_volume_checks_its_factors_not_its_rates(self, monkeypatch):
+        # build_likelihood_volume checks its tables and no-match column and
+        # tells the volume so; a volume made from outside scans its rates
+        params = ModelParams(d_max=16)
+        fmaps_l, fmaps_r = feature_pair(params)
+        made = []
+
+        def spy(*args):
+            made.append(args[2:])
+            return LikelihoodVolume(*args)
+
+        monkeypatch.setattr(model, "LikelihoodVolume", spy)
+        volume = build_likelihood_volume(fmaps_l, fmaps_r, params)
+        assert made == [(True,)]
+        rates = volume.rates.copy()
+        rates[-1, -1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            LikelihoodVolume(rates, params)
+
+    def test_built_volume_with_a_bad_factor_is_scanned_and_rejected(self, monkeypatch):
+        params = ModelParams(d_max=16)
+        fmaps_l, fmaps_r = feature_pair(params)
+        monkeypatch.setattr(model, "nomatch_probability", lambda *args: 1.5)
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            build_likelihood_volume(fmaps_l, fmaps_r, params)
+
     def test_too_narrow_image_rejected(self):
         params = ModelParams(d_max=80)
         fmaps = compute_features(np.zeros((10, 30)))
