@@ -3,8 +3,8 @@ binocular disparity, with a floating-point reference oracle and hardware
 speed/power estimation."""
 
 from .bitstream import BitSource, and_product
-from .dump import DistributionDump, read_dump, write_dump
-from .engine import StochasticResult, run_stochastic_grid
+from .dump import read_dump, write_dump
+from .engine import CountGrid, StochasticResult, run_stochastic_grid
 from .machine import (
     FusionSpec,
     Machine,

@@ -124,10 +124,10 @@ def _cmd_estimate(args) -> int:
 def _cmd_compare(args) -> int:
     ref = read_dump(args.reference_dump)
     sto = read_dump(args.stochastic_dump)
-    if (ref.width, ref.height, ref.d_max) != (sto.width, sto.height, sto.d_max):
+    if (ref.counts.shape, ref.d_max) != (sto.counts.shape, sto.d_max):
         raise ValueError("dumps cover different grids or disparity ranges")
     rms, f1, n_matched = score_readouts(
-        *(Readout(d.counts, d.n_max, d.outcome) for d in (sto, ref))
+        Readout(sto.counts, sto), Readout(ref.counts, ref)
     )
     print("rms,f1,n_matched")
     print(f"{rms:.6f},{f1:.6f},{n_matched}")

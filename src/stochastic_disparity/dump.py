@@ -19,20 +19,21 @@ Layout (all integers little-endian):
 
 No count exceeds n_max. The counts carry each pixel's outcome: its winner is
 the first channel at n_max (tied channels also read n_max), and a pixel with
-no channel at n_max timed out. Both bitmaps are derived from that outcome:
-`write_dump` builds them from the counts, and `read_dump` rejects a file
-whose stored bitmaps differ from the ones its counts give.
+no channel at n_max timed out. `write_dump(path, counts, d_max, n_max)` takes
+the width and height from the shape of the counts and builds both bitmaps
+from that outcome, whatever winner the caller holds, so it never writes a
+file that `read_dump` rejects. `read_dump` returns an `engine.CountGrid`
+whose winner it reads off the counts once, and rejects a file whose stored
+bitmaps differ from the ones that winner gives.
 """
 
 import os
 import struct
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Tuple
 
 import numpy as np
 
-from .engine import RACE_BLOCK
+from .engine import RACE_BLOCK, CountGrid
 from .model import Outcome
 
 MAGIC = b"SDSP"
@@ -47,35 +48,6 @@ _HEADER_FIELDS = (("width", 0, 2**32 - 1), ("height", 0, 2**32 - 1),
 
 class DumpFormatError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class DistributionDump:
-    """In-memory form of a dump file: the header values and the counts of
-    the valid pixels of the feature-map grid."""
-
-    width: int  # W_f
-    height: int  # H_f
-    d_max: int
-    n_max: int
-    counts: np.ndarray  # (H_f, W_f - d_max, d_max + 2) uint16
-
-    @property
-    def valid_width(self) -> int:
-        return self.width - self.d_max
-
-    @cached_property
-    def outcome(self) -> Outcome:
-        """Each valid pixel's winner, read off its counts: the first channel
-        at n_max, or -1 (a timeout) where none reached it, in blocks of
-        `RACE_BLOCK` pixels. Derived once, so `read_dump`'s bitmap check and
-        the caller's scoring share it: set the counts before the first read."""
-        pixels = np.reshape(self.counts, (-1, self.d_max + 2))
-        winner = np.empty(len(pixels), np.int64)
-        for k in range(0, len(pixels), RACE_BLOCK):
-            at_max = pixels[k : k + RACE_BLOCK] == self.n_max
-            winner[k : k + RACE_BLOCK] = np.where(at_max.any(1), at_max.argmax(1), -1)
-        return Outcome(winner.reshape(np.shape(self.counts)[:2]), self.d_max)
 
 
 def _check_header(*values: int) -> None:
@@ -94,26 +66,45 @@ def _check_counts(counts: np.ndarray, n_max: int) -> None:
         raise DumpFormatError("counts outside [0, n_max]")
 
 
-def _bitmaps(dump: DistributionDump) -> Tuple[bytes, bytes]:
-    """The packed no-match and invalid bitmaps over the full feature grid,
-    built from the counts; the x < d_max border is invalid."""
+def _winner(counts: np.ndarray, n_max: int) -> np.ndarray:
+    """Each valid pixel's winner, read off its counts: the first channel at
+    n_max, or -1 (a timeout) where none reached it, in blocks of
+    `RACE_BLOCK` pixels."""
+    pixels = counts.reshape(-1, counts.shape[2])
+    winner = np.empty(len(pixels), np.int64)
+    for k in range(0, len(pixels), RACE_BLOCK):
+        at_max = pixels[k : k + RACE_BLOCK] == n_max
+        winner[k : k + RACE_BLOCK] = np.where(at_max.any(1), at_max.argmax(1), -1)
+    return winner.reshape(counts.shape[:2])
+
+
+def _bitmaps(outcome: Outcome) -> Tuple[bytes, bytes]:
+    """The packed no-match and invalid bitmaps over the full feature grid;
+    the x < d_max border is invalid."""
+    height, valid_width = outcome.winner.shape
+
     def packed(flags: np.ndarray, border: bool) -> bytes:
-        grid = np.full((dump.height, dump.width), border)
-        grid[:, dump.d_max :] = flags
+        grid = np.full((height, valid_width + outcome.d_max), border)
+        grid[:, outcome.d_max :] = flags
         return np.packbits(grid, axis=None, bitorder="little").tobytes()
 
-    return packed(dump.outcome.no_match, False), packed(dump.outcome.timed_out, True)
+    return packed(outcome.no_match, False), packed(outcome.timed_out, True)
 
 
-def write_dump(path, dump: DistributionDump) -> None:
-    header = (dump.width, dump.height, dump.d_max, dump.n_max)
+def write_dump(path, counts: np.ndarray, d_max: int, n_max: int) -> None:
+    """Write a (H_f, W_f - d_max, d_max + 2) count grid; W_f and H_f come
+    from its shape, and both bitmaps from its counts."""
+    counts = np.asarray(counts)
+    if counts.ndim != 3:
+        raise DumpFormatError(f"counts shape {counts.shape} is not 3-D")
+    height, valid_width, channels = counts.shape
+    header = (valid_width + d_max, height, d_max, n_max)
     _check_header(*header)
-    counts = np.asarray(dump.counts)
-    expected = (dump.height, dump.valid_width, dump.d_max + 2)
-    if counts.shape != expected:
-        raise DumpFormatError(f"counts shape {counts.shape} != {expected}")
-    _check_counts(counts, dump.n_max)
-    bitmaps, pixels = _bitmaps(dump), counts.reshape(-1, dump.d_max + 2)
+    if channels != d_max + 2:
+        raise DumpFormatError(f"counts shape {counts.shape} needs {d_max + 2} channels")
+    _check_counts(counts, n_max)
+    bitmaps = _bitmaps(Outcome(_winner(counts, n_max), d_max))
+    pixels = counts.reshape(-1, channels)
     with open(path, "wb") as f:  # the counts go out block by block, as <u2
         f.write(_HEADER.pack(MAGIC, VERSION, *header))
         for k in range(0, len(pixels), RACE_BLOCK):
@@ -121,7 +112,7 @@ def write_dump(path, dump: DistributionDump) -> None:
         f.writelines(bitmaps)
 
 
-def read_dump(path) -> DistributionDump:
+def read_dump(path) -> CountGrid:
     with open(path, "rb") as f:  # the counts are read once, into their array
         head = f.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -142,11 +133,12 @@ def read_dump(path) -> DistributionDump:
         counts = np.fromfile(f, dtype="<u2", count=n_counts)
         bitmaps = f.read()
     _check_counts(counts, n_max)
-    dump = DistributionDump(*header, counts.reshape(height, width - d_max, d_max + 2))
-    no_match, invalid = _bitmaps(dump)
+    counts = counts.reshape(height, width - d_max, d_max + 2)
+    grid = CountGrid(_winner(counts, n_max), d_max, counts, n_max)
+    no_match, invalid = _bitmaps(grid)
     # invalid first: a pixel without a counter at n_max breaks both bitmaps
     if bitmaps[bitmap_len:] != invalid:
         raise DumpFormatError("invalid flags disagree with the counts")
     if bitmaps[:bitmap_len] != no_match:
         raise DumpFormatError("no-match flags disagree with the counts")
-    return dump
+    return grid

@@ -28,20 +28,26 @@ RACE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
-class StochasticResult(Outcome):
-    """Per-pixel machine outcomes over the valid grid.
+class CountGrid(Outcome):
+    """Counter values over the valid grid and the outcome they carry: each
+    pixel's winner is its first channel at n_max, and a pixel with no channel
+    at n_max timed out. The engine's result and a read dump are both one."""
 
-    `counts` are the counter values at the stop cycle, so readouts are
-    counts / n_max, and `cycles` the stop cycles (max_cycles on a timeout).
-    """
-
-    counts: np.ndarray  # (H, W_valid, d_max + 2), smallest dtype for n_max
-    cycles: np.ndarray  # (H, W_valid) int
+    counts: np.ndarray  # (H, W_valid, d_max + 2), no value above n_max
     n_max: int
 
     def readout(self) -> np.ndarray:
         """Max-normalized distributions: counter values over n_max."""
         return self.counts / self.n_max
+
+
+@dataclass(frozen=True)
+class StochasticResult(CountGrid):
+    """Per-pixel machine outcomes over the valid grid: the counter values at
+    the stop cycle, in the smallest dtype that holds n_max, and the stop
+    cycles (max_cycles on a timeout)."""
+
+    cycles: np.ndarray  # (H, W_valid) int
 
 
 def run_stochastic_grid(
@@ -96,6 +102,6 @@ def run_stochastic_grid(
             race_blocks(0)
             list(rest)  # re-raises any pool thread's exception
     return StochasticResult(
-        winner=winner, d_max=volume.params.d_max, counts=counts, cycles=cycles,
-        n_max=n_max,
+        winner=winner, d_max=volume.params.d_max, counts=counts, n_max=n_max,
+        cycles=cycles,
     )

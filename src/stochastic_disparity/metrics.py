@@ -3,14 +3,16 @@
 import io
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES
 from .engine import RACE_BLOCK, StochasticResult, run_stochastic_grid
 from .machine import check_race_args
-from .model import ModelParams, Outcome, build_likelihood_volume, compute_features
+from .model import (
+    BORDER, ModelParams, Outcome, build_likelihood_volume, compute_features,
+)
 from .reference import ReferenceResult, reference_infer
 
 SWEEP_CSV_HEADER = "n_max,rms,f1,cycles_mean,cycles_sd,timeouts"
@@ -35,13 +37,14 @@ class AccuracyReport:
 
 
 class Readout(NamedTuple):
-    """One run over the valid pixel grid as scoring reads it: its max-normalized
-    distribution is `values[..., :-1] / scale` (counts over n_max, or oracle
-    rates over each pixel's winning score); the last channel is no-match.
-    `outcome` gives each pixel's winner: a disparity, no-match or a timeout."""
+    """One run over the valid pixel grid as scoring reads it: counts or oracle
+    rates, the last channel no-match, and the `outcome` that gives each
+    pixel's winner: a disparity, no-match or a timeout. A pixel whose winner
+    is a disparity peaks there, so its max-normalized distribution is its
+    disparity values over the value at its winner: counts over n_max, or
+    rates over the winning score."""
 
     values: np.ndarray  # (H, W_valid, d_max + 2)
-    scale: Union[int, np.ndarray]  # n_max, or (H, W_valid, 1)
     outcome: Outcome
 
 
@@ -103,17 +106,19 @@ def hardware_estimate(
 ) -> HardwareEstimate:
     """Closed-form speed and power projection for a hardware machine.
 
-    One generator per term module (N x M); valid pixels lose 4 per dimension
-    to filtering and d_max more columns to the disparity search range.
+    One generator per term module (N x M); valid pixels lose `BORDER` per
+    dimension to filtering and d_max more columns to the disparity search
+    range.
     """
     if min(m, n, image_width, image_height, d_max) <= 0:
         raise ValueError("all dimensions must be positive")
     for value in (mean_cycles_per_pixel, clock_hz, per_generator_power_watts):
         if not (math.isfinite(value) and value > 0):
             raise ValueError("rates and powers must be finite and positive")
-    valid = (image_width - 4 - d_max) * (image_height - 4)
-    if valid <= 0:
+    columns, rows = image_width - BORDER - d_max, image_height - BORDER
+    if columns <= 0 or rows <= 0:
         raise ValueError("image too small for this d_max")
+    valid = columns * rows
     n_generators = n * m
     power = n_generators * per_generator_power_watts
     cycles_per_image = valid * mean_cycles_per_pixel
@@ -130,9 +135,11 @@ def hardware_estimate(
     )
 
 
-def _distributions(values, scale, part: slice, keep: np.ndarray) -> np.ndarray:
+def _distributions(values, winner, part: slice, keep: np.ndarray) -> np.ndarray:
+    """The kept pixels' disparity values in block `part`, each pixel divided
+    in place by its peak, the value at its winner."""
     dist = values[part][keep, :-1].astype(float, copy=False)
-    dist /= scale[part][keep]
+    dist /= np.take_along_axis(dist, winner[part][keep, None], axis=1)
     return dist
 
 
@@ -150,9 +157,8 @@ def score_readouts(run: Readout, reference: Readout) -> Tuple[float, float, int]
     n, m, n_matched = matched.size, np.shape(run.values)[-1], int(matched.sum())
     if n_matched == 0:
         raise ValueError("no pixels to compare")
-    sides = [  # (pixels, m) values and a (pixels, 1) view of the scale
-        (np.reshape(r.values, (n, m)),
-         np.broadcast_to(np.reshape(r.scale, (-1, 1)), (n, 1)))
+    sides = [  # (pixels, m) values and (pixels,) winners
+        (np.reshape(r.values, (n, m)), np.reshape(r.outcome.winner, n))
         for r in (run, reference)
     ]
     matched, total = matched.reshape(n), 0.0
@@ -169,8 +175,7 @@ def compare_results(
 ) -> AccuracyReport:
     """Score one stochastic run against the reference on the same volume."""
     rms, f1, n_matched = score_readouts(
-        Readout(stochastic.counts, stochastic.n_max, stochastic),
-        Readout(reference.rates, reference.winning_score[..., None], reference),
+        Readout(stochastic.counts, stochastic), Readout(reference.rates, reference)
     )
     return AccuracyReport(
         n_max=stochastic.n_max,

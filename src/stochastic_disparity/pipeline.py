@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES
-from .dump import COUNT_MAX, DistributionDump, write_dump
+from .dump import COUNT_MAX, write_dump
 from .engine import StochasticResult, run_stochastic_grid
 from .machine import check_race_args
 from .model import ModelParams, build_likelihood_volume, compute_features
@@ -142,11 +142,7 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
                 render_disparity(stochastic.map_disparity, d_max, feature_width),
             )
         if config.dump_out is not None:
-            dump = DistributionDump(
-                feature_width, len(stochastic.counts), d_max, stochastic.n_max,
-                stochastic.counts,
-            )
-            write_dump(config.dump_out, dump)
+            write_dump(config.dump_out, stochastic.counts, d_max, stochastic.n_max)
         if summary.timeout_fraction > config.timeout_warn_fraction:
             print(
                 f"warning: {summary.n_timeouts} pixels "

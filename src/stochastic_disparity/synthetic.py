@@ -11,6 +11,14 @@ from typing import Tuple
 
 import numpy as np
 
+# natural_scene_pair's scene: the level of the flat shadow, the mismatch
+# bands' width, gap and depth, and the per-view sensor noise
+DARK_LEVEL = 8
+BAND_WIDTH = 12
+BAND_GAP = 22
+BAND_DEPTH = 18.0
+NOISE_SIGMA = 12.0
+
 
 def textured_base(width: int, height: int, seed: int) -> np.ndarray:
     """Dense uniform random 8-bit texture."""
@@ -60,26 +68,21 @@ def natural_scene_pair(
     height: int,
     shift: int,
     seed: int,
-    noise_sigma: float = 12.0,
-    dark_level: int = 8,
     content_x: int = 78,
     stroke_length: float = 5.0,
     stroke_width: float = 2.0,
-    band_width: int = 12,
-    band_gap: int = 22,
-    band_depth: float = 18.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """A pair with the mixed match statistics of indoor captures.
 
     A textured content band sits to the right of a deep flat shadow at level
-    `dark_level` (columns below `content_x`). The texture is a mosaic of
+    `DARK_LEVEL` (columns below `content_x`). The texture is a mosaic of
     diagonally elongated strokes (anisotropic nearest-site cells of size
     roughly `stroke_length` by `stroke_width`), so every local window carries
     strong horizontal and vertical structure. Vertical bands of width
-    `band_width` every `band_width + band_gap` columns darken the left view by
-    `band_depth`, imitating calibration mismatch between the two cameras and
+    `BAND_WIDTH` every `BAND_WIDTH + BAND_GAP` columns darken the left view by
+    `BAND_DEPTH`, imitating calibration mismatch between the two cameras and
     yielding a population of weak but unambiguous matches. Per-view Gaussian
-    sensor noise with `noise_sigma` sets the residual cost at the true
+    sensor noise with `NOISE_SIGMA` sets the residual cost at the true
     disparity elsewhere.
     """
     if shift < 0:
@@ -94,17 +97,17 @@ def natural_scene_pair(
     base = levels[
         _nearest_site(xx, yy, site_x, site_y, stroke_length, stroke_width)
     ]
-    base[:, :content_x] = dark_level
+    base[:, :content_x] = DARK_LEVEL
 
     mismatch = np.zeros(full_width)
     x = content_x + 4
-    while x + band_width < full_width:
-        mismatch[x : x + band_width] = band_depth
-        x += band_width + band_gap
+    while x + BAND_WIDTH < full_width:
+        mismatch[x : x + BAND_WIDTH] = BAND_DEPTH
+        x += BAND_WIDTH + BAND_GAP
 
-    noise_l = rng.normal(0.0, noise_sigma, (height, width))
-    noise_r = rng.normal(0.0, noise_sigma, (height, width))
-    textured = base[:, :width] > dark_level + 1
+    noise_l = rng.normal(0.0, NOISE_SIGMA, (height, width))
+    noise_r = rng.normal(0.0, NOISE_SIGMA, (height, width))
+    textured = base[:, :width] > DARK_LEVEL + 1
     left = base[:, :width] - mismatch[None, :width] * textured + noise_l
     right = base[:, shift : shift + width] + noise_r
     return (

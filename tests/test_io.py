@@ -5,7 +5,6 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +15,8 @@ from hypothesis.extra.numpy import arrays
 
 import stochastic_disparity
 from stochastic_disparity.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from stochastic_disparity.dump import (
-    DistributionDump,
-    DumpFormatError,
-    read_dump,
-    write_dump,
-)
-from stochastic_disparity.engine import RACE_BLOCK, run_stochastic_grid
+from stochastic_disparity.dump import DumpFormatError, read_dump, write_dump
+from stochastic_disparity.engine import RACE_BLOCK, CountGrid, run_stochastic_grid
 from stochastic_disparity.metrics import Readout, score_readouts
 from stochastic_disparity.model import validate_gray_image
 from stochastic_disparity.pgm import (
@@ -106,13 +100,29 @@ class TestPgm:
         assert str(written.value) == str(filtered.value)
 
 
+def whole_array_outcome(counts, n_max):
+    at_max = counts == n_max
+    return np.where(at_max.any(axis=2), at_max.argmax(axis=2), -1)
+
+
+def count_grid(counts, d_max, n_max):
+    """A `CountGrid` whose winner is read off the whole count array."""
+    return CountGrid(whole_array_outcome(counts, n_max), d_max, counts, n_max)
+
+
+def grid_size(dump):
+    """The (width, height) of a dump's full feature grid."""
+    height, valid_width = dump.winner.shape
+    return valid_width + dump.d_max, height
+
+
 def tiny_dump(d_max=2, n_max=16):
     rng = np.random.default_rng(0)
     h, w = 3, d_max + 4
     counts = rng.integers(0, n_max, (h, w - d_max, d_max + 2)).astype(np.uint16)
     counts[:, :, 0] = n_max  # every valid pixel has a counter at n_max...
     counts[1, 2, 0], counts[1, 2, -1] = 0, n_max  # ...one at the no-match one
-    return DistributionDump(w, h, d_max, n_max, counts)
+    return count_grid(counts, d_max, n_max)
 
 
 @st.composite
@@ -132,14 +142,14 @@ def valid_dumps(draw):
     counts[below] = np.minimum(counts[below], n_max - 1)
     np.put_along_axis(counts, winner[..., None], n_max, axis=2)
     counts[timed_out] = np.minimum(counts[timed_out], n_max - 1)
-    return DistributionDump(vw + d_max, h, d_max, n_max, counts)
+    return count_grid(counts, d_max, n_max)
 
 
 def at_disparity_0():
     """2x5 dump, d_max 2, n_max on disparity 0 at every valid pixel."""
     counts = np.zeros((2, 3, 4), np.uint16)
     counts[..., 0] = 16
-    return DistributionDump(5, 2, 2, 16, counts)
+    return count_grid(counts, 2, 16)
 
 
 def engine_like_dump(height, valid_width, d_max=80, n_max=16, seed=0):
@@ -154,33 +164,34 @@ def engine_like_dump(height, valid_width, d_max=80, n_max=16, seed=0):
     winner[rng.random(shape) < 0.05] = -1
     np.put_along_axis(counts, np.maximum(winner, 0)[..., None], n_max, axis=2)
     counts[winner < 0, 0] = 0
-    return DistributionDump(valid_width + d_max, height, d_max, n_max, counts)
+    return count_grid(counts, d_max, n_max)
 
 
-def whole_array_outcome(dump):
-    at_max = dump.counts == dump.n_max
-    return np.where(at_max.any(axis=2), at_max.argmax(axis=2), -1)
+def write(path, dump):
+    write_dump(path, dump.counts, dump.d_max, dump.n_max)
 
 
 def written(dump, tmp_path_factory):
     path = tmp_path_factory.mktemp("dump") / "d.bin"
-    write_dump(path, dump)
+    write(path, dump)
     return path
 
 
 def stored_bitmaps(path, dump):
     """The no-match and invalid bitmaps of a dump file, unpacked to
     (2, height, width) bools."""
+    width, height = grid_size(dump)
     raw = np.frombuffer(path.read_bytes()[20 + 2 * dump.counts.size :], np.uint8)
     bits = np.unpackbits(raw.reshape(2, -1), axis=1, bitorder="little")
-    return bits[:, : dump.width * dump.height].reshape(2, dump.height, -1) == 1
+    return bits[:, : width * height].reshape(2, height, -1) == 1
 
 
 def flip_bit(path, dump, plane, bit):
     """Flip bit `bit` of bitmap `plane` (0 no-match, 1 invalid) in a dump
     file."""
+    width, height = grid_size(dump)
     raw = bytearray(path.read_bytes())
-    bitmap_len = (dump.width * dump.height + 7) // 8
+    bitmap_len = (width * height + 7) // 8
     raw[20 + 2 * dump.counts.size + plane * bitmap_len + bit // 8] ^= 1 << (bit % 8)
     path.write_bytes(bytes(raw))
 
@@ -189,7 +200,7 @@ class TestDump:
     def test_tied_channels_at_n_max_are_accepted(self, tmp_path):
         dump = tiny_dump()
         dump.counts[0, 0, :2] = dump.n_max
-        write_dump(tmp_path / "d.bin", dump)
+        write(tmp_path / "d.bin", dump)
         assert np.array_equal(read_dump(tmp_path / "d.bin").counts, dump.counts)
 
     @settings(max_examples=20, deadline=None)
@@ -217,7 +228,7 @@ class TestDump:
     @settings(max_examples=20, deadline=None)
     @given(dump=valid_dumps(), data=st.data())
     def test_valid_pixel_without_n_max_rejected(self, dump, data, tmp_path_factory):
-        valid = np.argwhere(~dump.outcome.timed_out)
+        valid = np.argwhere(~dump.timed_out)
         assume(len(valid) > 0)
         y, x = valid[data.draw(st.integers(0, len(valid) - 1))]
         counts = dump.counts.copy()
@@ -231,11 +242,13 @@ class TestDump:
             read_dump(path)
 
     def test_write_rejects_what_read_would(self, tmp_path):
+        # the header's width and height come from the shape of the counts
         dump = tiny_dump()
         with pytest.raises(DumpFormatError, match="no valid pixels"):
-            write_dump(tmp_path / "d.bin", replace(dump, width=dump.d_max))
-        with pytest.raises(DumpFormatError, match="counts shape"):
-            write_dump(tmp_path / "d.bin", replace(dump, counts=dump.counts[:, 1:]))
+            write_dump(tmp_path / "d.bin", dump.counts[:, :0], dump.d_max, dump.n_max)
+        for counts in (dump.counts[..., 1:], dump.counts[0]):
+            with pytest.raises(DumpFormatError, match="counts shape"):
+                write_dump(tmp_path / "d.bin", counts, dump.d_max, dump.n_max)
 
     def test_written_bitmaps_are_derived_from_the_counts(self, tmp_path):
         # row 1 of the 2x5 dump: a no-match winner at x = 3, a timeout at x = 4
@@ -243,11 +256,11 @@ class TestDump:
         dump.counts[1, 1] = [3, 0, 15, 16]
         dump.counts[1, 2] = [15, 2, 0, 15]
         path = tmp_path / "d.bin"
-        write_dump(path, dump)
+        write(path, dump)
         no_match, invalid = stored_bitmaps(path, dump)
         assert np.argwhere(no_match).tolist() == [[1, 3]]
         assert np.argwhere(invalid).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 4]]
-        assert dump.outcome.winner.tolist() == [[0, 0, 0], [0, 3, -1]]
+        assert read_dump(path).winner.tolist() == [[0, 0, 0], [0, 3, -1]]
 
     @pytest.mark.parametrize("flag_x", [3, 0], ids=["valid_pixel", "border_pixel"])
     def test_no_match_flag_against_the_counts_rejected_on_write(
@@ -257,26 +270,26 @@ class TestDump:
         # a valid pixel or at x < d_max, and a file carrying one is rejected
         dump = at_disparity_0()
         path = tmp_path / "d.bin"
-        write_dump(path, dump)
+        write(path, dump)
         no_match, _ = stored_bitmaps(path, dump)
         assert not no_match.any()
-        flip_bit(path, dump, 0, dump.width + flag_x)
+        flip_bit(path, dump, 0, grid_size(dump)[0] + flag_x)
         with pytest.raises(DumpFormatError, match="no-match flags"):
             read_dump(path)
 
     @settings(max_examples=40, deadline=None)
     @given(dump=valid_dumps(), data=st.data())
     def test_flipped_no_match_bit_rejected(self, dump, data, tmp_path_factory):
-        path = written(dump, tmp_path_factory)
-        flip_bit(path, dump, 0, data.draw(st.integers(0, dump.width * dump.height - 1)))
+        path, (width, height) = written(dump, tmp_path_factory), grid_size(dump)
+        flip_bit(path, dump, 0, data.draw(st.integers(0, width * height - 1)))
         with pytest.raises(DumpFormatError, match="no-match flags"):
             read_dump(path)
 
     @settings(max_examples=40, deadline=None)
     @given(dump=valid_dumps(), data=st.data())
     def test_flipped_invalid_bit_rejected(self, dump, data, tmp_path_factory):
-        path = written(dump, tmp_path_factory)
-        flip_bit(path, dump, 1, data.draw(st.integers(0, dump.width * dump.height - 1)))
+        path, (width, height) = written(dump, tmp_path_factory), grid_size(dump)
+        flip_bit(path, dump, 1, data.draw(st.integers(0, width * height - 1)))
         with pytest.raises(DumpFormatError, match="invalid flags"):
             read_dump(path)
 
@@ -285,21 +298,30 @@ class TestDump:
         [("width", 1 << 32), ("height", 1 << 32), ("d_max", 70000), ("n_max", 0)],
     )
     def test_header_field_out_of_range_rejected_on_write(self, tmp_path, field, value):
-        dump = replace(tiny_dump(), **{field: value})
+        # width and height come from the shape of the counts, here a zero-stride
+        # view that large; the header is checked before any count is read
+        dump = tiny_dump()
+        args = {"counts": dump.counts, "d_max": dump.d_max, "n_max": dump.n_max}
+        h, vw, m = dump.counts.shape
+        shapes = {"width": (h, value - dump.d_max, m), "height": (value, vw, m)}
+        if field in shapes:
+            args["counts"] = np.broadcast_to(dump.counts[:1, :1], shapes[field])
+        else:
+            args[field] = value
         with pytest.raises(DumpFormatError, match=field):
-            write_dump(tmp_path / "d.bin", dump)
+            write_dump(tmp_path / "d.bin", **args)
 
     @settings(max_examples=40, deadline=None)
     @given(dump=valid_dumps())
     def test_round_trip(self, dump, tmp_path_factory):
         back = read_dump(written(dump, tmp_path_factory))
-        assert (back.width, back.height, back.d_max, back.n_max) == (
-            dump.width,
-            dump.height,
+        assert (back.counts.shape, back.d_max, back.n_max) == (
+            dump.counts.shape,
             dump.d_max,
             dump.n_max,
         )
         assert np.array_equal(back.counts, dump.counts)
+        assert np.array_equal(back.winner, dump.winner)
 
     @pytest.mark.parametrize("layout", ["uint8", "uint16", "fortran_order"])
     def test_bytes_equal_the_whole_array_layout(self, layout, tmp_path):
@@ -312,22 +334,23 @@ class TestDump:
             "fortran_order": np.asfortranarray(dump.counts),
         }[layout]
         assert counts.shape[0] * counts.shape[1] > 2 * RACE_BLOCK
-        winner = whole_array_outcome(dump)
+        winner = whole_array_outcome(dump.counts, dump.n_max)
         assert (winner == -1).any() and (winner == dump.d_max + 1).any()
-        write_dump(tmp_path / "d.bin", replace(dump, counts=counts))
+        write_dump(tmp_path / "d.bin", counts, dump.d_max, dump.n_max)
+        width, height = grid_size(dump)
 
         def packed(flags, border):
-            grid = np.full((dump.height, dump.width), border)
+            grid = np.full((height, width), border)
             grid[:, dump.d_max :] = flags
             return np.packbits(grid, axis=None, bitorder="little").tobytes()
 
-        header = struct.pack("<4sHIIHI", b"SDSP", 1, dump.width, dump.height, 12, 16)
+        header = struct.pack("<4sHIIHI", b"SDSP", 1, width, height, 12, 16)
         body = dump.counts.astype("<u2").tobytes()
         bitmaps = packed(winner == dump.d_max + 1, False) + packed(winner < 0, True)
         assert (tmp_path / "d.bin").read_bytes() == header + body + bitmaps
         back = read_dump(tmp_path / "d.bin")
         assert np.array_equal(back.counts, dump.counts)
-        assert np.array_equal(back.outcome.winner, winner)
+        assert np.array_equal(back.winner, winner)
 
     def test_write_and_read_hold_one_copy_of_the_counts(self, tmp_path):
         # 38,400 valid pixels: blocks of RACE_BLOCK are a small share
@@ -335,7 +358,7 @@ class TestDump:
         path = tmp_path / "d.bin"
         tracemalloc.start()
         try:
-            write_dump(path, dump)
+            write(path, dump)
             _, write_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             back = read_dump(path)
@@ -347,15 +370,9 @@ class TestDump:
         assert read_peak < 1.25 * back.counts.nbytes
         assert np.array_equal(back.counts, dump.counts)
 
-    def test_outcome_is_derived_once(self, tmp_path):
-        # read_dump's bitmap check and compare's scoring share one outcome
-        write_dump(tmp_path / "d.bin", tiny_dump())
-        dump = read_dump(tmp_path / "d.bin")
-        assert dump.outcome is dump.outcome
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.bin"
-        write_dump(path, tiny_dump())
+        write(path, tiny_dump())
         data = bytearray(path.read_bytes())
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
@@ -364,7 +381,7 @@ class TestDump:
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "d.bin"
-        write_dump(path, tiny_dump())
+        write(path, tiny_dump())
         data = bytearray(path.read_bytes())
         data[4] = 99
         path.write_bytes(bytes(data))
@@ -373,34 +390,21 @@ class TestDump:
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "d.bin"
-        write_dump(path, tiny_dump())
+        write(path, tiny_dump())
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(DumpFormatError):
             read_dump(path)
 
     def test_count_range_enforced_on_write(self, tmp_path):
         dump = tiny_dump()
-        bad = DistributionDump(
-            dump.width,
-            dump.height,
-            dump.d_max,
-            dump.n_max,
-            dump.counts + dump.n_max,  # exceeds n_max
-        )
+        bad = dump.counts + dump.n_max  # exceeds n_max
         with pytest.raises(DumpFormatError):
-            write_dump(tmp_path / "d.bin", bad)
+            write_dump(tmp_path / "d.bin", bad, dump.d_max, dump.n_max)
 
     def test_oversized_n_max_rejected(self, tmp_path):
         dump = tiny_dump()
-        bad = DistributionDump(
-            dump.width,
-            dump.height,
-            dump.d_max,
-            1 << 16,
-            dump.counts,
-        )
         with pytest.raises(DumpFormatError):
-            write_dump(tmp_path / "d.bin", bad)
+            write_dump(tmp_path / "d.bin", dump.counts, dump.d_max, 1 << 16)
 
 
 class TestPipeline:
@@ -433,7 +437,9 @@ class TestPipeline:
         assert np.array_equal(
             dump.counts, summary.stochastic.counts.astype(np.uint16)
         )
-        assert np.array_equal(dump.outcome.winner, summary.stochastic.winner)
+        # the read grid carries the run's winner and readout
+        assert np.array_equal(dump.winner, summary.stochastic.winner)
+        assert np.array_equal(dump.readout(), summary.stochastic.readout())
 
     def test_mismatched_pair_rejected(self, tmp_path):
         lp, _ = write_pair(tmp_path)
@@ -615,6 +621,13 @@ class TestCli:
         assert out["cycles_per_image"] == "7402428.32"
         assert float(out["frames_per_second"]) == pytest.approx(67.5, abs=0.1)
 
+    def test_estimate_of_an_impossible_geometry_exits_with_code_2(self, capsys):
+        args = ["estimate", "--cycles-per-pixel", "27.97", "--width", "10",
+                "--height", "2"]
+        assert main(args) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "too small" in captured.err and captured.out == ""
+
     def test_compare_between_dumps(self, tmp_path, capsys):
         lp, rp = write_pair(tmp_path)
         assert main(self.disparity_args(tmp_path, lp, rp, "a")) == EXIT_OK
@@ -668,9 +681,9 @@ class TestCli:
         assert not runs[0].timed_out.any() and runs[1].timed_out.sum() == 2
         dumps = [tmp_path / "a.bin", tmp_path / "b.bin"]
         for path, run in zip(dumps, runs):
-            write_dump(path, DistributionDump(5, 1, 2, 16, run.counts))
+            write_dump(path, run.counts, 2, 16)
         assert main(["compare", *map(str, dumps)]) == EXIT_OK
-        reference, run = (Readout(r.counts, r.n_max, r) for r in runs)
+        reference, run = (Readout(r.counts, r) for r in runs)
         rms, f1, n_matched = score_readouts(run, reference)
         assert (f1, n_matched) == (0.0, 1)
         printed = capsys.readouterr().out.split("\n")[1]
@@ -681,8 +694,8 @@ class TestCli:
     ):
         dump = at_disparity_0()
         good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
-        write_dump(good, dump)
-        write_dump(bad, dump)
+        write(good, dump)
+        write(bad, dump)
         flip_bit(bad, dump, 0, 8)  # bit 8 is (1, 3)
         assert main(["compare", str(good), str(bad)]) == EXIT_IO
         assert "no-match flags" in capsys.readouterr().err
@@ -692,8 +705,8 @@ class TestCli:
     ):
         dump = at_disparity_0()
         good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
-        write_dump(good, dump)
-        write_dump(bad, dump)
+        write(good, dump)
+        write(bad, dump)
         flip_bit(bad, dump, 1, 8)  # bit 8 is (1, 3), which holds n_max
         assert main(["compare", str(good), str(bad)]) == EXIT_IO
         assert "invalid flags" in capsys.readouterr().err

@@ -18,9 +18,15 @@ from stochastic_disparity.metrics import (
     sweep_counter_sizes,
     sweep_to_csv,
 )
-from stochastic_disparity.model import LikelihoodVolume, ModelParams, Outcome
+from stochastic_disparity.model import (
+    LikelihoodVolume,
+    ModelParams,
+    Outcome,
+    build_likelihood_volume,
+    compute_features,
+)
 from stochastic_disparity.reference import reference_infer
-from stochastic_disparity.synthetic import planted_shift_pair
+from stochastic_disparity.synthetic import natural_scene_pair, planted_shift_pair
 
 
 class TestRmsDistributionError:
@@ -37,15 +43,13 @@ class TestRmsDistributionError:
         # score_readouts differences only pixels that both sides matched and
         # neither timed out: 0 agrees, 1 is run no-match, 2 reference no-match,
         # 3 a run timeout, 4 a reference timeout. Pixel 0 reads (1, 0.5) on
-        # both sides, under its own reference scale; no-match channels differ.
+        # both sides, each over its own peak; no-match channels differ.
         run = Readout(
             values=np.array([[[2, 1, 0], [0, 2, 2], [0, 2, 0], [0, 0, 0], [0, 2, 0]]]),
-            scale=2,
             outcome=Outcome(np.array([[0, 2, 1, -1, 1]]), d_max=1),
         )
         reference = Readout(
             values=np.tile([0.5, 0.25, 0.4], (1, 5, 1)),
-            scale=np.array([0.5, 0.8, 0.8, 0.8, 0.8]).reshape(1, 5, 1),
             outcome=Outcome(np.array([[0, 0, 2, 0, -1]]), d_max=1),
         )
         rms, _, n_matched = score_readouts(run, reference)
@@ -62,26 +66,25 @@ class TestRmsDistributionError:
 def grid_readouts(seed):
     """A counter run and an oracle over 30 x 100 pixels, three race blocks,
     d_max 8, with random outcomes: about one pixel in eleven a timeout of
-    the run and one in eleven no-match."""
+    the run and one in eleven no-match. Each counter peaks at n_max 16 on
+    its winner, and each oracle pixel at its winner's rate."""
     rng = np.random.default_rng(seed)
     shape, d_max = (30, 100), 8
     counts = rng.integers(0, 17, (*shape, d_max + 2)).astype(np.uint8)
     winner = rng.integers(-1, d_max + 2, shape)
-    run = Readout(counts, 16, Outcome(winner, d_max))
+    np.put_along_axis(counts, np.maximum(winner, 0)[..., None], 16, axis=2)
+    run = Readout(counts, Outcome(winner, d_max))
     rates = rng.random((*shape, d_max + 2))
     rates[rng.random(shape) < 0.1, -1] = 1.0
-    oracle = Outcome(rates.argmax(axis=2), d_max)
-    return run, Readout(rates, rates.max(axis=2, keepdims=True), oracle)
+    return run, Readout(rates, Outcome(rates.argmax(axis=2), d_max))
 
 
 def whole_grid_rms(run, reference):
-    """The RMS over the masked whole-grid distributions of both sides."""
+    """The RMS over the masked whole-grid distributions of both sides, each
+    pixel over its own peak."""
     mask = (run.outcome.map_disparity >= 0) & (reference.outcome.map_disparity >= 0)
-    dists = [
-        r.values[..., :-1][mask] / (r.scale[mask] if np.ndim(r.scale) else r.scale)
-        for r in (run, reference)
-    ]
-    return rms_distribution_error(*dists)
+    dists = [r.values[..., :-1][mask] for r in (run, reference)]
+    return rms_distribution_error(*(d / d.max(axis=1, keepdims=True) for d in dists))
 
 
 class TestBlockwiseScore:
@@ -129,6 +132,40 @@ class TestBlockwiseScore:
             tracemalloc.stop()
         assert report.n_matched > 0
         assert peak < volume.rates.nbytes / 10
+
+
+@pytest.fixture(scope="module")
+def natural_volume():
+    """5600 valid pixels of a natural pair at d_max 16, six race blocks."""
+    left, right = natural_scene_pair(120, 60, 8, seed=1)
+    return build_likelihood_volume(
+        compute_features(left), compute_features(right), ModelParams(d_max=16)
+    )
+
+
+class TestPeakNormalisation:
+    @pytest.mark.parametrize("n_max", [1, 16, 64])
+    def test_equals_the_n_max_and_winning_score_division(self, natural_volume, n_max):
+        # a pixel both sides match peaks at n_max on its counts and at the
+        # winning score on its rates, so over its own peak it reads the same
+        # bits as divided by those: already divided values score identically
+        oracle = reference_infer(natural_volume)
+        timed, free = (
+            run_stochastic_grid(natural_volume, n_max, seed, max_cycles=cap)
+            for seed, cap in ((0, 4 * n_max), (1, 10**7))
+        )
+        assert 0 < timed.timed_out.sum() < timed.winner.size / 10
+        runs = {"timed": timed, "free": free}
+        raw = {k: Readout(r.counts, r) for k, r in runs.items()}
+        divided = {k: Readout(r.readout(), r) for k, r in runs.items()}
+        raw["oracle"] = Readout(oracle.rates, oracle)
+        divided["oracle"] = Readout(
+            oracle.rates / oracle.winning_score[..., None], oracle
+        )
+        for run, reference in (("timed", "oracle"), ("timed", "free")):
+            assert score_readouts(raw[run], raw[reference]) == score_readouts(
+                divided[run], divided[reference]
+            )
 
 
 class TestCompareResults:
@@ -201,6 +238,9 @@ class TestHardwareEstimate:
         with pytest.raises(ValueError):
             # too narrow for the disparity range: no valid pixels
             hardware_estimate(82, 3, 1.0, 60, 480, 80)
+        with pytest.raises(ValueError, match="too small"):
+            # -74 columns by -2 rows: a positive product of impossible sides
+            hardware_estimate(82, 3, 27.97, 10, 2, 80)
 
 
 @pytest.fixture(scope="module")
