@@ -126,9 +126,7 @@ def _cmd_compare(args) -> int:
     sto = read_dump(args.stochastic_dump)
     if (ref.counts.shape, ref.d_max) != (sto.counts.shape, sto.d_max):
         raise ValueError("dumps cover different grids or disparity ranges")
-    rms, f1, n_matched = score_readouts(
-        Readout(sto.counts, sto), Readout(ref.counts, ref)
-    )
+    rms, f1, n_matched = score_readouts(*(Readout(d.counts, d) for d in (sto, ref)))
     print("rms,f1,n_matched")
     print(f"{rms:.6f},{f1:.6f},{n_matched}")
     return EXIT_OK

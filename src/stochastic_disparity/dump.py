@@ -81,11 +81,8 @@ def _winner(counts: np.ndarray, n_max: int) -> np.ndarray:
 def _bitmaps(outcome: Outcome) -> Tuple[bytes, bytes]:
     """The packed no-match and invalid bitmaps over the full feature grid;
     the x < d_max border is invalid."""
-    height, valid_width = outcome.winner.shape
-
     def packed(flags: np.ndarray, border: bool) -> bytes:
-        grid = np.full((height, valid_width + outcome.d_max), border)
-        grid[:, outcome.d_max :] = flags
+        grid = np.pad(flags, ((0, 0), (outcome.d_max, 0)), constant_values=border)
         return np.packbits(grid, axis=None, bitorder="little").tobytes()
 
     return packed(outcome.no_match, False), packed(outcome.timed_out, True)
@@ -95,16 +92,13 @@ def write_dump(path, counts: np.ndarray, d_max: int, n_max: int) -> None:
     """Write a (H_f, W_f - d_max, d_max + 2) count grid; W_f and H_f come
     from its shape, and both bitmaps from its counts."""
     counts = np.asarray(counts)
-    if counts.ndim != 3:
-        raise DumpFormatError(f"counts shape {counts.shape} is not 3-D")
-    height, valid_width, channels = counts.shape
-    header = (valid_width + d_max, height, d_max, n_max)
+    if counts.ndim != 3 or counts.shape[2] != d_max + 2:
+        raise DumpFormatError(f"counts shape {counts.shape} != (H, W, {d_max + 2})")
+    header = (counts.shape[1] + d_max, len(counts), d_max, n_max)
     _check_header(*header)
-    if channels != d_max + 2:
-        raise DumpFormatError(f"counts shape {counts.shape} needs {d_max + 2} channels")
     _check_counts(counts, n_max)
     bitmaps = _bitmaps(Outcome(_winner(counts, n_max), d_max))
-    pixels = counts.reshape(-1, channels)
+    pixels = counts.reshape(-1, d_max + 2)
     with open(path, "wb") as f:  # the counts go out block by block, as <u2
         f.write(_HEADER.pack(MAGIC, VERSION, *header))
         for k in range(0, len(pixels), RACE_BLOCK):

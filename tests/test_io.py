@@ -298,15 +298,16 @@ class TestDump:
         [("width", 1 << 32), ("height", 1 << 32), ("d_max", 70000), ("n_max", 0)],
     )
     def test_header_field_out_of_range_rejected_on_write(self, tmp_path, field, value):
-        # width and height come from the shape of the counts, here a zero-stride
-        # view that large; the header is checked before any count is read
+        # width, height and d_max + 2 are dimensions of the counts, here a
+        # zero-stride view that large; the header is checked before any count
         dump = tiny_dump()
         args = {"counts": dump.counts, "d_max": dump.d_max, "n_max": dump.n_max}
         h, vw, m = dump.counts.shape
-        shapes = {"width": (h, value - dump.d_max, m), "height": (value, vw, m)}
+        shapes = {"width": (h, value - dump.d_max, m), "height": (value, vw, m),
+                  "d_max": (h, vw, value + 2)}
         if field in shapes:
-            args["counts"] = np.broadcast_to(dump.counts[:1, :1], shapes[field])
-        else:
+            args["counts"] = np.broadcast_to(dump.counts[:1, :1, :1], shapes[field])
+        if field in args:
             args[field] = value
         with pytest.raises(DumpFormatError, match=field):
             write_dump(tmp_path / "d.bin", **args)
