@@ -209,7 +209,7 @@ class LikelihoodVolume:
             raise ValueError("rates must be finite and lie in [0, 1]")
 
 
-_BAND_ROWS = 16  # rows per pass of the volume build and of its three buffers
+_BAND_ROWS = 8  # rows per band of `_rate_bands` and of its three buffers
 _SPAN = 2 * 255 + 1  # signed feature differences -255..255
 
 
@@ -221,14 +221,11 @@ def _likelihood_tables(params: ModelParams):
     return tuple(likelihood(cost, sigma, params.p0) for sigma in sigmas)
 
 
-def build_likelihood_volume(
-    fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params: ModelParams
-) -> LikelihoodVolume:
-    """Channel rates for every valid pixel, built in bands of rows from
-    likelihood tables over the signed integer left - right in -255..255. One
-    subtraction of per-pixel codes indexes `pair`, t_m * t_h at
-    (dm + 255) * 511 + dh + 255, and t_v gives the third factor: the floats of
-    multiplying the mean, grad_h and grad_v likelihoods in that order."""
+def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, out=None):
+    """The one rate builder: yields (rows, rates of disparities 0..d_max) per
+    band of `_BAND_ROWS` rows, as views of `out` if given, else of one buffer.
+    A subtraction of codes indexes `pair`, t_m * t_h at (dm + 255) * 511 +
+    dh + 255, and t_v gives the third factor, multiplied in that order."""
     if fmaps_l.mean.shape != fmaps_r.mean.shape:
         raise ValueError("left and right feature maps must have equal shapes")
     h, w = fmaps_l.mean.shape
@@ -247,24 +244,33 @@ def build_likelihood_volume(
         for right in (fmaps_r.mean * _SPAN + fmaps_r.grad_h, fmaps_r.grad_v)
     )
 
-    rates = np.empty((h, w - d_max, params.machine_width))
     shape = (min(_BAND_ROWS, h), w - d_max, d_max + 1)
     index, pm, pv = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
     for y0 in range(0, h, _BAND_ROWS):
-        band = slice(y0, y0 + _BAND_ROWS)
-        i, m, v = (buf[: min(_BAND_ROWS, h - y0)] for buf in (index, pm, pv))
+        rows = slice(y0, min(y0 + _BAND_ROWS, h))
+        i, m, v = (buf[: rows.stop - y0] for buf in (index, pm, pv))
         # mode="clip" writes straight into `out` ("raise" would buffer a copy);
         # `FeatureMaps`' ranges keep every index inside its table
-        np.subtract(code_l[band], code_r[band], out=i)
+        np.subtract(code_l[rows], code_r[rows], out=i)
         np.take(pair, i, out=m, mode="clip")
-        np.subtract(gv_l[band], gv_r[band], out=i)
+        np.subtract(gv_l[rows], gv_r[rows], out=i)
         np.take(t_v, i, out=v, mode="clip")
-        np.multiply(m, v, out=rates[band, :, : d_max + 1])
-    rates[:, :, -1] = nomatch_probability(
-        fmaps_l.grad_v[:, d_max:], params.p_nm0, params.sigma_nm
-    )
+        rates = m if out is None else out[rows, :, : d_max + 1]
+        yield rows, np.multiply(m, v, out=rates)
+
+
+def build_likelihood_volume(
+    fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params: ModelParams
+) -> LikelihoodVolume:
+    """Every band of `_rate_bands` in one array, then the no-match column."""
+    grad_v = fmaps_l.grad_v[:, params.d_max :]  # `_rate_bands` checks the shapes
+    rates = np.empty(grad_v.shape + (params.machine_width,))
+    for _ in _rate_bands(fmaps_l, fmaps_r, params, out=rates):
+        pass
+    rates[:, :, -1] = nomatch_probability(grad_v, params.p_nm0, params.sigma_nm)
     # products of factors in [0, 1] stay in [0, 1]: no scan of the whole volume
-    checked = all(0 <= f.min() <= f.max() <= 1 for f in (t_m, t_h, t_v, rates[..., -1]))
+    factors = (*_likelihood_tables(params), rates[..., -1])
+    checked = all(0 <= f.min() <= f.max() <= 1 for f in factors)
     return LikelihoodVolume(rates, params, checked)
 
 

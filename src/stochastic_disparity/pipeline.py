@@ -11,9 +11,9 @@ from .bitstream import DEFAULT_MAX_CYCLES
 from .dump import COUNT_MAX, write_dump
 from .engine import StochasticResult, run_stochastic_grid
 from .machine import check_race_args
-from .model import ModelParams, build_likelihood_volume, compute_features
+from .model import ModelParams, Outcome, build_likelihood_volume, compute_features
 from .pgm import load_image, save_image
-from .reference import ReferenceResult, reference_infer
+from .reference import reference_infer, reference_outcome
 
 MODES = ("reference", "stochastic", "both")
 
@@ -51,7 +51,10 @@ class RunConfig:
 
 @dataclass
 class PipelineSummary:
-    reference: Optional[ReferenceResult]
+    """Each engine's result, or None. The oracle's is a winner grid alone in
+    `reference` mode and a `ReferenceResult` with the rates in `both` mode."""
+
+    reference: Optional[Outcome]
     stochastic: Optional[StochasticResult]
 
     @property
@@ -105,18 +108,19 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
 
     fmaps_l = compute_features(left)
     fmaps_r = compute_features(right)
-    volume = build_likelihood_volume(fmaps_l, fmaps_r, config.params)
     feature_width = fmaps_l.width
     d_max = config.params.d_max
 
-    reference = None
-    if config.mode in ("reference", "both"):
-        reference = reference_infer(volume)
-        if config.reference_image_out is not None:
-            save_image(
-                config.reference_image_out,
-                render_disparity(reference.map_disparity, d_max, feature_width),
-            )
+    if config.mode == "reference":
+        reference = reference_outcome(fmaps_l, fmaps_r, config.params)
+    else:
+        volume = build_likelihood_volume(fmaps_l, fmaps_r, config.params)
+        reference = reference_infer(volume) if config.mode == "both" else None
+    if reference is not None and config.reference_image_out is not None:
+        save_image(
+            config.reference_image_out,
+            render_disparity(reference.map_disparity, d_max, feature_width),
+        )
 
     stochastic = None
     if config.mode in ("stochastic", "both"):

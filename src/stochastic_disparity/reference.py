@@ -1,37 +1,34 @@
 """Floating-point oracle for the fusion machine.
 
 Reads each pixel's exact posterior scores, the products of its feature
-likelihoods under a uniform prior, straight off the likelihood volume. The
+likelihoods under a uniform prior, straight off the channel rates. The
 winner is the first channel at the top score, the counter race's tie-break:
-no-match wins only by strictly exceeding every disparity score. Normalized
-scores compare directly against counter readouts.
+no-match wins only by strictly exceeding every disparity score. Reference
+mode keeps that winner grid alone (`reference_outcome`), and no rates.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LikelihoodVolume, Outcome
+from .model import FeatureMaps, LikelihoodVolume, Outcome
+from .model import _rate_bands, nomatch_probability
 
 
 @dataclass(frozen=True)
 class ReferenceResult(Outcome):
-    """Exact inference output over the valid pixel grid: the `Outcome` of
-    the oracle, and the volume's own (H, W_valid, d_max + 2) `rates`, held
-    without a copy. The oracle never times out."""
+    """The oracle's `Outcome` over the valid pixel grid and the volume's own
+    (H, W_valid, d_max + 2) `rates`, held without a copy; a reference-mode
+    run returns the `Outcome` alone. The oracle never times out."""
 
     rates: np.ndarray  # (H, W_valid, d_max + 2)
 
     @property
-    def winning_score(self) -> np.ndarray:
-        """Each pixel's largest channel rate, the rate at its winner."""
-        return np.take_along_axis(self.rates, self.winner[..., None], axis=2)[..., 0]
-
-    @property
     def norm_scores(self) -> np.ndarray:
-        """Disparity scores divided by each pixel's winning score, so matched
-        pixels peak at exactly 1; built on each access."""
-        return self.rates[:, :, :-1] / self.winning_score[..., None]
+        """Disparity scores over each pixel's winning score (its largest
+        rate), so matched pixels peak at exactly 1; built on each access."""
+        top = np.take_along_axis(self.rates, self.winner[..., None], axis=2)
+        return self.rates[:, :, :-1] / top
 
 
 def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
@@ -46,3 +43,16 @@ def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
         d_max=volume.params.d_max,
         rates=volume.rates,
     )
+
+
+def reference_outcome(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params) -> Outcome:
+    """The winners of `reference_infer(build_likelihood_volume(...))`, one
+    band of rates at a time: no-match wins only above the top disparity rate."""
+    grad_v = fmaps_l.grad_v[:, params.d_max :]  # `_rate_bands` checks the shapes
+    winner = np.empty(grad_v.shape, np.intp)
+    for rows, rates in _rate_bands(fmaps_l, fmaps_r, params):
+        best = rates.argmax(axis=2, out=winner[rows])
+        top = np.take_along_axis(rates, best[..., None], axis=2)[..., 0]
+        nomatch = nomatch_probability(grad_v[rows], params.p_nm0, params.sigma_nm)
+        best[nomatch > top] = params.nomatch_index
+    return Outcome(winner, params.d_max)

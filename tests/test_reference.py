@@ -1,13 +1,28 @@
 """Exact floating-point inference oracle."""
 
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from stochastic_disparity.model import LikelihoodVolume, ModelParams
-from stochastic_disparity.pipeline import render_disparity
-from stochastic_disparity.reference import reference_infer
+from stochastic_disparity import model
+from stochastic_disparity.model import (
+    BORDER,
+    FEATURE_NAMES,
+    LikelihoodVolume,
+    ModelParams,
+    build_likelihood_volume,
+    compute_features,
+)
+from stochastic_disparity.pgm import save_image
+from stochastic_disparity.pipeline import RunConfig, render_disparity, run_pipeline
+from stochastic_disparity.reference import (
+    ReferenceResult,
+    reference_infer,
+    reference_outcome,
+)
+from stochastic_disparity.synthetic import natural_scene_pair, planted_shift_pair
 
 
 def volume_from_rates(products, nomatch, d_max):
@@ -27,7 +42,7 @@ class TestReferenceInfer:
         assert result.norm_scores[0, 0] == pytest.approx(
             [0.504 / 0.9, 1.0, 0.027 / 0.9]
         )
-        assert result.winning_score[0, 0] == pytest.approx(0.9)
+        assert result.rates.max(axis=2)[0, 0] == pytest.approx(0.9)
 
     def test_dominant_row_wins(self):
         # all likelihoods 1 at d=5, p0 floor elsewhere (products p0^3)
@@ -53,7 +68,7 @@ class TestReferenceInfer:
         assert np.all(result.no_match)
         assert not result.timed_out.any()
         assert np.all(result.map_disparity == -1)
-        assert np.all(result.winning_score == result.rates[..., -1])
+        assert np.all(result.rates.max(axis=2) == result.rates[..., -1])
 
     def test_exact_tie_with_nomatch_stays_matched(self):
         lik = np.full((1, 1, 3), 0.5 * 0.5 * 0.5)
@@ -85,6 +100,78 @@ class TestReferenceInfer:
             tracemalloc.stop()
         assert peak < volume.rates.nbytes / 20
         assert result.rates is volume.rates
+
+
+def write_pair(tmp_path, left, right):
+    paths = tmp_path / "left.pgm", tmp_path / "right.pgm"
+    for path, img in zip(paths, (left, right)):
+        save_image(path, img)
+    return paths
+
+
+class TestReferenceOutcome:
+    """`reference_outcome` takes the oracle band by band, with no volume."""
+
+    @pytest.mark.parametrize("height", [1, 4, 5, 6, 37])
+    def test_winner_equals_the_volume_oracle(self, monkeypatch, height):
+        params = ModelParams(d_max=16)
+        left, right = natural_scene_pair(
+            120 + BORDER, height + BORDER, 8, seed=3, content_x=20
+        )
+        fmaps_l, fmaps_r = compute_features(left), compute_features(right)
+        # pixel (y, tie) matches exactly at disparity 3 on a flat left, so its
+        # no-match rate ties its top disparity rate at 1; pixel (y, flat) is
+        # flat with no exact match, so no-match wins outright
+        y, tie, flat, d = height // 2, 40, 90, 3
+        for name in FEATURE_NAMES:
+            getattr(fmaps_l, name)[y, tie] = getattr(fmaps_r, name)[y, tie - d]
+        fmaps_l.grad_v[y, [tie, flat]] = fmaps_r.grad_v[y, tie - d] = 0
+        monkeypatch.setattr(model, "_BAND_ROWS", 5)
+        volume = build_likelihood_volume(fmaps_l, fmaps_r, params)
+        rates = volume.rates[y, tie - params.d_max]
+        assert rates[d] == rates[-1] == rates.max() == 1.0
+        want = reference_infer(volume).winner
+        got = reference_outcome(fmaps_l, fmaps_r, params).winner
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert want[y, tie - params.d_max] <= params.d_max  # the tie stays matched
+        assert want[y, flat - params.d_max] == params.nomatch_index
+
+    def test_reference_image_is_the_same_in_both_modes(self, tmp_path):
+        paths = write_pair(tmp_path, *natural_scene_pair(200, 150, 12, seed=1))
+        images, summaries = [], []
+        for mode in ("reference", "both"):
+            images.append(tmp_path / f"{mode}.pgm")
+            config = RunConfig(
+                *paths, n_max=1, mode=mode, reference_image_out=images[-1]
+            )
+            summaries.append(run_pipeline(config, log=io.StringIO()))
+        assert images[0].read_bytes() == images[1].read_bytes()
+        streamed, whole = (s.reference for s in summaries)
+        assert not isinstance(streamed, ReferenceResult)  # a winner grid, no rates
+        assert isinstance(whole, ReferenceResult)
+        np.testing.assert_array_equal(streamed.winner, whole.winner)
+
+    def test_reference_mode_never_holds_the_volume(self, tmp_path):
+        # a 640x480 pair has a 476 x 556 x 82 float64 volume, 174 MB; one
+        # band of rates, the feature maps, the codes and the winner grid are
+        # about a fifth of it. Small grids do not show this: the feature maps
+        # and the 511 x 511 mean-grad_h table stay a fixed share.
+        paths = write_pair(
+            tmp_path, *planted_shift_pair(640, 480, 20, seed=1, noise_sigma=20)
+        )
+        config = RunConfig(
+            *paths, mode="reference", reference_image_out=tmp_path / "ref.pgm"
+        )
+        tracemalloc.start()
+        try:
+            summary = run_pipeline(config, log=io.StringIO())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        volume_bytes = summary.reference.winner.size * config.params.machine_width * 8
+        assert summary.reference.winner.shape == (476, 556)
+        assert peak < volume_bytes / 4
 
 
 class TestDisparityImages:
