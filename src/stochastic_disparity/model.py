@@ -1,10 +1,10 @@
 """Image preprocessing and the probabilistic matching model.
 
-Rectified 8-bit stereo pairs are filtered into three feature maps (local
-mean, horizontal gradient, vertical gradient), squared feature differences
-give per-disparity matching costs, and costs map to likelihoods with a floor
-probability. An extra no-match channel covers occlusions and low-contrast
-pixels so the machine never stalls on near-zero rates.
+Rectified 8-bit stereo pairs are filtered into three int16 feature maps
+(local mean, horizontal gradient, vertical gradient), squared feature
+differences give per-disparity matching costs, and costs map to likelihoods
+with a floor probability. An extra no-match channel covers occlusions and
+low-contrast pixels so the machine never stalls on near-zero rates.
 """
 
 import math
@@ -97,11 +97,12 @@ class Outcome:
 
 
 def validate_gray_image(img: np.ndarray) -> np.ndarray:
+    """Pixels of a non-empty 2-D 8-bit image, as int32 for the filter sums."""
     img = np.asarray(img)
     if img.ndim != 2 or img.size == 0:
         raise ValueError("image must be a non-empty 2-D array")
     check_gray_pixels(img, ValueError)
-    return img.astype(np.int64)
+    return img.astype(np.int32)
 
 
 FEATURE_NAMES = ("mean", "grad_h", "grad_v")
@@ -110,7 +111,8 @@ FEATURE_RANGES = ((0, 255), (-127, 127), (-127, 127))  # |left - right| <= 255
 
 @dataclass(frozen=True)
 class FeatureMaps:
-    """Integer feature maps, 4 pixels smaller than the source image."""
+    """Integer feature maps, 4 pixels smaller than the source image, held as
+    int16 whatever integer dtype they are given in; floats are rejected."""
 
     mean: np.ndarray
     grad_h: np.ndarray
@@ -119,8 +121,11 @@ class FeatureMaps:
     def __post_init__(self):  # likelihoods are tabulated over left - right
         for name, (lo, hi) in zip(FEATURE_NAMES, FEATURE_RANGES):
             arr = getattr(self, name)
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"{name} features must be integers")
             if not (arr.min() >= lo and arr.max() <= hi):
                 raise ValueError(f"{name} features must lie in [{lo}, {hi}]")
+            object.__setattr__(self, name, arr.astype(np.int16, copy=False))
 
     @property
     def height(self) -> int:
@@ -146,10 +151,11 @@ def _rounded(num: np.ndarray, scale: int, den: int) -> np.ndarray:
 
 
 def compute_features(img: np.ndarray) -> FeatureMaps:
-    """Apply the three 5x5 filters with valid-region support, exactly: 5-pixel
-    column and row sums give the correlations, rounded half away from zero.
-    No response is near a tie (box/25 is a multiple of 0.04, 127 * ramp / 3825
-    at least 1/7650 from a half-integer), so rounding the floats agrees."""
+    """Apply the three 5x5 filters with valid-region support, exactly: int32
+    5-pixel column and row sums give the correlations, rounded half away from
+    zero into int16 maps. No response is near a tie (box/25 is a multiple of
+    0.04, 127 * ramp / 3825 at least 1/7650 from a half-integer), so rounding
+    the floats agrees."""
     pixels = validate_gray_image(img)
     if pixels.shape[0] < KERNEL_SIZE or pixels.shape[1] < KERNEL_SIZE:
         raise ValueError("image smaller than the 5x5 filter support")
@@ -209,7 +215,7 @@ class LikelihoodVolume:
             raise ValueError("rates must be finite and lie in [0, 1]")
 
 
-_BAND_ROWS = 8  # rows per band of `_rate_bands` and of its three buffers
+_BAND_ROWS = 4  # rows per band of `_rate_bands` and of its buffers
 _SPAN = 2 * 255 + 1  # signed feature differences -255..255
 
 
@@ -224,8 +230,9 @@ def _likelihood_tables(params: ModelParams):
 def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, out=None):
     """The one rate builder: yields (rows, rates of disparities 0..d_max) per
     band of `_BAND_ROWS` rows, as views of `out` if given, else of one buffer.
-    A subtraction of codes indexes `pair`, t_m * t_h at (dm + 255) * 511 +
-    dh + 255, and t_v gives the third factor, multiplied in that order."""
+    A subtraction of each band's intp codes indexes `pair`, t_m * t_h at
+    (dm + 255) * 511 + dh + 255, and t_v gives the third factor, multiplied
+    in that order."""
     if fmaps_l.mean.shape != fmaps_r.mean.shape:
         raise ValueError("left and right feature maps must have equal shapes")
     h, w = fmaps_l.mean.shape
@@ -236,24 +243,29 @@ def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, out=None):
         )
     t_m, t_h, t_v = _likelihood_tables(params)
     pair = (t_m[:, None] * t_h).ravel()
-    code_l = ((fmaps_l.mean + 255) * _SPAN + fmaps_l.grad_h + 255)[:, d_max:, None]
-    gv_l = fmaps_l.grad_v[:, d_max:, None] + 255
-    # [y, x, d] is the right partner of valid pixel x at disparity d
-    code_r, gv_r = (
-        sliding_window_view(right, d_max + 1, axis=1)[:, :, ::-1]
-        for right in (fmaps_r.mean * _SPAN + fmaps_r.grad_h, fmaps_r.grad_v)
-    )
+    band = min(_BAND_ROWS, h)
+    codes = np.empty((2, 2, band, w), np.intp)  # [view][mean-grad_h, grad_v]
+    # [code, y, x, d] is the right partner of valid pixel x at disparity d
+    right = sliding_window_view(codes[1], d_max + 1, axis=2)[..., ::-1]
 
-    shape = (min(_BAND_ROWS, h), w - d_max, d_max + 1)
+    shape = (band, w - d_max, d_max + 1)
     index, pm, pv = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
     for y0 in range(0, h, _BAND_ROWS):
         rows = slice(y0, min(y0 + _BAND_ROWS, h))
-        i, m, v = (buf[: rows.stop - y0] for buf in (index, pm, pv))
+        n = rows.stop - y0
+        i, m, v = index[:n], pm[:n], pv[:n]
+        for fmaps, (code, gv) in zip((fmaps_l, fmaps_r), codes[:, :, :n]):
+            code[...], gv[...] = fmaps.mean[rows], fmaps.grad_v[rows]
+            code *= _SPAN
+            code += fmaps.grad_h[rows]
+        code_l, gv_l = codes[0, :, :n, d_max:, None]
+        code_l += 255 * _SPAN + 255
+        gv_l += 255
         # mode="clip" writes straight into `out` ("raise" would buffer a copy);
         # `FeatureMaps`' ranges keep every index inside its table
-        np.subtract(code_l[rows], code_r[rows], out=i)
+        np.subtract(code_l, right[0, :n], out=i)
         np.take(pair, i, out=m, mode="clip")
-        np.subtract(gv_l[rows], gv_r[rows], out=i)
+        np.subtract(gv_l, right[1, :n], out=i)
         np.take(t_v, i, out=v, mode="clip")
         rates = m if out is None else out[rows, :, : d_max + 1]
         yield rows, np.multiply(m, v, out=rates)

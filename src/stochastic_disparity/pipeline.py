@@ -82,9 +82,11 @@ def render_disparity(
 ) -> np.ndarray:
     """Grayscale image of a MAP disparity grid over the full feature-map
     width: disparity d renders round(255 * d / d_max); -1 (no-match or
-    timeout) and the x < d_max border, which has no valid pixels, are black."""
+    timeout) and the x < d_max border, which has no valid pixels, are black.
+    One uint8 table holds the shade of every d, at entry d + 1."""
+    shades = np.rint(255.0 * np.maximum(np.arange(-1, d_max + 1), 0) / d_max)
     img = np.zeros((map_disparity.shape[0], feature_width), dtype=np.uint8)
-    img[:, d_max:] = np.rint(255.0 * np.maximum(map_disparity, 0) / d_max)
+    img[:, d_max:] = shades.astype(np.uint8)[map_disparity + 1]
     return img
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -137,6 +138,18 @@ class TestComputeFeatures:
         gap = min(abs(abs(q) % 1 - Fraction(1, 2)) for q in ratios)
         assert gap >= Fraction(1, 7650)
 
+    def test_vga_maps_are_int16_and_peak_below_48_bytes_per_pixel(self):
+        # int32 sums into int16 maps; int64 ones peaked at 63 bytes per pixel
+        img, _ = planted_shift_pair(640, 480, 20, seed=1, noise_sigma=20)
+        tracemalloc.start()
+        try:
+            fmaps = compute_features(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [getattr(fmaps, n).dtype for n in FEATURE_NAMES] == [np.int16] * 3
+        assert peak < 48 * img.size
+
     def test_package_import_loads_no_heavy_scipy_modules(self):
         src = Path(model.__file__).parents[1]
         code = (
@@ -231,8 +244,8 @@ def matching_cost(fmaps_l, fmaps_r, x, y, d, feature):
     """Squared difference between the left feature at x and the right at x - d:
     the cost the likelihood tables are checked against, computed directly."""
     assert 0 <= x - d
-    left = getattr(fmaps_l, feature)[y, x]
-    right = getattr(fmaps_r, feature)[y, x - d]
+    left = int(getattr(fmaps_l, feature)[y, x])  # int16 maps: square Python ints
+    right = int(getattr(fmaps_r, feature)[y, x - d])
     return float((left - right) ** 2)
 
 
@@ -398,6 +411,37 @@ class TestLikelihoodVolume:
         fmaps = compute_features(np.zeros((6, 6)))
         with pytest.raises(ValueError, match="grad_h"):
             FeatureMaps(fmaps.mean, fmaps.grad_h + 128, fmaps.grad_v)
+
+    def test_every_integer_dtype_gives_the_same_rates_and_specs(self):
+        # the maps are held as int16 and the codes formed in intp, so narrow
+        # maps neither overflow the codes nor wrap a uint8 difference
+        params = ModelParams(d_max=2)
+        rng = np.random.default_rng(7)
+        shape = (3, 6)
+        views = [
+            (rng.integers(0, 256, shape), *rng.integers(-127, 128, (2, *shape)))
+            for _ in range(2)
+        ]
+        dtypes = [(t, t, t) for t in (np.int16, np.int32, np.int64)]
+        built = []
+        for types in dtypes + [(np.uint8, np.int64, np.int64)]:
+            fmaps_l, fmaps_r = (
+                FeatureMaps(*(a.astype(t) for a, t in zip(maps, types)))
+                for maps in views
+            )
+            assert all(getattr(fmaps_l, n).dtype == np.int16 for n in FEATURE_NAMES)
+            rates = build_likelihood_volume(fmaps_l, fmaps_r, params).rates
+            specs = [
+                build_pixel_spec(fmaps_l, fmaps_r, params, x, y).term_table
+                for y in range(shape[0])
+                for x in range(params.d_max, shape[1])
+            ]
+            built.append((rates, np.array(specs)))
+        for rates, specs in built[1:]:
+            np.testing.assert_array_equal(rates, built[0][0])
+            np.testing.assert_array_equal(specs, built[0][1])
+        with pytest.raises(ValueError, match="mean features must be integers"):
+            FeatureMaps(views[0][0].astype(float), *views[0][1:])
 
 
 class TestBuildPixelSpec:

@@ -154,9 +154,9 @@ class TestReferenceOutcome:
 
     def test_reference_mode_never_holds_the_volume(self, tmp_path):
         # a 640x480 pair has a 476 x 556 x 82 float64 volume, 174 MB; one
-        # band of rates, the feature maps, the codes and the winner grid are
-        # about a fifth of it. Small grids do not show this: the feature maps
-        # and the 511 x 511 mean-grad_h table stay a fixed share.
+        # band of rates, the int16 feature maps and the winner grid are about
+        # a twelfth of it. Small grids do not show this: the feature maps and
+        # the 511 x 511 mean-grad_h table stay a fixed share.
         paths = write_pair(
             tmp_path, *planted_shift_pair(640, 480, 20, seed=1, noise_sigma=20)
         )
@@ -171,7 +171,7 @@ class TestReferenceOutcome:
             tracemalloc.stop()
         volume_bytes = summary.reference.winner.size * config.params.machine_width * 8
         assert summary.reference.winner.shape == (476, 556)
-        assert peak < volume_bytes / 4
+        assert peak < volume_bytes / 8
 
 
 class TestDisparityImages:
@@ -185,6 +185,14 @@ class TestDisparityImages:
 
     def test_luminance_rounding(self):
         assert render_disparity(np.array([[40]]), 80, 81)[0, 80] == 128
+
+    @pytest.mark.parametrize("d_max", [1, 2, 7, 80])
+    def test_every_disparity_renders_as_the_float_formula(self, d_max):
+        disparity = np.arange(-1, d_max + 1)[None, :]  # -1: no-match or timeout
+        want = np.rint(255.0 * np.maximum(disparity, 0) / d_max).astype(np.uint8)
+        img = render_disparity(disparity, d_max, d_max + disparity.shape[1])
+        assert img.dtype == np.uint8
+        assert img[:, d_max:].tobytes() == want.tobytes()
 
     def test_no_match_pixels_render_black(self):
         lik = np.full((1, 2, 3), 0.02 * 0.02 * 0.02)
