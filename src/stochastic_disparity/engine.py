@@ -11,14 +11,13 @@ arrays, allocated once per grid; no-match, timeouts and the MAP are read
 from the winner (`Outcome`).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES, stream_seed
 from .machine import check_race_args, race_arrivals
-from .model import LikelihoodVolume, Outcome
+from .model import LikelihoodVolume, Outcome, _run_shares
 
 # Valid pixels per race call and per generator stream, a term of the
 # determinism contract and so not a parameter. Large enough that numpy's
@@ -78,29 +77,18 @@ def run_stochastic_grid(
     pixels, counts_px = rates.reshape(-1, m), counts.reshape(-1, m)
     winner_px, cycles_px = winner.reshape(-1), cycles.reshape(-1)
     blocks = -(-winner.size // RACE_BLOCK)
-    threads = max(1, min(workers, blocks))
 
-    def race_blocks(first):
-        # Thread `first` races blocks first, first + threads, ...: blocks
-        # share no generator and write disjoint slices, so threads need no
-        # lock, and numpy's draws and array kernels release the GIL. One task
-        # per thread, not per block, spares the caller a wake-up per block.
-        for k in range(first, blocks, threads):
+    def race_blocks(share):
+        # Blocks share no generator and write disjoint slices, so threads
+        # need no lock, and numpy's draws and array kernels release the GIL.
+        for k in share:
             part = slice(k * RACE_BLOCK, (k + 1) * RACE_BLOCK)
             rng = np.random.default_rng(stream_seed(master_seed, k))
             counts_px[part], winner_px[part], cycles_px[part] = race_arrivals(
                 rng, pixels[part], n_max, max_cycles
             )
 
-    if threads == 1:
-        race_blocks(0)
-    else:
-        # The caller races share 0 itself: one thread fewer to start, and
-        # its blocks reuse memory the caller's earlier stages freed.
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            rest = pool.map(race_blocks, range(1, threads))
-            race_blocks(0)
-            list(rest)  # re-raises any pool thread's exception
+    _run_shares(race_blocks, blocks, workers)
     return StochasticResult(
         winner=winner, d_max=volume.params.d_max, counts=counts, n_max=n_max,
         cycles=cycles,

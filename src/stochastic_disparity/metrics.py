@@ -10,9 +10,8 @@ import numpy as np
 from .bitstream import DEFAULT_MAX_CYCLES
 from .engine import RACE_BLOCK, StochasticResult, run_stochastic_grid
 from .machine import check_race_args
-from .model import (
-    BORDER, ModelParams, Outcome, build_likelihood_volume, compute_features,
-)
+from .model import BORDER, ModelParams, Outcome, _run_shares
+from .model import build_likelihood_volume, compute_features
 from .reference import ReferenceResult, reference_infer
 
 SWEEP_CSV_HEADER = "n_max,rms,f1,cycles_mean,cycles_sd,timeouts"
@@ -143,13 +142,16 @@ def _distributions(values, winner, part: slice, keep: np.ndarray) -> np.ndarray:
     return dist
 
 
-def score_readouts(run: Readout, reference: Readout) -> Tuple[float, float, int]:
+def score_readouts(
+    run: Readout, reference: Readout, workers: int = 1
+) -> Tuple[float, float, int]:
     """RMS distribution error, no-match F1 and the matched pixel count.
 
     F1 covers every pixel, with the reference outcome's no-match flags as
     truth; a timed-out pixel counts as not flagging no-match. RMS covers the
     pixels whose winner is a disparity on both sides, summed over blocks of
-    `RACE_BLOCK` row-major pixels so no grid-sized distribution is built.
+    `RACE_BLOCK` row-major pixels, on up to `workers` threads, so no
+    grid-sized distribution is built.
     """
     if np.shape(run.values) != np.shape(reference.values):
         raise ValueError("distribution arrays must have identical shapes")
@@ -161,21 +163,30 @@ def score_readouts(run: Readout, reference: Readout) -> Tuple[float, float, int]
         (np.reshape(r.values, (n, m)), np.reshape(r.outcome.winner, n))
         for r in (run, reference)
     ]
-    matched, total = matched.reshape(n), 0.0
-    for part in (slice(k, k + RACE_BLOCK) for k in range(0, n, RACE_BLOCK)):
-        diff = _distributions(*sides[0], part, matched[part])
-        diff -= _distributions(*sides[1], part, matched[part])
-        total += float(np.square(diff, out=diff).sum())
+    matched, sums = matched.reshape(n), [0.0] * -(-n // RACE_BLOCK)
+
+    def share(blocks):
+        for k in blocks:
+            part = slice(k * RACE_BLOCK, (k + 1) * RACE_BLOCK)
+            diff = _distributions(*sides[0], part, matched[part])
+            diff -= _distributions(*sides[1], part, matched[part])
+            sums[k] = float(np.square(diff, out=diff).sum())
+
+    _run_shares(share, len(sums), workers)
+    total = 0.0
+    for block_sum in sums:  # in block order, as one thread adds them
+        total += block_sum
     rms = math.sqrt(total / (n_matched * (m - 1)))
     return rms, f1_nomatch(reference.outcome.no_match, run.outcome.no_match), n_matched
 
 
 def compare_results(
-    stochastic: StochasticResult, reference: ReferenceResult
+    stochastic: StochasticResult, reference: ReferenceResult, workers: int = 1
 ) -> AccuracyReport:
     """Score one stochastic run against the reference on the same volume."""
     rms, f1, n_matched = score_readouts(
-        Readout(stochastic.counts, stochastic), Readout(reference.rates, reference)
+        Readout(stochastic.counts, stochastic), Readout(reference.rates, reference),
+        workers,
     )
     return AccuracyReport(
         n_max=stochastic.n_max,
@@ -210,15 +221,15 @@ def sweep_counter_sizes(
         check_race_args(n_max, max_cycles, workers)
     fmaps_l = compute_features(left)
     fmaps_r = compute_features(right)
-    volume = build_likelihood_volume(fmaps_l, fmaps_r, params)
-    reference = reference_infer(volume)
+    volume = build_likelihood_volume(fmaps_l, fmaps_r, params, workers)
+    reference = reference_infer(volume, workers)
 
     reports = []
     for n_max in n_max_values:
         per_seed = [
             compare_results(
                 run_stochastic_grid(volume, n_max, seed, max_cycles, workers),
-                reference,
+                reference, workers,
             )
             for seed in seeds
         ]

@@ -8,6 +8,8 @@ low-contrast pixels so the machine never stalls on near-zero rates.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -119,6 +121,8 @@ class FeatureMaps:
     grad_v: np.ndarray
 
     def __post_init__(self):  # likelihoods are tabulated over left - right
+        if not self.mean.shape == self.grad_h.shape == self.grad_v.shape:
+            raise ValueError("feature maps must share one shape")
         for name, (lo, hi) in zip(FEATURE_NAMES, FEATURE_RANGES):
             arr = getattr(self, name)
             if not np.issubdtype(arr.dtype, np.integer):
@@ -218,21 +222,47 @@ class LikelihoodVolume:
 _BAND_ROWS = 4  # rows per band of `_rate_bands` and of its buffers
 _SPAN = 2 * 255 + 1  # signed feature differences -255..255
 
+# One pool of T - 1 threads per thread count T, kept for the process's life
+# (a pool per call churns threads); a forked child drops its parent's pools.
+_POOLS = {}
+os.register_at_fork(after_in_child=lambda: _POOLS.clear())
+
+
+def _run_shares(share, items: int, workers: int) -> None:
+    """Run share(range(k, items, T)) for each k < T = min(workers, items): share
+    0 on the caller, the rest on a pool, so workers=1 starts no thread. Shares
+    write disjoint outputs and never nest; an error re-raises once all end."""
+    threads = max(1, min(workers, items))
+    if threads > 1 and threads not in _POOLS:  # racing callers: setdefault keeps one
+        _POOLS.setdefault(threads, ThreadPoolExecutor(threads - 1))
+    shares = [range(k, items, threads) for k in range(1, threads)]
+    rest = [_POOLS[threads].submit(share, part) for part in shares]
+    try:
+        share(range(0, items, threads))
+    finally:
+        wait(rest)
+    for future in rest:
+        future.result()
+
 
 def _likelihood_tables(params: ModelParams):
     """The mean, grad_h and grad_v likelihoods of every signed difference
-    left - right in -255..255; entry k is the difference k - 255."""
+    left - right in -255..255 (entry k is k - 255), then the no-match rate of
+    every grad_v in -127..127 (entry k is k - 127)."""
     cost = np.arange(-255.0, 256.0) ** 2
     sigmas = (params.sigma_m, params.sigma_gh, params.sigma_gv)
-    return tuple(likelihood(cost, sigma, params.p0) for sigma in sigmas)
+    nomatch = nomatch_probability(np.arange(-127, 128), params.p_nm0, params.sigma_nm)
+    return (*(likelihood(cost, s, params.p0) for s in sigmas), np.asarray(nomatch))
 
 
-def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, out=None):
-    """The one rate builder: yields (rows, rates of disparities 0..d_max) per
-    band of `_BAND_ROWS` rows, as views of `out` if given, else of one buffer.
-    A subtraction of each band's intp codes indexes `pair`, t_m * t_h at
-    (dm + 255) * 511 + dh + 255, and t_v gives the third factor, multiplied
-    in that order."""
+def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, each,
+                out=None, workers=1):
+    """The one rate builder: calls each(rows, rates of disparities 0..d_max,
+    no-match rates) for every band of `_BAND_ROWS` rows, as views of `out`
+    if given, else of buffers the thread's next band reuses. The bands are
+    shared over up to `workers` threads. A subtraction of each band's intp
+    codes indexes `pair`, t_m * t_h at (dm + 255) * 511 + dh + 255, and t_v
+    gives the third factor, multiplied in that order."""
     if fmaps_l.mean.shape != fmaps_r.mean.shape:
         raise ValueError("left and right feature maps must have equal shapes")
     h, w = fmaps_l.mean.shape
@@ -241,48 +271,53 @@ def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, out=None):
         raise ValueError(
             f"feature maps of width {w} leave no valid pixels at d_max={d_max}"
         )
-    t_m, t_h, t_v = _likelihood_tables(params)
+    t_m, t_h, t_v, t_nm = _likelihood_tables(params)
     pair = (t_m[:, None] * t_h).ravel()
     band = min(_BAND_ROWS, h)
-    codes = np.empty((2, 2, band, w), np.intp)  # [view][mean-grad_h, grad_v]
-    # [code, y, x, d] is the right partner of valid pixel x at disparity d
-    right = sliding_window_view(codes[1], d_max + 1, axis=2)[..., ::-1]
-
     shape = (band, w - d_max, d_max + 1)
-    index, pm, pv = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
-    for y0 in range(0, h, _BAND_ROWS):
-        rows = slice(y0, min(y0 + _BAND_ROWS, h))
-        n = rows.stop - y0
-        i, m, v = index[:n], pm[:n], pv[:n]
-        for fmaps, (code, gv) in zip((fmaps_l, fmaps_r), codes[:, :, :n]):
-            code[...], gv[...] = fmaps.mean[rows], fmaps.grad_v[rows]
-            code *= _SPAN
-            code += fmaps.grad_h[rows]
-        code_l, gv_l = codes[0, :, :n, d_max:, None]
-        code_l += 255 * _SPAN + 255
-        gv_l += 255
-        # mode="clip" writes straight into `out` ("raise" would buffer a copy);
-        # `FeatureMaps`' ranges keep every index inside its table
-        np.subtract(code_l, right[0, :n], out=i)
-        np.take(pair, i, out=m, mode="clip")
-        np.subtract(gv_l, right[1, :n], out=i)
-        np.take(t_v, i, out=v, mode="clip")
-        rates = m if out is None else out[rows, :, : d_max + 1]
-        yield rows, np.multiply(m, v, out=rates)
+
+    def share(bands):
+        codes = np.empty((2, 2, band, w), np.intp)  # [view][mean-grad_h, grad_v]
+        # [code, y, x, d] is the right partner of valid pixel x at disparity d;
+        # right codes are held reversed in x so d runs forward, a unit stride.
+        right = sliding_window_view(codes[1], d_max + 1, axis=2)[:, :, ::-1]
+        index, pm, pv = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
+        for y0 in (k * _BAND_ROWS for k in bands):
+            rows = slice(y0, min(y0 + _BAND_ROWS, h))
+            n = rows.stop - y0
+            i, m, v = index[:n], pm[:n], pv[:n]
+            views = zip((fmaps_l, fmaps_r), codes[:, :, :n], (1, -1))
+            for fmaps, (code, gv), dx in views:
+                code[...], gv[...] = fmaps.mean[rows, ::dx], fmaps.grad_v[rows, ::dx]
+                code *= _SPAN
+                code += fmaps.grad_h[rows, ::dx]
+            code_l, gv_l = codes[0, :, :n, d_max:, None]
+            code_l += 255 * _SPAN + 255
+            gv_l += 255
+            # mode="clip" writes straight into `out` ("raise" would buffer a
+            # copy); `FeatureMaps`' ranges keep every index inside its table
+            np.subtract(code_l, right[0, :n], out=i)
+            np.take(pair, i, out=m, mode="clip")
+            np.subtract(gv_l, right[1, :n], out=i)
+            np.take(t_v, i, out=v, mode="clip")
+            rates = m if out is None else out[rows, :, : d_max + 1]
+            np.multiply(m, v, out=rates)
+            nomatch = None if out is None else out[rows, :, -1]
+            gv = fmaps_l.grad_v[rows, d_max:] + 127
+            each(rows, rates, np.take(t_nm, gv, out=nomatch, mode="clip"))
+
+    _run_shares(share, -(-h // _BAND_ROWS), workers)
 
 
 def build_likelihood_volume(
-    fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params: ModelParams
+    fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params: ModelParams, workers: int = 1
 ) -> LikelihoodVolume:
-    """Every band of `_rate_bands` in one array, then the no-match column."""
+    """Every band of `_rate_bands` on `workers` threads into one array."""
     grad_v = fmaps_l.grad_v[:, params.d_max :]  # `_rate_bands` checks the shapes
     rates = np.empty(grad_v.shape + (params.machine_width,))
-    for _ in _rate_bands(fmaps_l, fmaps_r, params, out=rates):
-        pass
-    rates[:, :, -1] = nomatch_probability(grad_v, params.p_nm0, params.sigma_nm)
+    _rate_bands(fmaps_l, fmaps_r, params, lambda *band: None, rates, workers)
     # products of factors in [0, 1] stay in [0, 1]: no scan of the whole volume
-    factors = (*_likelihood_tables(params), rates[..., -1])
-    checked = all(0 <= f.min() <= f.max() <= 1 for f in factors)
+    checked = all(0 <= f.min() <= f.max() <= 1 for f in _likelihood_tables(params))
     return LikelihoodVolume(rates, params, checked)
 
 
@@ -307,12 +342,10 @@ def build_pixel_spec(
     m = params.machine_width
     term_table = np.ones((3, m))
     partners = x - np.arange(d_max + 1)  # right column at disparity d
-    tables = _likelihood_tables(params)
+    *tables, t_nm = _likelihood_tables(params)
     for row, (name, table) in enumerate(zip(FEATURE_NAMES, tables)):
         left, right = getattr(fmaps_l, name), getattr(fmaps_r, name)
         term_table[row, : d_max + 1] = table[left[y, x] - right[y, partners] + 255]
-    term_table[0, params.nomatch_index] = nomatch_probability(
-        fmaps_l.grad_v[y, x], params.p_nm0, params.sigma_nm
-    )
+    term_table[0, params.nomatch_index] = t_nm[fmaps_l.grad_v[y, x] + 127]
     bus_constants = [float(d_max + 1), 1.0, 1.0, 1.0]
     return FusionSpec(np.ones(m), term_table, bus_constants)

@@ -113,11 +113,12 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
     feature_width = fmaps_l.width
     d_max = config.params.d_max
 
+    workers = config.workers
     if config.mode == "reference":
-        reference = reference_outcome(fmaps_l, fmaps_r, config.params)
+        reference = reference_outcome(fmaps_l, fmaps_r, config.params, workers)
     else:
-        volume = build_likelihood_volume(fmaps_l, fmaps_r, config.params)
-        reference = reference_infer(volume) if config.mode == "both" else None
+        volume = build_likelihood_volume(fmaps_l, fmaps_r, config.params, workers)
+        reference = reference_infer(volume, workers) if config.mode == "both" else None
     if reference is not None and config.reference_image_out is not None:
         save_image(
             config.reference_image_out,
@@ -131,7 +132,7 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
             config.n_max,
             config.seed,
             max_cycles=config.max_cycles,
-            workers=config.workers,
+            workers=workers,
         )
     summary = PipelineSummary(reference=reference, stochastic=stochastic)
     if stochastic is not None:

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FeatureMaps, LikelihoodVolume, Outcome
-from .model import _rate_bands, nomatch_probability
+from .model import FeatureMaps, LikelihoodVolume, Outcome, _rate_bands, _run_shares
 
 
 @dataclass(frozen=True)
@@ -31,28 +30,40 @@ class ReferenceResult(Outcome):
         return self.rates[:, :, :-1] / top
 
 
-def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
+def reference_infer(volume: LikelihoodVolume, workers: int = 1) -> ReferenceResult:
     """Exact MAP indices and no-match flags for all pixels.
 
     The uniform prior constant drops out of the argmax, and `argmax` takes
     the first channel at the top rate: tied disparities resolve to the
-    lowest index, and an exact tie with no-match stays matched.
+    lowest index, and an exact tie with no-match stays matched. With
+    workers > 1 the rows are argmaxed on up to that many threads.
     """
-    return ReferenceResult(
-        winner=volume.rates.argmax(axis=2),
-        d_max=volume.params.d_max,
-        rates=volume.rates,
-    )
+    rates = volume.rates
+    winner = np.empty(rates.shape[:2], np.intp)
+
+    def share(ys):
+        for y in ys:
+            rates[y].argmax(axis=1, out=winner[y])
+
+    _run_shares(share, len(rates), workers)
+    return ReferenceResult(winner=winner, d_max=volume.params.d_max, rates=rates)
 
 
-def reference_outcome(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params) -> Outcome:
+def reference_outcome(
+    fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, workers: int = 1
+) -> Outcome:
     """The winners of `reference_infer(build_likelihood_volume(...))`, one
-    band of rates at a time: no-match wins only above the top disparity rate."""
+    band of rates at a time, on up to `workers` threads: no-match wins only
+    above the top disparity rate."""
     grad_v = fmaps_l.grad_v[:, params.d_max :]  # `_rate_bands` checks the shapes
     winner = np.empty(grad_v.shape, np.intp)
-    for rows, rates in _rate_bands(fmaps_l, fmaps_r, params):
+
+    def pick(rows, rates, nomatch):
         best = rates.argmax(axis=2, out=winner[rows])
-        top = np.take_along_axis(rates, best[..., None], axis=2)[..., 0]
-        nomatch = nomatch_probability(grad_v[rows], params.p_nm0, params.sigma_nm)
+        # flat positions in the C-ordered band: each pixel's disparity 0, + best
+        starts = np.arange(best.size).reshape(best.shape) * (params.d_max + 1)
+        top = rates.take(starts + best)
         best[nomatch > top] = params.nomatch_index
+
+    _rate_bands(fmaps_l, fmaps_r, params, pick, workers=workers)
     return Outcome(winner, params.d_max)

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from stochastic_disparity import engine
+from stochastic_disparity import engine, model
 from stochastic_disparity.bitstream import stream_seed
 from stochastic_disparity.engine import run_stochastic_grid
 from stochastic_disparity.machine import race_arrivals
@@ -74,18 +74,25 @@ class TestDeterminism:
     def test_threads_never_outnumber_blocks(
         self, small_volume, small_blocks, monkeypatch
     ):
-        sizes = []
+        sizes, pools = [], []
 
         class RecordingPool(ThreadPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
+                pools.append(self)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
-        run_stochastic_grid(
-            small_volume, 8, master_seed=1, workers=small_blocks + 3
-        )
-        run_stochastic_grid(small_volume, 8, master_seed=1, workers=2)
+        # the pools live in `model` for the process; start from none
+        monkeypatch.setattr(model, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(model, "_POOLS", {})
+        try:
+            run_stochastic_grid(
+                small_volume, 8, master_seed=1, workers=small_blocks + 3
+            )
+            run_stochastic_grid(small_volume, 8, master_seed=1, workers=2)
+        finally:
+            for pool in pools:
+                pool.shutdown()
         # the calling thread races one share of the blocks itself
         assert sizes == [small_blocks - 1, 1]
 

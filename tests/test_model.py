@@ -235,6 +235,16 @@ class TestNomatchProbability:
         assert nomatch_probability(8.0, 0.01, 8.0) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(0.610465, abs=1e-6)
 
+    @pytest.mark.parametrize("size", [1, 7, 255, 1000, 264_656])
+    def test_table_equals_the_direct_call_bit_for_bit(self, size):
+        # the rate builder reads no-match rates from a 255-entry table; a
+        # vectorised exp must give those bits at any array length
+        params = ModelParams()
+        grad_v = np.random.default_rng(size).integers(-127, 128, size)
+        direct = nomatch_probability(grad_v, params.p_nm0, params.sigma_nm)
+        tabled = model._likelihood_tables(params)[3][grad_v + 127]
+        assert tabled.tobytes() == direct.tobytes()
+
 
 def sigmas(params):
     return (params.sigma_m, params.sigma_gh, params.sigma_gv)
@@ -411,6 +421,14 @@ class TestLikelihoodVolume:
         fmaps = compute_features(np.zeros((6, 6)))
         with pytest.raises(ValueError, match="grad_h"):
             FeatureMaps(fmaps.mean, fmaps.grad_h + 128, fmaps.grad_v)
+
+    def test_maps_of_different_shapes_rejected_before_their_ranges(self):
+        # a one-column grad_h would otherwise broadcast across each row's rates
+        z = np.zeros((3, 6), int)
+        with pytest.raises(ValueError, match="share one shape"):
+            FeatureMaps(z, np.zeros((3, 1), int), z)
+        with pytest.raises(ValueError, match="share one shape"):
+            FeatureMaps(z, np.full((3, 1), 500), z)
 
     def test_every_integer_dtype_gives_the_same_rates_and_specs(self):
         # the maps are held as int16 and the codes formed in intp, so narrow
