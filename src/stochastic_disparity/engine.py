@@ -62,11 +62,10 @@ def run_stochastic_grid(
     (k + 1) * RACE_BLOCK - 1, so a block may straddle rows and the last may
     be short; it races on `stream_seed(master_seed, k)`. The outputs are
     allocated once and each block is written into them; counts take the
-    smallest unsigned dtype that holds n_max. With workers > 1 blocks are
-    raced on up to that many threads, never more than there are blocks;
-    per-block seeding keeps the output bit-identical to a serial run.
+    smallest unsigned dtype that holds n_max. Per-block seeding keeps the
+    output at any `workers` count bit-identical to a serial run.
     """
-    check_race_args(n_max, max_cycles, workers)
+    check_race_args(n_max, max_cycles, workers, master_seed)
     rates = volume.rates
     counts = np.empty(rates.shape, dtype=np.min_scalar_type(n_max))
     winner = np.empty(rates.shape[:2], dtype=np.int64)
@@ -78,10 +77,10 @@ def run_stochastic_grid(
     winner_px, cycles_px = winner.reshape(-1), cycles.reshape(-1)
     blocks = -(-winner.size // RACE_BLOCK)
 
-    def race_blocks(share):
+    def race_blocks(draws):
         # Blocks share no generator and write disjoint slices, so threads
         # need no lock, and numpy's draws and array kernels release the GIL.
-        for k in share:
+        for k in draws:
             part = slice(k * RACE_BLOCK, (k + 1) * RACE_BLOCK)
             rng = np.random.default_rng(stream_seed(master_seed, k))
             counts_px[part], winner_px[part], cycles_px[part] = race_arrivals(

@@ -139,12 +139,18 @@ def build_machine(spec: FusionSpec, seed: int) -> Machine:
     return Machine(spec, seed)
 
 
-def check_race_args(n_max: int, max_cycles: int, workers: int = 1) -> None:
+def check_race_args(n_max: int, max_cycles: int, workers: int = 1, seed: int = 0):
     """Reject a race that cannot run before any of its work is done."""
     if n_max < 1:
         raise ValueError("counter maximum n_max must be positive")
     if not 0 < max_cycles < 2**63 - 1:  # arrivals clip at max_cycles + 1 in int64
         raise ValueError("max_cycles must lie in [1, 2**63 - 2]")
+    if seed < 0:  # a `SeedSequence` entropy
+        raise ValueError("seed must be nonnegative")
+    check_worker_count(workers)
+
+
+def check_worker_count(workers: int) -> None:  # of every stage on threads
     if workers < 1:
         raise ValueError("worker count must be positive")
 

@@ -218,7 +218,7 @@ def sweep_counter_sizes(
     if not seeds:
         raise ValueError("need at least one seed")
     for n_max in n_max_values:
-        check_race_args(n_max, max_cycles, workers)
+        check_race_args(n_max, max_cycles, workers, min(seeds))
     fmaps_l = compute_features(left)
     fmaps_r = compute_features(right)
     volume = build_likelihood_volume(fmaps_l, fmaps_r, params, workers)

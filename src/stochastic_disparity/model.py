@@ -7,15 +7,16 @@ with a floor probability. An extra no-match channel covers occlusions and
 low-contrast pixels so the machine never stalls on near-zero rates.
 """
 
+import functools
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .machine import FusionSpec
+from .machine import FusionSpec, check_worker_count
 from .pgm import check_gray_pixels
 
 KERNEL_SIZE = 5
@@ -222,25 +223,19 @@ class LikelihoodVolume:
 _BAND_ROWS = 4  # rows per band of `_rate_bands` and of its buffers
 _SPAN = 2 * 255 + 1  # signed feature differences -255..255
 
-# One pool of T - 1 threads per thread count T, kept for the process's life
-# (a pool per call churns threads); a forked child drops its parent's pools.
-_POOLS = {}
-os.register_at_fork(after_in_child=lambda: _POOLS.clear())
-
 
 def _run_shares(share, items: int, workers: int) -> None:
-    """Run share(range(k, items, T)) for each k < T = min(workers, items): share
-    0 on the caller, the rest on a pool, so workers=1 starts no thread. Shares
-    write disjoint outputs and never nest; an error re-raises once all end."""
-    threads = max(1, min(workers, items))
-    if threads > 1 and threads not in _POOLS:  # racing callers: setdefault keeps one
-        _POOLS.setdefault(threads, ThreadPoolExecutor(threads - 1))
-    shares = [range(k, items, threads) for k in range(1, threads)]
-    rest = [_POOLS[threads].submit(share, part) for part in shares]
-    try:
-        share(range(0, items, threads))
-    finally:
-        wait(rest)
+    """Run share(draws) on T = min(workers, items) threads, the caller's and
+    T - 1 of a pool made for this call (none at T = 1). All draws take items
+    below `items` from one `itertools.count()`, advanced under CPython's GIL,
+    so a slow thread leaves the rest to the others. Shares write disjoint
+    outputs and never nest; the first pool error re-raises once all end."""
+    check_worker_count(workers)
+    draws = functools.partial(itertools.takewhile, items.__gt__, itertools.count())
+    threads = min(workers, items)
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        rest = [pool.submit(share, draws()) for _ in range(threads - 1)]
+        share(draws())
     for future in rest:
         future.result()
 

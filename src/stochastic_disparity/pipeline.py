@@ -37,7 +37,7 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        check_race_args(self.n_max, self.max_cycles, self.workers)
+        check_race_args(self.n_max, self.max_cycles, self.workers, self.seed)
         stochastic_outs = (self.stochastic_image_out, self.dump_out)
         if self.mode == "reference" and any(p is not None for p in stochastic_outs):
             raise ValueError("reference mode writes no stochastic image or dump")

@@ -31,12 +31,11 @@ class ReferenceResult(Outcome):
 
 
 def reference_infer(volume: LikelihoodVolume, workers: int = 1) -> ReferenceResult:
-    """Exact MAP indices and no-match flags for all pixels.
+    """Exact MAP indices and no-match flags of all rows, on `workers` threads.
 
     The uniform prior constant drops out of the argmax, and `argmax` takes
     the first channel at the top rate: tied disparities resolve to the
-    lowest index, and an exact tie with no-match stays matched. With
-    workers > 1 the rows are argmaxed on up to that many threads.
+    lowest index, and an exact tie with no-match stays matched.
     """
     rates = volume.rates
     winner = np.empty(rates.shape[:2], np.intp)

@@ -74,25 +74,16 @@ class TestDeterminism:
     def test_threads_never_outnumber_blocks(
         self, small_volume, small_blocks, monkeypatch
     ):
-        sizes, pools = [], []
+        sizes = []
 
         class RecordingPool(ThreadPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
-                pools.append(self)
                 super().__init__(max_workers)
 
-        # the pools live in `model` for the process; start from none
         monkeypatch.setattr(model, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(model, "_POOLS", {})
-        try:
-            run_stochastic_grid(
-                small_volume, 8, master_seed=1, workers=small_blocks + 3
-            )
-            run_stochastic_grid(small_volume, 8, master_seed=1, workers=2)
-        finally:
-            for pool in pools:
-                pool.shutdown()
+        run_stochastic_grid(small_volume, 8, master_seed=1, workers=small_blocks + 3)
+        run_stochastic_grid(small_volume, 8, master_seed=1, workers=2)
         # the calling thread races one share of the blocks itself
         assert sizes == [small_blocks - 1, 1]
 
@@ -176,14 +167,18 @@ class TestResultSemantics:
     def test_a_row_error_reaches_the_caller_from_a_thread(
         self, small_volume, small_blocks, monkeypatch
     ):
-        def fail_on_row_3(rng, rates, n_max, max_cycles):
-            pooled = threading.current_thread() is not threading.main_thread()
-            if pooled and np.shares_memory(rates, small_volume.rates[3]):
-                raise RuntimeError("row 3 failed")
+        failed = threading.Event()
+
+        def fail_the_first_pooled_block(rng, rates, n_max, max_cycles):
+            if threading.current_thread() is threading.main_thread():
+                failed.wait(timeout=60)  # a pool thread draws a block first
+            elif not failed.is_set():
+                failed.set()
+                raise RuntimeError("pooled block failed")
             return race_arrivals(rng, rates, n_max, max_cycles)
 
-        monkeypatch.setattr(engine, "race_arrivals", fail_on_row_3)
-        with pytest.raises(RuntimeError, match="row 3"):
+        monkeypatch.setattr(engine, "race_arrivals", fail_the_first_pooled_block)
+        with pytest.raises(RuntimeError, match="pooled block"):
             run_stochastic_grid(small_volume, 8, master_seed=0, workers=2)
 
     @pytest.mark.parametrize("workers", [0, -3])

@@ -719,10 +719,12 @@ class TestCli:
             ["--n-max", str(2**16)],
             ["--mode", "reference"],  # with a stochastic image and a dump
             ["--mode", "stochastic"],  # with a reference image
+            ["--seed", "-1"],
         ],
         ids=[
             "max_cycles_beyond_int64", "n_max_beyond_dump",
             "reference_mode_stochastic_outputs", "stochastic_mode_reference_output",
+            "seed_negative",
         ],
     )
     def test_bad_config_exits_with_code_2_before_any_artifact(

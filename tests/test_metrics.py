@@ -275,22 +275,23 @@ class TestSweep:
             sweep_counter_sizes(left, right, ModelParams(d_max=8), [1], [])
 
     @pytest.mark.parametrize(
-        "n_max_values, workers, max_cycles, message",
+        "n_max_values, seeds, workers, max_cycles, message",
         [
-            ([4, 0], 1, 100, "must be positive"),
-            ([4, -2], 1, 100, "must be positive"),
-            ([4], 0, 100, "worker count"),
-            ([4], -3, 100, "worker count"),
-            ([4], 1, 0, "max_cycles"),
-            ([4], 1, 2**63 - 1, "max_cycles"),
+            ([4, 0], [0], 1, 100, "must be positive"),
+            ([4, -2], [0], 1, 100, "must be positive"),
+            ([4], [0], 0, 100, "worker count"),
+            ([4], [0], -3, 100, "worker count"),
+            ([4], [0], 1, 0, "max_cycles"),
+            ([4], [0], 1, 2**63 - 1, "max_cycles"),
+            ([4], [-1], 1, 100, "seed"),
         ],
         ids=[
             "n_max_0", "n_max_negative", "workers_0", "workers_negative",
-            "max_cycles_0", "max_cycles_beyond_int64",
+            "max_cycles_0", "max_cycles_beyond_int64", "seed_negative",
         ],
     )
     def test_bad_arguments_fail_before_any_work(
-        self, n_max_values, workers, max_cycles, message, monkeypatch
+        self, n_max_values, seeds, workers, max_cycles, message, monkeypatch
     ):
         def no_work(image):
             raise AssertionError("features computed before validation")
@@ -299,6 +300,6 @@ class TestSweep:
         left, right = planted_shift_pair(36, 12, 4, seed=6)
         with pytest.raises(ValueError, match=message):
             sweep_counter_sizes(
-                left, right, ModelParams(d_max=8), n_max_values, [0],
+                left, right, ModelParams(d_max=8), n_max_values, seeds,
                 max_cycles=max_cycles, workers=workers,
             )

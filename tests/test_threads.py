@@ -1,15 +1,17 @@
 """Every frame stage on `workers` threads: the serial run's bytes and floats,
-no thread at workers=1, errors from pool threads and forked children."""
+items drawn once from one counter, no thread at workers=1, one worker-count
+rule, errors from pool threads, stalled pool threads and forked children."""
 
 import multiprocessing
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from stochastic_disparity import engine, metrics, model
+from stochastic_disparity import engine, machine, metrics, model
 from stochastic_disparity.engine import run_stochastic_grid
 from stochastic_disparity.metrics import (
     Readout,
@@ -110,18 +112,62 @@ class TestThreads:
         sweep_counter_sizes(left, right, PARAMS, [1, 16], [0], workers=1)
         reference_outcome(*feature_pair(37), PARAMS, workers=1)
 
-    def test_a_pool_thread_error_reaches_the_caller_after_every_share(self):
-        ended = []
+    def test_every_item_is_drawn_once(self, interleaved):
+        drawn = []  # one list per share
 
         def share(items):
-            if items.start == 1:
-                raise RuntimeError("share 1 failed")
-            time.sleep(0.05 * items.start)
-            ended.append(items.start)
+            mine = []
+            drawn.append(mine)
+            for k in items:
+                mine.append(k)
+                time.sleep(0)  # let another thread draw next
 
-        with pytest.raises(RuntimeError, match="share 1"):
-            model._run_shares(share, 3, workers=3)
-        assert sorted(ended) == [0, 2]
+        model._run_shares(share, 5000, workers=8)
+        assert len(drawn) == 8
+        assert sorted(k for mine in drawn for k in mine) == list(range(5000))
+
+    def test_a_pool_thread_error_reaches_the_caller_after_every_share(self):
+        ran, failed = [], threading.Event()
+
+        def share(items):
+            if threading.current_thread() is threading.main_thread():
+                failed.wait(timeout=60)  # the pool thread draws first
+                ran.extend(items)
+            else:
+                for k in items:
+                    failed.set()
+                    raise RuntimeError(f"item {k} failed")
+
+        with pytest.raises(RuntimeError, match="item 0 failed"):
+            model._run_shares(share, 5, workers=2)
+        # the caller drew every other item before the error re-raised
+        assert ran == [1, 2, 3, 4]
+
+    def test_a_stalled_pool_share_leaves_its_items_to_the_caller(self, monkeypatch):
+        volume = build_likelihood_volume(*feature_pair(37), PARAMS)
+        blocks, raced, done = 4, [], threading.Event()
+        pixels = volume.rates[..., 0].size
+        monkeypatch.setattr(engine, "RACE_BLOCK", -(-pixels // blocks))
+        serial = run_stochastic_grid(volume, 16, 5)
+
+        def race_on_the_caller(*args):
+            raced.append(threading.current_thread() is threading.main_thread())
+            if len(raced) == blocks:
+                done.set()
+            return machine.race_arrivals(*args)
+
+        class StallingPool(ThreadPoolExecutor):
+            def submit(self, share, draws):
+                # the pool share waits, before its first draw, for the caller
+                # to race every block
+                return super().submit(lambda: done.wait(60) and share(draws))
+
+        monkeypatch.setattr(engine, "race_arrivals", race_on_the_caller)
+        monkeypatch.setattr(model, "ThreadPoolExecutor", StallingPool)
+        stalled = run_stochastic_grid(volume, 16, 5, workers=2)
+        assert raced == [True] * blocks
+        for name in ("counts", "winner", "cycles"):
+            assert getattr(stalled, name).tobytes() == getattr(serial, name).tobytes()
 
     def test_a_scoring_error_on_a_pool_thread_reaches_the_caller(
         self, monkeypatch
@@ -130,9 +176,13 @@ class TestThreads:
         volume = build_likelihood_volume(fmaps_l, fmaps_r, PARAMS)
         reference, run = reference_infer(volume), run_stochastic_grid(volume, 8, 0)
         distributions = metrics._distributions
+        failed = threading.Event()
 
         def fail_off_the_main_thread(*args):
-            if threading.current_thread() is not threading.main_thread():
+            if threading.current_thread() is threading.main_thread():
+                failed.wait(timeout=60)  # a pool thread draws a block first
+            else:
+                failed.set()
                 raise RuntimeError("pooled block failed")
             return distributions(*args)
 
@@ -141,12 +191,30 @@ class TestThreads:
         with pytest.raises(RuntimeError, match="pooled block"):
             compare_results(run, reference, workers=2)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize(
+        "stage", ["volume", "reference_outcome", "reference_infer", "engine", "compare"]
+    )
+    def test_every_stage_rejects_a_nonpositive_worker_count(self, stage, workers):
+        fmaps = feature_pair(5)
+        volume = build_likelihood_volume(*fmaps, PARAMS)
+        reference, run = reference_infer(volume), run_stochastic_grid(volume, 8, 0)
+        calls = {
+            "volume": lambda: build_likelihood_volume(*fmaps, PARAMS, workers),
+            "reference_outcome": lambda: reference_outcome(*fmaps, PARAMS, workers),
+            "reference_infer": lambda: reference_infer(volume, workers),
+            "engine": lambda: run_stochastic_grid(volume, 8, 0, workers=workers),
+            "compare": lambda: compare_results(run, reference, workers),
+        }
+        with pytest.raises(ValueError, match="worker count must be positive"):
+            calls[stage]()
+
     # a forked child is what is under test; Python 3.12 warns on any fork of
     # a process with threads
     @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
     def test_a_forked_child_runs_threaded_stages(self):
         fmaps_l, fmaps_r = feature_pair(37)
-        # the parent's pool of this thread count now has a live thread
+        # the parent has run a pool before it forks
         volume = build_likelihood_volume(fmaps_l, fmaps_r, PARAMS, workers=2)
 
         def child():
