@@ -22,6 +22,7 @@ from .metrics import (
     DEFAULT_CLOCK_HZ,
     DEFAULT_GENERATOR_POWER_W,
     Readout,
+    check_sweep_args,
     hardware_estimate,
     score_readouts,
     sweep_counter_sizes,
@@ -79,14 +80,16 @@ def _cmd_disparity(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    left = load_image(args.left)
-    right = load_image(args.right)
+    params = _params_from_args(args)
     n_max_values = [int(v) for v in args.n_max_list.split(",")]
     seeds = [args.seed + i for i in range(args.seeds)]
+    check_sweep_args(n_max_values, seeds, args.max_cycles, args.workers)
+    left = load_image(args.left)
+    right = load_image(args.right)
     reports = sweep_counter_sizes(
         left,
         right,
-        _params_from_args(args),
+        params,
         n_max_values,
         seeds,
         max_cycles=args.max_cycles,

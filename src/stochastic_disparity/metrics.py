@@ -199,6 +199,16 @@ def compare_results(
     )
 
 
+def check_sweep_args(n_max_values, seeds, max_cycles: int, workers: int) -> None:
+    """Reject a sweep that cannot run before any of its work is done."""
+    if not n_max_values:
+        raise ValueError("need at least one counter size")
+    if not seeds:
+        raise ValueError("need at least one seed")
+    for n_max in n_max_values:
+        check_race_args(n_max, max_cycles, workers, min(seeds))
+
+
 def sweep_counter_sizes(
     left: np.ndarray,
     right: np.ndarray,
@@ -213,16 +223,11 @@ def sweep_counter_sizes(
     Per n_max value, metrics are averaged over the given master seeds;
     timeouts are reported in the counts, never dropped.
     """
-    if not n_max_values:
-        raise ValueError("need at least one counter size")
-    if not seeds:
-        raise ValueError("need at least one seed")
-    for n_max in n_max_values:
-        check_race_args(n_max, max_cycles, workers, min(seeds))
+    check_sweep_args(n_max_values, seeds, max_cycles, workers)
     fmaps_l = compute_features(left)
     fmaps_r = compute_features(right)
     volume = build_likelihood_volume(fmaps_l, fmaps_r, params, workers)
-    reference = reference_infer(volume, workers)
+    reference = reference_infer(volume)
 
     reports = []
     for n_max in n_max_values:

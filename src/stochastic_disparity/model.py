@@ -250,14 +250,13 @@ def _likelihood_tables(params: ModelParams):
     return (*(likelihood(cost, s, params.p0) for s in sigmas), np.asarray(nomatch))
 
 
-def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, each,
-                out=None, workers=1):
+def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, each, workers=1):
     """The one rate builder: calls each(rows, rates of disparities 0..d_max,
-    no-match rates) for every band of `_BAND_ROWS` rows, as views of `out`
-    if given, else of buffers the thread's next band reuses. The bands are
-    shared over up to `workers` threads. A subtraction of each band's intp
-    codes indexes `pair`, t_m * t_h at (dm + 255) * 511 + dh + 255, and t_v
-    gives the third factor, multiplied in that order."""
+    no-match rates) for every band of `_BAND_ROWS` rows, in C-contiguous
+    buffers the thread's next band reuses. The bands are shared over up to
+    `workers` threads. A subtraction of each band's intp codes indexes
+    `pair`, t_m * t_h at (dm + 255) * 511 + dh + 255, and t_v gives the third
+    factor, multiplied in that order."""
     if fmaps_l.mean.shape != fmaps_r.mean.shape:
         raise ValueError("left and right feature maps must have equal shapes")
     h, w = fmaps_l.mean.shape
@@ -295,11 +294,9 @@ def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, each,
             np.take(pair, i, out=m, mode="clip")
             np.subtract(gv_l, right[1, :n], out=i)
             np.take(t_v, i, out=v, mode="clip")
-            rates = m if out is None else out[rows, :, : d_max + 1]
-            np.multiply(m, v, out=rates)
-            nomatch = None if out is None else out[rows, :, -1]
+            np.multiply(m, v, out=m)
             gv = fmaps_l.grad_v[rows, d_max:] + 127
-            each(rows, rates, np.take(t_nm, gv, out=nomatch, mode="clip"))
+            each(rows, m, np.take(t_nm, gv, mode="clip"))
 
     _run_shares(share, -(-h // _BAND_ROWS), workers)
 
@@ -307,10 +304,15 @@ def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, each,
 def build_likelihood_volume(
     fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params: ModelParams, workers: int = 1
 ) -> LikelihoodVolume:
-    """Every band of `_rate_bands` on `workers` threads into one array."""
+    """Every band of `_rate_bands` on `workers` threads, stored in one array."""
     grad_v = fmaps_l.grad_v[:, params.d_max :]  # `_rate_bands` checks the shapes
     rates = np.empty(grad_v.shape + (params.machine_width,))
-    _rate_bands(fmaps_l, fmaps_r, params, lambda *band: None, rates, workers)
+
+    def store(rows, disparity_rates, nomatch_rates):
+        rates[rows, :, :-1] = disparity_rates
+        rates[rows, :, -1] = nomatch_rates
+
+    _rate_bands(fmaps_l, fmaps_r, params, store, workers)
     # products of factors in [0, 1] stay in [0, 1]: no scan of the whole volume
     checked = all(0 <= f.min() <= f.max() <= 1 for f in _likelihood_tables(params))
     return LikelihoodVolume(rates, params, checked)

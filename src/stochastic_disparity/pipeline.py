@@ -118,7 +118,7 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
         reference = reference_outcome(fmaps_l, fmaps_r, config.params, workers)
     else:
         volume = build_likelihood_volume(fmaps_l, fmaps_r, config.params, workers)
-        reference = reference_infer(volume, workers) if config.mode == "both" else None
+        reference = reference_infer(volume) if config.mode == "both" else None
     if reference is not None and config.reference_image_out is not None:
         save_image(
             config.reference_image_out,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FeatureMaps, LikelihoodVolume, Outcome, _rate_bands, _run_shares
+from .model import FeatureMaps, LikelihoodVolume, Outcome, _rate_bands
 
 
 @dataclass(frozen=True)
@@ -30,22 +30,15 @@ class ReferenceResult(Outcome):
         return self.rates[:, :, :-1] / top
 
 
-def reference_infer(volume: LikelihoodVolume, workers: int = 1) -> ReferenceResult:
-    """Exact MAP indices and no-match flags of all rows, on `workers` threads.
+def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
+    """Exact MAP indices and no-match flags of every pixel, one argmax.
 
     The uniform prior constant drops out of the argmax, and `argmax` takes
     the first channel at the top rate: tied disparities resolve to the
     lowest index, and an exact tie with no-match stays matched.
     """
     rates = volume.rates
-    winner = np.empty(rates.shape[:2], np.intp)
-
-    def share(ys):
-        for y in ys:
-            rates[y].argmax(axis=1, out=winner[y])
-
-    _run_shares(share, len(rates), workers)
-    return ReferenceResult(winner=winner, d_max=volume.params.d_max, rates=rates)
+    return ReferenceResult(rates.argmax(axis=2), volume.params.d_max, rates)
 
 
 def reference_outcome(

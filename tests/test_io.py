@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import stochastic_disparity
+from stochastic_disparity import cli
 from stochastic_disparity.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from stochastic_disparity.dump import DumpFormatError, read_dump, write_dump
 from stochastic_disparity.engine import RACE_BLOCK, CountGrid, run_stochastic_grid
@@ -757,6 +758,32 @@ class TestCli:
         args = [command, "--left", str(lp), "--right", str(rp), "--d-max", "8"]
         assert main([*args, "--workers", str(workers)]) == EXIT_VALIDATION
         assert "worker count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--seed", "-1"], "seed must be nonnegative"),
+            (["--seeds", "0"], "need at least one seed"),
+            (["--n-max-list", "0"], "n_max must be positive"),
+            (["--n-max-list", "1,x"], "invalid literal"),
+            (["--max-cycles", "0"], "max_cycles must lie"),
+            (["--workers", "0"], "worker count must be positive"),
+            (["--sigma-m", "nan"], "sigma_m"),
+        ],
+        ids=["seed", "seeds", "n_max_list", "n_max_text", "max_cycles", "workers",
+             "param"],
+    )
+    def test_bad_sweep_argument_exits_with_code_2_before_reading_an_image(
+        self, extra, message, tmp_path, monkeypatch, capsys
+    ):
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "load_image", unread)
+        missing = str(tmp_path / "missing.pgm")
+        args = ["sweep", "--left", missing, "--right", missing]
+        assert main([*args, *extra]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
     def test_missing_input_exits_with_io_code(self, tmp_path, capsys):
         args = [

@@ -362,6 +362,23 @@ class TestLikelihoodVolume:
         banded = build_likelihood_volume(fmaps_l, fmaps_r, params).rates
         np.testing.assert_array_equal(banded, whole)
 
+    def test_vga_build_holds_no_second_volume(self):
+        # bands are built in per-thread buffers and stored into the one
+        # 476 x 556 x 82 array (174 MB); the buffers, codes and tables of two
+        # threads are about 6% of it
+        params = ModelParams(d_max=80)
+        fmaps = [compute_features(img) for img in natural_scene_pair(640, 480, 40, 1)]
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                volume = build_likelihood_volume(*fmaps, params, workers)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert volume.rates.shape == (476, 556, 82)
+            assert peak < 1.1 * volume.rates.nbytes, workers
+            del volume
+
     def test_built_volume_checks_its_factors_not_its_rates(self, monkeypatch):
         # build_likelihood_volume checks its tables and no-match column and
         # tells the volume so; a volume made from outside scans its rates

@@ -62,17 +62,13 @@ class TestStagesEqualTheSerialRun:
         monkeypatch.setattr(model, "_BAND_ROWS", 2)
         fmaps_l, fmaps_r = feature_pair(height)
         volume = build_likelihood_volume(fmaps_l, fmaps_r, PARAMS)
-        infer = reference_infer(volume).winner
         outcome = reference_outcome(fmaps_l, fmaps_r, PARAMS).winner
         for workers in THREADED:
             rates = build_likelihood_volume(fmaps_l, fmaps_r, PARAMS, workers).rates
             assert rates.tobytes() == volume.rates.tobytes()
-            for got, want in (
-                (reference_infer(volume, workers).winner, infer),
-                (reference_outcome(fmaps_l, fmaps_r, PARAMS, workers).winner, outcome),
-            ):
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
+            got = reference_outcome(fmaps_l, fmaps_r, PARAMS, workers).winner
+            assert got.dtype == outcome.dtype
+            assert got.tobytes() == outcome.tobytes()
 
     def test_scores(self, monkeypatch, interleaved):
         fmaps_l, fmaps_r = feature_pair(37)
@@ -193,7 +189,7 @@ class TestThreads:
 
     @pytest.mark.parametrize("workers", [0, -3])
     @pytest.mark.parametrize(
-        "stage", ["volume", "reference_outcome", "reference_infer", "engine", "compare"]
+        "stage", ["volume", "reference_outcome", "engine", "compare"]
     )
     def test_every_stage_rejects_a_nonpositive_worker_count(self, stage, workers):
         fmaps = feature_pair(5)
@@ -202,7 +198,6 @@ class TestThreads:
         calls = {
             "volume": lambda: build_likelihood_volume(*fmaps, PARAMS, workers),
             "reference_outcome": lambda: reference_outcome(*fmaps, PARAMS, workers),
-            "reference_infer": lambda: reference_infer(volume, workers),
             "engine": lambda: run_stochastic_grid(volume, 8, 0, workers=workers),
             "compare": lambda: compare_results(run, reference, workers),
         }
