@@ -41,9 +41,11 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHIIHI")
 # the largest count a dump holds, so also its largest n_max
 COUNT_MAX = 2**16 - 1
+# the largest d_max the 16-bit header field holds
+D_MAX_LIMIT = 2**16 - 1
 # (field, low, high) for the header
 _HEADER_FIELDS = (("width", 0, 2**32 - 1), ("height", 0, 2**32 - 1),
-                  ("d_max", 0, 2**16 - 1), ("n_max", 1, COUNT_MAX))
+                  ("d_max", 0, D_MAX_LIMIT), ("n_max", 1, COUNT_MAX))
 
 
 class DumpFormatError(Exception):

@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES
-from .dump import COUNT_MAX, write_dump
+from .dump import COUNT_MAX, D_MAX_LIMIT, write_dump
 from .engine import StochasticResult, run_stochastic_grid
 from .machine import check_race_args
 from .model import ModelParams, Outcome, build_likelihood_volume, compute_features
@@ -45,6 +45,14 @@ class RunConfig:
             raise ValueError("stochastic mode writes no reference image")
         if self.dump_out is not None and self.n_max > COUNT_MAX:
             raise ValueError(f"n_max above {COUNT_MAX} does not fit a dump")
+        if self.dump_out is not None and self.params.d_max > D_MAX_LIMIT:
+            raise ValueError(f"d_max above {D_MAX_LIMIT} does not fit a dump")
+        if self.crop is not None:
+            x, y, w, h = self.crop
+            if w <= 0 or h <= 0:
+                raise ValueError("crop dimensions must be positive")
+            if x < 0 or y < 0:
+                raise ValueError("crop rectangle outside the image")
         if not 0.0 <= self.timeout_warn_fraction <= 1.0:
             raise ValueError("timeout_warn_fraction must lie in [0, 1]")
 
@@ -70,9 +78,7 @@ class PipelineSummary:
 
 def _apply_crop(img: np.ndarray, crop: Tuple[int, int, int, int]) -> np.ndarray:
     x, y, w, h = crop
-    if w <= 0 or h <= 0:
-        raise ValueError("crop dimensions must be positive")
-    if x < 0 or y < 0 or x + w > img.shape[1] or y + h > img.shape[0]:
+    if x + w > img.shape[1] or y + h > img.shape[0]:
         raise ValueError("crop rectangle outside the image")
     return img[y : y + h, x : x + w]
 

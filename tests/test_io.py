@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import stochastic_disparity
-from stochastic_disparity import cli
+from stochastic_disparity import cli, pipeline
 from stochastic_disparity.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from stochastic_disparity.dump import DumpFormatError, read_dump, write_dump
 from stochastic_disparity.engine import RACE_BLOCK, CountGrid, run_stochastic_grid
@@ -784,6 +784,28 @@ class TestCli:
         args = ["sweep", "--left", missing, "--right", missing]
         assert main([*args, *extra]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--crop", "0,0,0,5"], "crop dimensions must be positive"),
+            (["--crop=-1,0,5,5"], "crop rectangle outside the image"),
+            (["--d-max", "65536", "--n-max", "1"], "d_max above 65535 does not fit"),
+        ],
+        ids=["crop_empty", "crop_negative_origin", "d_max_beyond_dump"],
+    )
+    def test_bad_disparity_argument_exits_with_code_2_before_reading_an_image(
+        self, extra, message, tmp_path, monkeypatch, capsys
+    ):
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(pipeline, "load_image", unread)
+        missing = tmp_path / "missing.pgm"
+        args = self.disparity_args(tmp_path, missing, missing)
+        assert main([*args, *extra]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_missing_input_exits_with_io_code(self, tmp_path, capsys):
         args = [

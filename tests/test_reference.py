@@ -137,13 +137,15 @@ class TestReferenceOutcome:
         assert want[y, tie - params.d_max] <= params.d_max  # the tie stays matched
         assert want[y, flat - params.d_max] == params.nomatch_index
 
-    def test_reference_image_is_the_same_in_both_modes(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reference_image_is_the_same_in_both_modes(self, workers, tmp_path):
         paths = write_pair(tmp_path, *natural_scene_pair(200, 150, 12, seed=1))
         images, summaries = [], []
         for mode in ("reference", "both"):
             images.append(tmp_path / f"{mode}.pgm")
             config = RunConfig(
-                *paths, n_max=1, mode=mode, reference_image_out=images[-1]
+                *paths, n_max=1, mode=mode, workers=workers,
+                reference_image_out=images[-1],
             )
             summaries.append(run_pipeline(config, log=io.StringIO()))
         assert images[0].read_bytes() == images[1].read_bytes()
