@@ -30,7 +30,7 @@ from .metrics import (
 )
 from .model import ModelParams
 from .pgm import ImageIOError, load_image
-from .pipeline import MODES, RunConfig, run_pipeline
+from .pipeline import MODES, RunConfig, check_output_dirs, run_pipeline
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -84,6 +84,7 @@ def _cmd_sweep(args) -> int:
     n_max_values = [int(v) for v in args.n_max_list.split(",")]
     seeds = [args.seed + i for i in range(args.seeds)]
     check_sweep_args(n_max_values, seeds, args.max_cycles, args.workers)
+    check_output_dirs(args.out)
     left = load_image(args.left)
     right = load_image(args.right)
     reports = sweep_counter_sizes(

@@ -33,8 +33,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .engine import RACE_BLOCK, CountGrid
-from .model import Outcome
+from .engine import CountGrid
+from .model import Outcome, _rows_per_band
 
 MAGIC = b"SDSP"
 VERSION = 1
@@ -70,14 +70,13 @@ def _check_counts(counts: np.ndarray, n_max: int) -> None:
 
 def _winner(counts: np.ndarray, n_max: int) -> np.ndarray:
     """Each valid pixel's winner, read off its counts: the first channel at
-    n_max, or -1 (a timeout) where none reached it, in blocks of
-    `RACE_BLOCK` pixels."""
-    pixels = counts.reshape(-1, counts.shape[2])
-    winner = np.empty(len(pixels), np.int64)
-    for k in range(0, len(pixels), RACE_BLOCK):
-        at_max = pixels[k : k + RACE_BLOCK] == n_max
-        winner[k : k + RACE_BLOCK] = np.where(at_max.any(1), at_max.argmax(1), -1)
-    return winner.reshape(counts.shape[:2])
+    n_max, or -1 (a timeout) where none reached it, band by band."""
+    winner = np.empty(counts.shape[:2], np.int64)
+    band = _rows_per_band(counts.shape[1])
+    for y in range(0, len(counts), band):
+        at_max = counts[y : y + band] == n_max
+        winner[y : y + band] = np.where(at_max.any(2), at_max.argmax(2), -1)
+    return winner
 
 
 def _bitmaps(outcome: Outcome) -> Tuple[bytes, bytes]:
@@ -100,11 +99,11 @@ def write_dump(path, counts: np.ndarray, d_max: int, n_max: int) -> None:
     _check_header(*header)
     _check_counts(counts, n_max)
     bitmaps = _bitmaps(Outcome(_winner(counts, n_max), d_max))
-    pixels = counts.reshape(-1, d_max + 2)
-    with open(path, "wb") as f:  # the counts go out block by block, as <u2
+    band = _rows_per_band(counts.shape[1])
+    with open(path, "wb") as f:  # the counts go out band by band, as <u2
         f.write(_HEADER.pack(MAGIC, VERSION, *header))
-        for k in range(0, len(pixels), RACE_BLOCK):
-            f.write(np.ascontiguousarray(pixels[k : k + RACE_BLOCK], "<u2"))
+        for y in range(0, len(counts), band):
+            f.write(np.ascontiguousarray(counts[y : y + band], "<u2"))
         f.writelines(bitmaps)
 
 

@@ -1,14 +1,13 @@
 """Grid execution of the fusion machine over all valid pixels of an image.
 
-The valid pixels are taken in row-major order and raced in fixed blocks of
-`RACE_BLOCK` pixels, one `race_arrivals` call per block. Block k draws from
-its own generator stream keyed by the master seed and k, so results are
-independent of scan order and of which thread races a block. `RACE_BLOCK`
-is part of the determinism contract: the same seed gives the same bytes for
-every worker count, and another block size would give other bytes with the
-same law. Blocks are written in place into the counts, winner and cycles
-arrays, allocated once per grid; no-match, timeouts and the MAP are read
-from the winner (`Outcome`).
+The valid grid is raced in the whole-row bands of `model._rows_per_band`, one
+`race_arrivals` call per band. Band k draws from its own generator stream
+keyed by the master seed and k, so results are independent of scan order and
+of which thread races a band. The bands are a term of the determinism
+contract: the same seed gives the same bytes for every worker count, and
+other bands would give other bytes with the same law. Bands are written in
+place into the counts, winner and cycles arrays, allocated once per grid;
+no-match, timeouts and the MAP are read from the winner (`Outcome`).
 """
 
 from dataclasses import dataclass
@@ -17,13 +16,7 @@ import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES, stream_seed
 from .machine import check_race_args, race_arrivals
-from .model import LikelihoodVolume, Outcome, _run_shares
-
-# Valid pixels per race call and per generator stream, a term of the
-# determinism contract and so not a parameter. Large enough that numpy's
-# fixed per-call cost is a small share of a block's race, small enough that
-# a block's working arrays stay about 2 MB at any image width.
-RACE_BLOCK = 1024
+from .model import LikelihoodVolume, Outcome, _rows_per_band, _run_shares
 
 
 @dataclass(frozen=True)
@@ -58,36 +51,34 @@ def run_stochastic_grid(
 ) -> StochasticResult:
     """Run one machine per valid pixel and collect counts, winners and cycles.
 
-    Block k holds the row-major valid pixels k * RACE_BLOCK ..
-    (k + 1) * RACE_BLOCK - 1, so a block may straddle rows and the last may
-    be short; it races on `stream_seed(master_seed, k)`. The outputs are
-    allocated once and each block is written into them; counts take the
-    smallest unsigned dtype that holds n_max. Per-block seeding keeps the
-    output at any `workers` count bit-identical to a serial run.
+    Band k holds the valid rows R*k .. R*(k+1) - 1 of `_rows_per_band`, the
+    last may be short, and races on `stream_seed(master_seed, k)`. The
+    outputs are allocated once and each band is written into them; counts
+    take the smallest unsigned dtype that holds n_max. Per-band seeding keeps
+    the output at any `workers` count bit-identical to a serial run.
     """
     check_race_args(n_max, max_cycles, workers, master_seed)
     rates = volume.rates
     counts = np.empty(rates.shape, dtype=np.min_scalar_type(n_max))
     winner = np.empty(rates.shape[:2], dtype=np.int64)
     cycles = np.empty(rates.shape[:2], dtype=np.int64)
-    # row-major (pixels, M) and (pixels,) views of the grid arrays; only a
-    # rate array that is not C-contiguous is copied
-    m = rates.shape[2]
+    # row-major (pixels, M) and (pixels,) views of the grid arrays, a band
+    # `band` pixels of them; only rates that are not C-contiguous are copied
+    m, band = rates.shape[2], _rows_per_band(rates.shape[1]) * rates.shape[1]
     pixels, counts_px = rates.reshape(-1, m), counts.reshape(-1, m)
     winner_px, cycles_px = winner.reshape(-1), cycles.reshape(-1)
-    blocks = -(-winner.size // RACE_BLOCK)
 
-    def race_blocks(draws):
-        # Blocks share no generator and write disjoint slices, so threads
-        # need no lock, and numpy's draws and array kernels release the GIL.
+    def race_bands(draws):
+        # Bands share no generator and write disjoint slices, so threads need
+        # no lock, and numpy's draws and array kernels release the GIL.
         for k in draws:
-            part = slice(k * RACE_BLOCK, (k + 1) * RACE_BLOCK)
+            part = slice(k * band, (k + 1) * band)
             rng = np.random.default_rng(stream_seed(master_seed, k))
             counts_px[part], winner_px[part], cycles_px[part] = race_arrivals(
                 rng, pixels[part], n_max, max_cycles
             )
 
-    _run_shares(race_blocks, blocks, workers)
+    _run_shares(race_bands, -(-winner.size // band), workers)
     return StochasticResult(
         winner=winner, d_max=volume.params.d_max, counts=counts, n_max=n_max,
         cycles=cycles,

@@ -70,8 +70,6 @@ class FusionSpec:
 
     def channel_products(self) -> np.ndarray:
         """Analytic output-channel rates: prior times the column products."""
-        if self.n_terms == 0:
-            return self.prior.copy()
         return self.prior * np.prod(self.term_table, axis=0)
 
 

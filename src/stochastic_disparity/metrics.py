@@ -8,10 +8,10 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES
-from .engine import RACE_BLOCK, StochasticResult, run_stochastic_grid
+from .engine import StochasticResult, run_stochastic_grid
 from .machine import check_race_args
-from .model import BORDER, ModelParams, Outcome, _run_shares
-from .model import build_likelihood_volume, compute_features
+from .model import BORDER, ModelParams, Outcome, _rows_per_band, _run_shares
+from .model import build_likelihood_volume, check_pair_shapes, compute_features
 from .reference import ReferenceResult, reference_infer
 
 SWEEP_CSV_HEADER = "n_max,rms,f1,cycles_mean,cycles_sd,timeouts"
@@ -135,7 +135,7 @@ def hardware_estimate(
 
 
 def _distributions(values, winner, part: slice, keep: np.ndarray) -> np.ndarray:
-    """The kept pixels' disparity values in block `part`, each pixel divided
+    """The kept pixels' disparity values in band `part`, each pixel divided
     in place by its peak, the value at its winner."""
     dist = values[part][keep, :-1].astype(float, copy=False)
     dist /= np.take_along_axis(dist, winner[part][keep, None], axis=1)
@@ -149,9 +149,9 @@ def score_readouts(
 
     F1 covers every pixel, with the reference outcome's no-match flags as
     truth; a timed-out pixel counts as not flagging no-match. RMS covers the
-    pixels whose winner is a disparity on both sides, summed over blocks of
-    `RACE_BLOCK` row-major pixels, on up to `workers` threads, so no
-    grid-sized distribution is built.
+    pixels whose winner is a disparity on both sides, summed over the bands
+    of `_rows_per_band`, on up to `workers` threads, so no grid-sized
+    distribution is built.
     """
     if np.shape(run.values) != np.shape(reference.values):
         raise ValueError("distribution arrays must have identical shapes")
@@ -163,19 +163,20 @@ def score_readouts(
         (np.reshape(r.values, (n, m)), np.reshape(r.outcome.winner, n))
         for r in (run, reference)
     ]
-    matched, sums = matched.reshape(n), [0.0] * -(-n // RACE_BLOCK)
+    band = _rows_per_band(matched.shape[1]) * matched.shape[1]  # pixels
+    matched, sums = matched.reshape(n), [0.0] * -(-n // band)
 
-    def share(blocks):
-        for k in blocks:
-            part = slice(k * RACE_BLOCK, (k + 1) * RACE_BLOCK)
+    def share(bands):
+        for k in bands:
+            part = slice(k * band, (k + 1) * band)
             diff = _distributions(*sides[0], part, matched[part])
             diff -= _distributions(*sides[1], part, matched[part])
             sums[k] = float(np.square(diff, out=diff).sum())
 
     _run_shares(share, len(sums), workers)
     total = 0.0
-    for block_sum in sums:  # in block order, as one thread adds them
-        total += block_sum
+    for band_sum in sums:  # in band order, as one thread adds them
+        total += band_sum
     rms = math.sqrt(total / (n_matched * (m - 1)))
     return rms, f1_nomatch(reference.outcome.no_match, run.outcome.no_match), n_matched
 
@@ -224,6 +225,7 @@ def sweep_counter_sizes(
     timeouts are reported in the counts, never dropped.
     """
     check_sweep_args(n_max_values, seeds, max_cycles, workers)
+    check_pair_shapes(left, right)
     fmaps_l = compute_features(left)
     fmaps_r = compute_features(right)
     volume = build_likelihood_volume(fmaps_l, fmaps_r, params, workers)

@@ -108,6 +108,13 @@ def validate_gray_image(img: np.ndarray) -> np.ndarray:
     return img.astype(np.int32)
 
 
+def check_pair_shapes(left, right) -> None:
+    """Reject a stereo pair whose two images differ in shape."""
+    if np.shape(left) != np.shape(right):
+        shapes = f"{np.shape(left)} vs {np.shape(right)}"
+        raise ValueError(f"image dimensions differ: {shapes}")
+
+
 FEATURE_NAMES = ("mean", "grad_h", "grad_v")
 FEATURE_RANGES = ((0, 255), (-127, 127), (-127, 127))  # |left - right| <= 255
 
@@ -220,8 +227,16 @@ class LikelihoodVolume:
             raise ValueError("rates must be finite and lie in [0, 1]")
 
 
-_BAND_ROWS = 4  # rows per band of `_rate_bands` and of its buffers
+RACE_BLOCK = 1024  # the fewest valid pixels in a band, see `_rows_per_band`
 _SPAN = 2 * 255 + 1  # signed feature differences -255..255
+
+
+def _rows_per_band(width: int) -> int:
+    """R, the fewest whole rows of a valid grid `width` pixels wide that hold
+    `RACE_BLOCK` pixels, a term of the determinism contract and no parameter.
+    Band k is rows R*k .. R*(k+1) - 1 (the last may be short); the rate
+    builder, the race (band k on stream k), scoring and the dump walk them."""
+    return -(-RACE_BLOCK // width)
 
 
 def _run_shares(share, items: int, workers: int) -> None:
@@ -252,7 +267,7 @@ def _likelihood_tables(params: ModelParams):
 
 def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, each, workers=1):
     """The one rate builder: calls each(rows, rates of disparities 0..d_max,
-    no-match rates) for every band of `_BAND_ROWS` rows, in C-contiguous
+    no-match rates) for every band of `_rows_per_band` rows, in C-contiguous
     buffers the thread's next band reuses. The bands are shared over up to
     `workers` threads. A subtraction of each band's intp codes indexes
     `pair`, t_m * t_h at (dm + 255) * 511 + dh + 255, and t_v gives the third
@@ -267,7 +282,7 @@ def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, each, worker
         )
     t_m, t_h, t_v, t_nm = _likelihood_tables(params)
     pair = (t_m[:, None] * t_h).ravel()
-    band = min(_BAND_ROWS, h)
+    band = min(_rows_per_band(w - d_max), h)
     shape = (band, w - d_max, d_max + 1)
 
     def share(bands):
@@ -276,8 +291,8 @@ def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, each, worker
         # right codes are held reversed in x so d runs forward, a unit stride.
         right = sliding_window_view(codes[1], d_max + 1, axis=2)[:, :, ::-1]
         index, pm, pv = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
-        for y0 in (k * _BAND_ROWS for k in bands):
-            rows = slice(y0, min(y0 + _BAND_ROWS, h))
+        for y0 in (k * band for k in bands):
+            rows = slice(y0, min(y0 + band, h))
             n = rows.stop - y0
             i, m, v = index[:n], pm[:n], pv[:n]
             views = zip((fmaps_l, fmaps_r), codes[:, :, :n], (1, -1))
@@ -298,7 +313,7 @@ def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, each, worker
             gv = fmaps_l.grad_v[rows, d_max:] + 127
             each(rows, m, np.take(t_nm, gv, mode="clip"))
 
-    _run_shares(share, -(-h // _BAND_ROWS), workers)
+    _run_shares(share, -(-h // band), workers)
 
 
 def build_likelihood_volume(

@@ -11,11 +11,19 @@ from .bitstream import DEFAULT_MAX_CYCLES
 from .dump import COUNT_MAX, D_MAX_LIMIT, write_dump
 from .engine import StochasticResult, run_stochastic_grid
 from .machine import check_race_args
-from .model import ModelParams, Outcome, build_likelihood_volume, compute_features
+from .model import ModelParams, Outcome, build_likelihood_volume, check_pair_shapes
+from .model import compute_features
 from .pgm import load_image, save_image
 from .reference import reference_infer, reference_outcome
 
 MODES = ("reference", "stochastic", "both")
+
+
+def check_output_dirs(*paths) -> None:
+    """Raise FileNotFoundError if the directory of an output path is missing."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"no such directory: {Path(path).parent}")
 
 
 @dataclass
@@ -55,6 +63,7 @@ class RunConfig:
                 raise ValueError("crop rectangle outside the image")
         if not 0.0 <= self.timeout_warn_fraction <= 1.0:
             raise ValueError("timeout_warn_fraction must lie in [0, 1]")
+        check_output_dirs(self.reference_image_out, *stochastic_outs)
 
 
 @dataclass
@@ -106,10 +115,7 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
         log = sys.stderr
     left = load_image(config.left_path)
     right = load_image(config.right_path)
-    if left.shape != right.shape:
-        raise ValueError(
-            f"image dimensions differ: {left.shape} vs {right.shape}"
-        )
+    check_pair_shapes(left, right)
     if config.crop is not None:
         left = _apply_crop(left, config.crop)
         right = _apply_crop(right, config.crop)

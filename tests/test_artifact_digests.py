@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochastic_disparity import engine
+from stochastic_disparity import model
 from stochastic_disparity.cli import EXIT_OK, EXIT_TIMEOUT, main
 from stochastic_disparity.pgm import save_image
 from stochastic_disparity.synthetic import natural_scene_pair, planted_shift_pair
@@ -36,7 +36,8 @@ N_MAX = (1, 16, 64)
 SWEEP_N_MAX = "1,16"
 TIMEOUT_N_MAX = 16  # raced at --max-cycles 4 * n_max, where many pixels time out
 
-# name: (pair, d_max); the planted pair has 4 race blocks, the natural one 17
+# name: (pair, d_max); the planted pair has 4 bands of 11 rows (the last of
+# 3), the natural one 17 bands of 9 rows (the last of 2)
 PAIRS = {
     "natural-200x150": (lambda: natural_scene_pair(200, 150, 12, 1), 80),
     "planted-120x40": (
@@ -113,8 +114,8 @@ def test_every_worker_count_writes_the_serial_bytes(digests):
 
 def test_artifacts_match_the_recorded_digests(digests):
     record = json.loads(RECORD.read_text())
-    # a block size is part of the contract on every numpy
-    assert record["race_block"] == engine.RACE_BLOCK, "RACE_BLOCK moved the bytes"
+    # the bands' RACE_BLOCK is part of the contract on every numpy
+    assert record["race_block"] == model.RACE_BLOCK, "RACE_BLOCK differs"
     if record["numpy"] != numpy_minor():
         pytest.skip(f"digests recorded on numpy {record['numpy']}, "
                     f"this is numpy {numpy_minor()}")
@@ -132,7 +133,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         record = {
             "numpy": numpy_minor(),
-            "race_block": engine.RACE_BLOCK,
+            "race_block": model.RACE_BLOCK,
             "digests": artifact_digests(Path(work), 1),
         }
     RECORD.parent.mkdir(exist_ok=True)

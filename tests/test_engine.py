@@ -30,16 +30,17 @@ def small_volume():
     )
 
 
-# Blocks of 37 pixels straddle the fixture's 28-pixel rows, and its 280
-# pixels leave a short last block of 21, so 8 blocks in all.
-SMALL_BLOCK = 37
+# Bands of at least 60 pixels are 3 of the fixture's 28-pixel rows (84
+# pixels), and its 10 rows leave a short last band of one row, so 4 bands.
+SMALL_BLOCK = 60
+SMALL_BAND = 84
 
 
 @pytest.fixture
 def small_blocks(small_volume, monkeypatch):
-    """Race blocks of SMALL_BLOCK pixels; the value is their number."""
-    monkeypatch.setattr(engine, "RACE_BLOCK", SMALL_BLOCK)
-    return -(-small_volume.rates[..., 0].size // SMALL_BLOCK)
+    """Race bands of at least SMALL_BLOCK pixels; the value is their number."""
+    monkeypatch.setattr(model, "RACE_BLOCK", SMALL_BLOCK)
+    return -(-small_volume.rates[..., 0].size // SMALL_BAND)
 
 
 class TestDeterminism:
@@ -84,13 +85,13 @@ class TestDeterminism:
         monkeypatch.setattr(model, "ThreadPoolExecutor", RecordingPool)
         run_stochastic_grid(small_volume, 8, master_seed=1, workers=small_blocks + 3)
         run_stochastic_grid(small_volume, 8, master_seed=1, workers=2)
-        # the calling thread races one share of the blocks itself
+        # the calling thread races one share of the bands itself
         assert sizes == [small_blocks - 1, 1]
 
     def test_block_is_kernel_on_its_own_stream(self, small_volume, small_blocks):
         m = small_volume.rates.shape[2]
         pixels = small_volume.rates.reshape(-1, m)
-        assert (small_blocks, len(pixels) % SMALL_BLOCK) == (8, 21)
+        assert (small_blocks, len(pixels) % SMALL_BAND) == (4, 28)
         for workers in (1, 2, small_blocks + 3):
             result = run_stochastic_grid(
                 small_volume, 8, master_seed=6, workers=workers
@@ -98,7 +99,7 @@ class TestDeterminism:
             flat = (result.counts.reshape(-1, m), result.winner.reshape(-1),
                     result.cycles.reshape(-1))
             for k in range(small_blocks):
-                part = slice(k * SMALL_BLOCK, (k + 1) * SMALL_BLOCK)
+                part = slice(k * SMALL_BAND, (k + 1) * SMALL_BAND)
                 expected = race_arrivals(
                     np.random.default_rng(stream_seed(6, k)), pixels[part], 8
                 )

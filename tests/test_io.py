@@ -1,6 +1,7 @@
 """Image files, distribution dumps, the pipeline and the CLI front end."""
 
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import stochastic_disparity
-from stochastic_disparity import cli, pipeline
-from stochastic_disparity.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from stochastic_disparity import cli, metrics, pipeline
+from stochastic_disparity.cli import EXIT_IO, EXIT_OK, EXIT_TIMEOUT, EXIT_VALIDATION
+from stochastic_disparity.cli import main
 from stochastic_disparity.dump import DumpFormatError, read_dump, write_dump
-from stochastic_disparity.engine import RACE_BLOCK, CountGrid, run_stochastic_grid
+from stochastic_disparity.engine import CountGrid, run_stochastic_grid
 from stochastic_disparity.metrics import Readout, score_readouts
-from stochastic_disparity.model import validate_gray_image
+from stochastic_disparity.model import _rows_per_band, validate_gray_image
 from stochastic_disparity.pgm import (
     ImageFileMissingError,
     ImageFormatError,
@@ -327,15 +329,15 @@ class TestDump:
 
     @pytest.mark.parametrize("layout", ["uint8", "uint16", "fortran_order"])
     def test_bytes_equal_the_whole_array_layout(self, layout, tmp_path):
-        # 40 x 60 valid pixels, three blocks of RACE_BLOCK: header, then all
-        # counts as <u2, then the no-match and invalid bitmaps
+        # 40 rows of 60 valid pixels, three bands of 18 rows (the last of 4):
+        # header, then all counts as <u2, then the no-match and invalid bitmaps
         dump = engine_like_dump(40, 60, d_max=12)
         counts = {
             "uint8": dump.counts,
             "uint16": dump.counts.astype(np.uint16),
             "fortran_order": np.asfortranarray(dump.counts),
         }[layout]
-        assert counts.shape[0] * counts.shape[1] > 2 * RACE_BLOCK
+        assert len(counts) > 2 * _rows_per_band(counts.shape[1])
         winner = whole_array_outcome(dump.counts, dump.n_max)
         assert (winner == -1).any() and (winner == dump.d_max + 1).any()
         write_dump(tmp_path / "d.bin", counts, dump.d_max, dump.n_max)
@@ -355,7 +357,7 @@ class TestDump:
         assert np.array_equal(back.winner, winner)
 
     def test_write_and_read_hold_one_copy_of_the_counts(self, tmp_path):
-        # 38,400 valid pixels: blocks of RACE_BLOCK are a small share
+        # 38,400 valid pixels: a band, 5 rows of 240, is a small share
         dump = engine_like_dump(160, 240)
         path = tmp_path / "d.bin"
         tracemalloc.start()
@@ -589,9 +591,9 @@ class TestCli:
         assert len(lines) == 3
 
     def test_sweep_and_compare_text_is_pinned(self, tmp_path, capsys):
-        # text of the whole-grid scoring on a natural pair with 5600 valid
-        # pixels (six race blocks): summing the RMS block by block may move
-        # its last bits, never these digits
+        # text of the whole-grid scoring on a natural pair with 56 rows of 100
+        # valid pixels (six bands, the last one row): summing the RMS band by
+        # band may move its last bits, never these digits
         for name, img in zip(("l", "r"), natural_scene_pair(120, 60, 8, seed=1)):
             save_image(tmp_path / f"{name}.pgm", img)
         pair = ["--left", str(tmp_path / "l.pgm"), "--right", str(tmp_path / "r.pgm"),
@@ -599,8 +601,8 @@ class TestCli:
         assert main(["sweep", *pair, "--n-max-list", "1,16", "--seeds", "2"]) == EXIT_OK
         assert capsys.readouterr().out == (
             "n_max,rms,f1,cycles_mean,cycles_sd,timeouts\n"
-            "1,0.240102,0.138160,1.1421,0.8010,0\n"
-            "16,0.062912,0.371766,20.5144,15.4410,0\n"
+            "1,0.239432,0.133217,1.1491,0.8542,0\n"
+            "16,0.062628,0.361404,20.5208,15.2693,0\n"
         )
         for seed in (1, 2):
             args = ["disparity", *pair, "--seed", str(seed),
@@ -609,7 +611,7 @@ class TestCli:
         capsys.readouterr()
         dumps = [str(tmp_path / f"d{seed}.bin") for seed in (1, 2)]
         assert main(["compare", *dumps]) == EXIT_OK
-        assert capsys.readouterr().out == "rms,f1,n_matched\n0.091394,0.772455,4985\n"
+        assert capsys.readouterr().out == "rms,f1,n_matched\n0.091013,0.757243,4978\n"
 
     def test_estimate_prints_projection(self, capsys):
         args = ["estimate", "--cycles-per-pixel", "27.97"]
@@ -806,6 +808,72 @@ class TestCli:
         assert main([*args, *extra]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "output", ["--ref-out", "--stoch-out", "--dump-out", "--out"]
+    )
+    def test_missing_output_directory_exits_with_code_3_before_reading_an_image(
+        self, output, tmp_path, monkeypatch, capsys
+    ):
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(pipeline, "load_image", unread)
+        monkeypatch.setattr(cli, "load_image", unread)
+        missing, nowhere = tmp_path / "missing.pgm", tmp_path / "nodir" / "out"
+        if output == "--out":  # sweep's only output
+            args = ["sweep", "--left", str(missing), "--right", str(missing)]
+            args += ["--out", ""]
+        else:
+            args = self.disparity_args(tmp_path, missing, missing)
+        args[args.index(output) + 1] = str(nowhere)
+        assert main(args) == EXIT_IO
+        assert f"no such directory: {nowhere.parent}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["disparity", "sweep"])
+    def test_unequal_images_exit_with_code_2_before_any_filtering(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        def unfiltered(img):
+            raise AssertionError("an image was filtered")
+
+        for module in (pipeline, metrics):
+            monkeypatch.setattr(module, "compute_features", unfiltered)
+        rng = np.random.default_rng(0)
+        paths = [tmp_path / "left.pgm", tmp_path / "right.pgm"]
+        for path, width in zip(paths, (120, 100)):
+            save_image(path, rng.integers(0, 256, (40, width), dtype=np.uint8))
+        args = [command, "--left", str(paths[0]), "--right", str(paths[1]),
+                "--d-max", "16"]
+        if command == "disparity":
+            args += ["--ref-out", str(tmp_path / "ref.pgm")]
+        assert main(args) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "error: image dimensions differ: (40, 120) vs (40, 100)\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["left.pgm", "right.pgm"]
+
+    def test_timeouts_above_the_warn_fraction_exit_with_code_4_and_warn(
+        self, tmp_path, capsys
+    ):
+        # natural 200x150 at n_max 16 and --max-cycles 64: about 6% time out
+        paths = [tmp_path / "left.pgm", tmp_path / "right.pgm"]
+        for path, img in zip(paths, natural_scene_pair(200, 150, 12, 1)):
+            save_image(path, img)
+        args = ["disparity", "--left", str(paths[0]), "--right", str(paths[1]),
+                "--n-max", "16", "--seed", "3", "--max-cycles", "64"]
+        assert main(args) == EXIT_TIMEOUT
+        *_, cycles, warning = capsys.readouterr().err.splitlines()
+        pixels, timeouts = map(int, re.search(
+            r", (\d+) pixels, (\d+) timeouts\)$", cycles
+        ).groups())
+        assert 0.01 < timeouts / pixels < 0.5
+        assert warning == (
+            f"warning: {timeouts} pixels ({timeouts / pixels:.2%}) "
+            "timed out before overflow"
+        )
+        assert main([*args, "--timeout-warn-fraction", "0.5"]) == EXIT_OK
+        assert "warning" not in capsys.readouterr().err
 
     def test_missing_input_exits_with_io_code(self, tmp_path, capsys):
         args = [

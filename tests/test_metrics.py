@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stochastic_disparity import metrics
-from stochastic_disparity.engine import RACE_BLOCK, run_stochastic_grid
+from stochastic_disparity.engine import run_stochastic_grid
 from stochastic_disparity.metrics import (
     SWEEP_CSV_HEADER,
     Readout,
@@ -22,6 +22,7 @@ from stochastic_disparity.model import (
     LikelihoodVolume,
     ModelParams,
     Outcome,
+    _rows_per_band,
     build_likelihood_volume,
     compute_features,
 )
@@ -64,7 +65,7 @@ class TestRmsDistributionError:
 
 
 def grid_readouts(seed):
-    """A counter run and an oracle over 30 x 100 pixels, three race blocks,
+    """A counter run and an oracle over 30 x 100 pixels, three bands,
     d_max 8, with random outcomes: about one pixel in eleven a timeout of
     the run and one in eleven no-match. Each counter peaks at n_max 16 on
     its winner, and each oracle pixel at its winner's rate."""
@@ -100,7 +101,7 @@ class TestBlockwiseScore:
             "run_vs_run": (run, run2),
             "oracle_vs_oracle": (oracle, oracle2),
         }[sides]
-        assert a.outcome.winner.size > 2 * RACE_BLOCK
+        assert len(a.outcome.winner) > 2 * _rows_per_band(100)  # three bands
         rms, _, n_matched = score_readouts(a, b)
         assert rms == pytest.approx(whole_grid_rms(a, b), rel=1e-12, abs=0)
         assert 0 < n_matched < a.outcome.winner.size

@@ -358,7 +358,7 @@ class TestLikelihoodVolume:
         params = ModelParams(d_max=16)
         fmaps_l, fmaps_r = feature_pair(params, height=37)
         whole = build_likelihood_volume(fmaps_l, fmaps_r, params).rates
-        monkeypatch.setattr(model, "_BAND_ROWS", 5)
+        monkeypatch.setattr(model, "RACE_BLOCK", 5 * 104)  # 5-row bands
         banded = build_likelihood_volume(fmaps_l, fmaps_r, params).rates
         np.testing.assert_array_equal(banded, whole)
 

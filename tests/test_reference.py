@@ -126,7 +126,7 @@ class TestReferenceOutcome:
         for name in FEATURE_NAMES:
             getattr(fmaps_l, name)[y, tie] = getattr(fmaps_r, name)[y, tie - d]
         fmaps_l.grad_v[y, [tie, flat]] = fmaps_r.grad_v[y, tie - d] = 0
-        monkeypatch.setattr(model, "_BAND_ROWS", 5)
+        monkeypatch.setattr(model, "RACE_BLOCK", 5 * 104)  # 5-row bands
         volume = build_likelihood_volume(fmaps_l, fmaps_r, params)
         rates = volume.rates[y, tie - params.d_max]
         assert rates[d] == rates[-1] == rates.max() == 1.0

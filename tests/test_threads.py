@@ -58,8 +58,9 @@ def feature_pair(height):
 class TestStagesEqualTheSerialRun:
     @pytest.mark.parametrize("height", [1, 5, 37])
     def test_rates_and_winners(self, monkeypatch, interleaved, height):
-        # 2-row bands: one band at height 1, three at 5 (the last short)
-        monkeypatch.setattr(model, "_BAND_ROWS", 2)
+        # 2-row bands of the 44-pixel rows: one band at height 1, three at 5
+        # (the last short)
+        monkeypatch.setattr(model, "RACE_BLOCK", 80)
         fmaps_l, fmaps_r = feature_pair(height)
         volume = build_likelihood_volume(fmaps_l, fmaps_r, PARAMS)
         outcome = reference_outcome(fmaps_l, fmaps_r, PARAMS).winner
@@ -75,9 +76,9 @@ class TestStagesEqualTheSerialRun:
         volume = build_likelihood_volume(fmaps_l, fmaps_r, PARAMS)
         reference = reference_infer(volume)
         runs = [run_stochastic_grid(volume, 16, seed) for seed in (1, 2)]
-        # 1776 pixels in blocks of 97: 19 blocks, the last one of 30
-        monkeypatch.setattr(metrics, "RACE_BLOCK", 97)
-        assert -(-volume.rates[..., 0].size // 97) % 2 == 1
+        # 37 rows of 44 pixels in 2-row bands: 19 bands, the last one row
+        monkeypatch.setattr(model, "RACE_BLOCK", 80)
+        assert -(-len(volume.rates) // model._rows_per_band(44)) == 19
         readouts = [Readout(r.counts, r) for r in runs]
         report = compare_results(runs[0], reference)
         scores = score_readouts(*readouts)
@@ -86,8 +87,7 @@ class TestStagesEqualTheSerialRun:
             assert score_readouts(*readouts, workers) == scores
 
     def test_sweep_csv(self, monkeypatch, interleaved):
-        for module in (engine, metrics):
-            monkeypatch.setattr(module, "RACE_BLOCK", 97)
+        monkeypatch.setattr(model, "RACE_BLOCK", 80)  # 2-row bands
         left, right = pair(37)
         csv = [
             sweep_to_csv(
@@ -141,9 +141,9 @@ class TestThreads:
 
     def test_a_stalled_pool_share_leaves_its_items_to_the_caller(self, monkeypatch):
         volume = build_likelihood_volume(*feature_pair(37), PARAMS)
+        # 10-row bands of the 37 rows: 4 bands, the last of 7 rows
         blocks, raced, done = 4, [], threading.Event()
-        pixels = volume.rates[..., 0].size
-        monkeypatch.setattr(engine, "RACE_BLOCK", -(-pixels // blocks))
+        monkeypatch.setattr(model, "RACE_BLOCK", 10 * volume.rates.shape[1])
         serial = run_stochastic_grid(volume, 16, 5)
 
         def race_on_the_caller(*args):
@@ -182,7 +182,7 @@ class TestThreads:
                 raise RuntimeError("pooled block failed")
             return distributions(*args)
 
-        monkeypatch.setattr(metrics, "RACE_BLOCK", 97)
+        monkeypatch.setattr(model, "RACE_BLOCK", 80)  # 19 bands
         monkeypatch.setattr(metrics, "_distributions", fail_off_the_main_thread)
         with pytest.raises(RuntimeError, match="pooled block"):
             compare_results(run, reference, workers=2)
