@@ -1,13 +1,16 @@
 """Grid execution of the fusion machine over all valid pixels of an image.
 
 The valid grid is raced in the whole-row bands of `model._rows_per_band`, one
-`race_arrivals` call per band. Band k draws from its own generator stream
-keyed by the master seed and k, so results are independent of scan order and
-of which thread races a band. The bands are a term of the determinism
-contract: the same seed gives the same bytes for every worker count, and
-other bands would give other bytes with the same law. Bands are written in
-place into the counts, winner and cycles arrays, allocated once per grid;
-no-match, timeouts and the MAP are read from the winner (`Outcome`).
+`race_arrivals` call per band in the one race body of `_grid_racer`, over a
+volume (`run_stochastic_grid`) or, in a `stochastic` or `both` run, on each
+band as it is built, with no volume. Band k draws from its own generator
+stream keyed by the master seed and k, so results are independent of scan
+order and of which thread races a band. The bands are a term of the
+determinism contract: the same seed gives the same bytes for every worker
+count, and other bands would give other bytes with the same law. Bands are
+written in place into the counts, winner and cycles arrays, allocated once
+per grid; no-match, timeouts and the MAP are read from the winner
+(`Outcome`).
 """
 
 from dataclasses import dataclass
@@ -42,6 +45,26 @@ class StochasticResult(CountGrid):
     cycles: np.ndarray  # (H, W_valid) int
 
 
+def _grid_racer(shape, n_max: int, master_seed: int, max_cycles: int):
+    """A race's result over a (H, W_valid, d_max + 2) grid, allocated once
+    (counts in the smallest unsigned dtype that holds n_max), and the race
+    body that fills it: race(rows, rates) races band k of `_rows_per_band`,
+    on `stream_seed(master_seed, k)`, in place. Bands write disjoint rows,
+    so threads need no lock; numpy's draws and kernels release the GIL."""
+    counts = np.empty(shape, dtype=np.min_scalar_type(n_max))
+    winner, cycles = np.empty(shape[:2], np.int64), np.empty(shape[:2], np.int64)
+    band, m = _rows_per_band(shape[1]), shape[2]
+
+    def race(rows, rates):
+        rng = np.random.default_rng(stream_seed(master_seed, rows.start // band))
+        # (pixels, M) rates: only a band that is not C-contiguous is copied
+        out = race_arrivals(rng, rates.reshape(-1, m), n_max, max_cycles)
+        for grid, part in zip((counts, winner, cycles), out):
+            grid[rows] = part.reshape(grid[rows].shape)
+
+    return StochasticResult(winner, m - 2, counts, n_max, cycles), race
+
+
 def run_stochastic_grid(
     volume: LikelihoodVolume,
     n_max: int,
@@ -51,35 +74,19 @@ def run_stochastic_grid(
 ) -> StochasticResult:
     """Run one machine per valid pixel and collect counts, winners and cycles.
 
-    Band k holds the valid rows R*k .. R*(k+1) - 1 of `_rows_per_band`, the
-    last may be short, and races on `stream_seed(master_seed, k)`. The
-    outputs are allocated once and each band is written into them; counts
-    take the smallest unsigned dtype that holds n_max. Per-band seeding keeps
-    the output at any `workers` count bit-identical to a serial run.
+    Band k, valid rows R*k .. R*(k+1) - 1 of `_rows_per_band` (the last may
+    be short), races in `_grid_racer` on `stream_seed(master_seed, k)`, so
+    any `workers` count gives the serial run's bits.
     """
     check_race_args(n_max, max_cycles, workers, master_seed)
     rates = volume.rates
-    counts = np.empty(rates.shape, dtype=np.min_scalar_type(n_max))
-    winner = np.empty(rates.shape[:2], dtype=np.int64)
-    cycles = np.empty(rates.shape[:2], dtype=np.int64)
-    # row-major (pixels, M) and (pixels,) views of the grid arrays, a band
-    # `band` pixels of them; only rates that are not C-contiguous are copied
-    m, band = rates.shape[2], _rows_per_band(rates.shape[1]) * rates.shape[1]
-    pixels, counts_px = rates.reshape(-1, m), counts.reshape(-1, m)
-    winner_px, cycles_px = winner.reshape(-1), cycles.reshape(-1)
+    result, race = _grid_racer(rates.shape, n_max, master_seed, max_cycles)
+    band = _rows_per_band(rates.shape[1])
 
     def race_bands(draws):
-        # Bands share no generator and write disjoint slices, so threads need
-        # no lock, and numpy's draws and array kernels release the GIL.
         for k in draws:
-            part = slice(k * band, (k + 1) * band)
-            rng = np.random.default_rng(stream_seed(master_seed, k))
-            counts_px[part], winner_px[part], cycles_px[part] = race_arrivals(
-                rng, pixels[part], n_max, max_cycles
-            )
+            rows = slice(k * band, min((k + 1) * band, len(rates)))
+            race(rows, rates[rows])
 
-    _run_shares(race_bands, -(-winner.size // band), workers)
-    return StochasticResult(
-        winner=winner, d_max=volume.params.d_max, counts=counts, n_max=n_max,
-        cycles=cycles,
-    )
+    _run_shares(race_bands, -(-len(rates) // band), workers)
+    return result

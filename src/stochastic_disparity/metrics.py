@@ -36,12 +36,12 @@ class AccuracyReport:
 
 
 class Readout(NamedTuple):
-    """One run over the valid pixel grid as scoring reads it: counts or oracle
-    rates, the last channel no-match, and the `outcome` that gives each
-    pixel's winner: a disparity, no-match or a timeout. A pixel whose winner
-    is a disparity peaks there, so its max-normalized distribution is its
-    disparity values over the value at its winner: counts over n_max, or
-    rates over the winning score."""
+    """One run over the valid pixel grid as scoring reads it, by row slice:
+    counts or oracle rates (or `BandRates`), the last channel no-match, and
+    the `outcome` that gives each pixel's winner: a disparity, no-match or a
+    timeout. A pixel whose winner is a disparity peaks there, so its
+    max-normalized distribution is its disparity values over the value at
+    its winner: counts over n_max, or rates over the winning score."""
 
     values: np.ndarray  # (H, W_valid, d_max + 2)
     outcome: Outcome
@@ -134,11 +134,11 @@ def hardware_estimate(
     )
 
 
-def _distributions(values, winner, part: slice, keep: np.ndarray) -> np.ndarray:
-    """The kept pixels' disparity values in band `part`, each pixel divided
-    in place by its peak, the value at its winner."""
-    dist = values[part][keep, :-1].astype(float, copy=False)
-    dist /= np.take_along_axis(dist, winner[part][keep, None], axis=1)
+def _distributions(side: Readout, rows: slice, keep: np.ndarray) -> np.ndarray:
+    """The kept pixels' disparity values in the band of `rows`, each pixel
+    divided in place by its peak, the value at its winner."""
+    dist = side.values[rows][keep, :-1].astype(float, copy=False)
+    dist /= np.take_along_axis(dist, side.outcome.winner[rows][keep, None], axis=1)
     return dist
 
 
@@ -150,27 +150,23 @@ def score_readouts(
     F1 covers every pixel, with the reference outcome's no-match flags as
     truth; a timed-out pixel counts as not flagging no-match. RMS covers the
     pixels whose winner is a disparity on both sides, summed over the bands
-    of `_rows_per_band`, on up to `workers` threads, so no grid-sized
-    distribution is built.
+    of `_rows_per_band`, on up to `workers` threads, each side read by band
+    (`values[rows]`): no grid-sized distribution or volume is built.
     """
     if np.shape(run.values) != np.shape(reference.values):
         raise ValueError("distribution arrays must have identical shapes")
     matched = (run.outcome.map_disparity >= 0) & (reference.outcome.map_disparity >= 0)
-    n, m, n_matched = matched.size, np.shape(run.values)[-1], int(matched.sum())
+    m, n_matched = np.shape(run.values)[-1], int(matched.sum())
     if n_matched == 0:
         raise ValueError("no pixels to compare")
-    sides = [  # (pixels, m) values and (pixels,) winners
-        (np.reshape(r.values, (n, m)), np.reshape(r.outcome.winner, n))
-        for r in (run, reference)
-    ]
-    band = _rows_per_band(matched.shape[1]) * matched.shape[1]  # pixels
-    matched, sums = matched.reshape(n), [0.0] * -(-n // band)
+    band = _rows_per_band(matched.shape[1])
+    sums = [0.0] * -(-len(matched) // band)
 
     def share(bands):
         for k in bands:
-            part = slice(k * band, (k + 1) * band)
-            diff = _distributions(*sides[0], part, matched[part])
-            diff -= _distributions(*sides[1], part, matched[part])
+            rows = slice(k * band, (k + 1) * band)
+            diff = _distributions(run, rows, matched[rows])
+            diff -= _distributions(reference, rows, matched[rows])
             sums[k] = float(np.square(diff, out=diff).sum())
 
     _run_shares(share, len(sums), workers)

@@ -265,35 +265,39 @@ def _likelihood_tables(params: ModelParams):
     return (*(likelihood(cost, s, params.p0) for s in sigmas), np.asarray(nomatch))
 
 
-def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, each, workers=1):
-    """The one rate builder: calls each(rows, rates of disparities 0..d_max,
-    no-match rates) for every band of `_rows_per_band` rows, in C-contiguous
-    buffers the thread's next band reuses. The bands are shared over up to
-    `workers` threads. A subtraction of each band's intp codes indexes
-    `pair`, t_m * t_h at (dm + 255) * 511 + dh + 255, and t_v gives the third
-    factor, multiplied in that order."""
-    if fmaps_l.mean.shape != fmaps_r.mean.shape:
-        raise ValueError("left and right feature maps must have equal shapes")
-    h, w = fmaps_l.mean.shape
-    d_max = params.d_max
-    if w <= d_max:
-        raise ValueError(
-            f"feature maps of width {w} leave no valid pixels at d_max={d_max}"
-        )
-    t_m, t_h, t_v, t_nm = _likelihood_tables(params)
-    pair = (t_m[:, None] * t_h).ravel()
-    band = min(_rows_per_band(w - d_max), h)
-    shape = (band, w - d_max, d_max + 1)
+class BandRates:
+    """The one rate builder, and the rates of `build_likelihood_volume` by
+    row slice with no volume: `rates[rows]` builds those rows' (n, W_valid,
+    d_max + 2) rates, bit for bit the volume's, and `np.asarray` refuses."""
 
-    def share(bands):
-        codes = np.empty((2, 2, band, w), np.intp)  # [view][mean-grad_h, grad_v]
+    def __init__(self, fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params):
+        (h, w), d_max = fmaps_l.mean.shape, params.d_max
+        if fmaps_r.mean.shape != (h, w):
+            raise ValueError("left and right feature maps must have equal shapes")
+        if w <= d_max:
+            raise ValueError(f"feature maps of width {w} leave no valid pixels "
+                             f"at d_max={d_max}")
+        self.maps, self.d_max = (fmaps_l, fmaps_r), d_max
+        self.shape = (h, w - d_max, d_max + 2)
+        t_m, t_h, *self.tables = _likelihood_tables(params)  # t_v, t_nm
+        self.pair = (t_m[:, None] * t_h).ravel()
+
+    def builder(self, n_rows: int):
+        """build(rows): disparity and no-match rates of up to `n_rows` rows,
+        in C-contiguous buffers its next call reuses. A subtraction of intp
+        codes indexes `pair`, t_m * t_h at (dm + 255) * 511 + dh + 255, and
+        t_v gives the third factor, multiplied in that order."""
+        (fmaps_l, fmaps_r), (t_v, t_nm), d_max = self.maps, self.tables, self.d_max
+        w = fmaps_l.width
+        codes = np.empty((2, 2, n_rows, w), np.intp)  # [view][mean-grad_h, grad_v]
         # [code, y, x, d] is the right partner of valid pixel x at disparity d;
         # right codes are held reversed in x so d runs forward, a unit stride.
         right = sliding_window_view(codes[1], d_max + 1, axis=2)[:, :, ::-1]
+        shape = (n_rows, w - d_max, d_max + 1)
         index, pm, pv = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
-        for y0 in (k * band for k in bands):
-            rows = slice(y0, min(y0 + band, h))
-            n = rows.stop - y0
+
+        def build(rows):
+            n = rows.stop - rows.start
             i, m, v = index[:n], pm[:n], pv[:n]
             views = zip((fmaps_l, fmaps_r), codes[:, :, :n], (1, -1))
             for fmaps, (code, gv), dx in views:
@@ -306,12 +310,37 @@ def _rate_bands(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, each, worker
             # mode="clip" writes straight into `out` ("raise" would buffer a
             # copy); `FeatureMaps`' ranges keep every index inside its table
             np.subtract(code_l, right[0, :n], out=i)
-            np.take(pair, i, out=m, mode="clip")
+            np.take(self.pair, i, out=m, mode="clip")
             np.subtract(gv_l, right[1, :n], out=i)
             np.take(t_v, i, out=v, mode="clip")
             np.multiply(m, v, out=m)
             gv = fmaps_l.grad_v[rows, d_max:] + 127
-            each(rows, m, np.take(t_nm, gv, mode="clip"))
+            return m, np.take(t_nm, gv, mode="clip")
+
+        return build
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(self.shape[0])
+        if step != 1:
+            raise IndexError("band rates are read by row slices of step 1")
+        disparity, nomatch = self.builder(stop - start)(slice(start, stop))
+        return np.concatenate((disparity, nomatch[..., None]), axis=2)
+
+    def __array__(self, *args, **kwargs):
+        raise TypeError("band rates hold no volume: read row slices of them")
+
+
+def _rate_bands(rates: BandRates, each, workers=1):
+    """each(rows, disparity rates, no-match rates) for every band of
+    `_rows_per_band` rows, on up to `workers` threads with buffers each."""
+    h, width, _ = rates.shape
+    band = min(_rows_per_band(width), h)
+
+    def share(bands):
+        build = rates.builder(band)
+        for y0 in (k * band for k in bands):
+            rows = slice(y0, min(y0 + band, h))
+            each(rows, *build(rows))
 
     _run_shares(share, -(-h // band), workers)
 
@@ -320,14 +349,14 @@ def build_likelihood_volume(
     fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params: ModelParams, workers: int = 1
 ) -> LikelihoodVolume:
     """Every band of `_rate_bands` on `workers` threads, stored in one array."""
-    grad_v = fmaps_l.grad_v[:, params.d_max :]  # `_rate_bands` checks the shapes
-    rates = np.empty(grad_v.shape + (params.machine_width,))
+    bands = BandRates(fmaps_l, fmaps_r, params)
+    rates = np.empty(bands.shape)
 
     def store(rows, disparity_rates, nomatch_rates):
         rates[rows, :, :-1] = disparity_rates
         rates[rows, :, -1] = nomatch_rates
 
-    _rate_bands(fmaps_l, fmaps_r, params, store, workers)
+    _rate_bands(bands, store, workers)
     # products of factors in [0, 1] stay in [0, 1]: no scan of the whole volume
     checked = all(0 <= f.min() <= f.max() <= 1 for f in _likelihood_tables(params))
     return LikelihoodVolume(rates, params, checked)

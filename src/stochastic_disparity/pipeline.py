@@ -9,12 +9,12 @@ import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES
 from .dump import COUNT_MAX, D_MAX_LIMIT, write_dump
-from .engine import StochasticResult, run_stochastic_grid
+from .engine import StochasticResult, _grid_racer
 from .machine import check_race_args
-from .model import ModelParams, Outcome, build_likelihood_volume, check_pair_shapes
+from .model import BandRates, ModelParams, Outcome, _rate_bands, check_pair_shapes
 from .model import compute_features
 from .pgm import load_image, save_image
-from .reference import reference_infer, reference_outcome
+from .reference import ReferenceResult, reference_outcome
 
 MODES = ("reference", "stochastic", "both")
 
@@ -69,7 +69,8 @@ class RunConfig:
 @dataclass
 class PipelineSummary:
     """Each engine's result, or None. The oracle's is a winner grid alone in
-    `reference` mode and a `ReferenceResult` with the rates in `both` mode."""
+    `reference` mode and in `both` mode a `ReferenceResult` whose rates are
+    `BandRates`, rebuilt by row slice: neither mode holds the volume."""
 
     reference: Optional[Outcome]
     stochastic: Optional[StochasticResult]
@@ -128,24 +129,30 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
     workers = config.workers
     if config.mode == "reference":
         reference = reference_outcome(fmaps_l, fmaps_r, config.params, workers)
+        stochastic = None
     else:
-        volume = build_likelihood_volume(fmaps_l, fmaps_r, config.params, workers)
-        reference = reference_infer(volume) if config.mode == "both" else None
+        # each band is built, argmaxed as `reference_infer` would, raced, dropped
+        bands = BandRates(fmaps_l, fmaps_r, config.params)
+        stochastic, race = _grid_racer(
+            bands.shape, config.n_max, config.seed, config.max_cycles
+        )
+        both = config.mode == "both"
+        oracle = np.empty(bands.shape[:2], np.intp) if both else None
+
+        def each(rows, disparity_rates, nomatch_rates):
+            rates = np.concatenate((disparity_rates, nomatch_rates[..., None]), 2)
+            if both:
+                rates.argmax(axis=2, out=oracle[rows])
+            race(rows, rates)
+
+        _rate_bands(bands, each, workers)
+        reference = ReferenceResult(oracle, d_max, bands) if both else None
     if reference is not None and config.reference_image_out is not None:
         save_image(
             config.reference_image_out,
             render_disparity(reference.map_disparity, d_max, feature_width),
         )
 
-    stochastic = None
-    if config.mode in ("stochastic", "both"):
-        stochastic = run_stochastic_grid(
-            volume,
-            config.n_max,
-            config.seed,
-            max_cycles=config.max_cycles,
-            workers=workers,
-        )
     summary = PipelineSummary(reference=reference, stochastic=stochastic)
     if stochastic is not None:
         cycles = stochastic.cycles

@@ -11,23 +11,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FeatureMaps, LikelihoodVolume, Outcome, _rate_bands
+from .model import BandRates, FeatureMaps, LikelihoodVolume, Outcome, _rate_bands
 
 
 @dataclass(frozen=True)
 class ReferenceResult(Outcome):
-    """The oracle's `Outcome` over the valid pixel grid and the volume's own
-    (H, W_valid, d_max + 2) `rates`, held without a copy; a reference-mode
-    run returns the `Outcome` alone. The oracle never times out."""
+    """The oracle's `Outcome` over the valid pixel grid and its (H, W_valid,
+    d_max + 2) `rates`: a volume's own array, not copied, or a `both` run's
+    `BandRates`. Reference mode returns the `Outcome` alone; no timeouts."""
 
-    rates: np.ndarray  # (H, W_valid, d_max + 2)
+    rates: np.ndarray  # (H, W_valid, d_max + 2), or BandRates
 
     @property
     def norm_scores(self) -> np.ndarray:
         """Disparity scores over each pixel's winning score (its largest
         rate), so matched pixels peak at exactly 1; built on each access."""
-        top = np.take_along_axis(self.rates, self.winner[..., None], axis=2)
-        return self.rates[:, :, :-1] / top
+        rates = np.asarray(self.rates)  # `BandRates` refuse to build a volume
+        top = np.take_along_axis(rates, self.winner[..., None], axis=2)
+        return rates[:, :, :-1] / top
 
 
 def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
@@ -47,8 +48,8 @@ def reference_outcome(
     """The winners of `reference_infer(build_likelihood_volume(...))`, one
     band of rates at a time, on up to `workers` threads: no-match wins only
     above the top disparity rate."""
-    grad_v = fmaps_l.grad_v[:, params.d_max :]  # `_rate_bands` checks the shapes
-    winner = np.empty(grad_v.shape, np.intp)
+    bands = BandRates(fmaps_l, fmaps_r, params)
+    winner = np.empty(bands.shape[:2], np.intp)
 
     def pick(rows, rates, nomatch):
         best = rates.argmax(axis=2, out=winner[rows])
@@ -57,5 +58,5 @@ def reference_outcome(
         top = rates.take(starts + best)
         best[nomatch > top] = params.nomatch_index
 
-    _rate_bands(fmaps_l, fmaps_r, params, pick, workers=workers)
+    _rate_bands(bands, pick, workers=workers)
     return Outcome(winner, params.d_max)

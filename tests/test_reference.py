@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from stochastic_disparity import model
+from stochastic_disparity.engine import run_stochastic_grid
+from stochastic_disparity.metrics import compare_results
 from stochastic_disparity.model import (
     BORDER,
     FEATURE_NAMES,
+    BandRates,
     LikelihoodVolume,
     ModelParams,
     build_likelihood_volume,
@@ -174,6 +177,95 @@ class TestReferenceOutcome:
         volume_bytes = summary.reference.winner.size * config.params.machine_width * 8
         assert summary.reference.winner.shape == (476, 556)
         assert peak < volume_bytes / 8
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_both_mode_never_holds_the_volume(self, workers, tmp_path):
+        # the same 174 MB volume; a `both` run that writes every artifact
+        # holds the uint8 counts (22 MB), the winner, cycles and oracle grids
+        # (2 MB each), the feature maps and each thread's band buffers, and
+        # builds the oracle's rates again only band by band
+        paths = write_pair(
+            tmp_path, *planted_shift_pair(640, 480, 20, seed=1, noise_sigma=20)
+        )
+        config = RunConfig(
+            *paths, mode="both", workers=workers,
+            reference_image_out=tmp_path / "ref.pgm",
+            stochastic_image_out=tmp_path / "sto.pgm",
+            dump_out=tmp_path / "run.sdsp",
+        )
+        tracemalloc.start()
+        try:
+            summary = run_pipeline(config, log=io.StringIO())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.stochastic.counts.shape == (476, 556, 82)
+        assert peak < summary.stochastic.counts.size * 8 / 3
+
+
+class TestBandPass:
+    """`stochastic` and `both` runs build, argmax and race each band of rates
+    in one pass, and give what the volume path gives."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_both_run_equals_the_volume_path(self, workers, tmp_path):
+        left, right = natural_scene_pair(200, 150, 12, seed=1)
+        config = RunConfig(
+            *write_pair(tmp_path, left, right), n_max=16, seed=5, workers=workers
+        )
+        summary = run_pipeline(config, log=io.StringIO())
+        fmaps = compute_features(left), compute_features(right)
+        volume = build_likelihood_volume(*fmaps, config.params)
+        oracle = reference_infer(volume)
+        run = run_stochastic_grid(volume, 16, 5)
+        assert isinstance(summary.reference, ReferenceResult)
+        assert summary.reference.winner.dtype == oracle.winner.dtype
+        assert summary.reference.winner.tobytes() == oracle.winner.tobytes()
+        for name in ("counts", "winner", "cycles"):
+            got, want = getattr(summary.stochastic, name), getattr(run, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        # float for float: rms, f1 and n_matched, the oracle's rates rebuilt
+        # band by band
+        want = compare_results(run, oracle, workers)
+        assert compare_results(summary.stochastic, summary.reference, workers) == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stochastic_mode_writes_the_both_runs_bytes(self, workers, tmp_path):
+        # the race does not depend on whether the oracle ran
+        paths = write_pair(tmp_path, *natural_scene_pair(200, 150, 12, seed=1))
+        artifacts, logs = {}, {}
+        for mode in ("stochastic", "both"):
+            artifacts[mode] = tmp_path / f"{mode}.pgm", tmp_path / f"{mode}.sdsp"
+            config = RunConfig(
+                *paths, n_max=16, seed=7, mode=mode, workers=workers,
+                stochastic_image_out=artifacts[mode][0], dump_out=artifacts[mode][1],
+            )
+            logs[mode] = io.StringIO()
+            run_pipeline(config, log=logs[mode])
+        for sto, both in zip(artifacts["stochastic"], artifacts["both"]):
+            assert sto.read_bytes() == both.read_bytes()
+        assert logs["stochastic"].getvalue() == logs["both"].getvalue()
+
+    def test_band_rates_are_the_volume_by_row_slice(self):
+        params = ModelParams(d_max=16)
+        left, right = natural_scene_pair(60 + BORDER, 9 + BORDER, 8, seed=2)
+        fmaps = compute_features(left), compute_features(right)
+        volume = build_likelihood_volume(*fmaps, params)
+        bands = BandRates(*fmaps, params)
+        assert bands.shape == volume.rates.shape
+        for rows in (slice(0, 3), slice(4, 5), slice(2, None), slice(None),
+                     slice(-3, 100), slice(7, 7)):
+            got = bands[rows]
+            assert got.shape == volume.rates[rows].shape
+            assert got.tobytes() == volume.rates[rows].tobytes()
+        with pytest.raises(IndexError, match="step 1"):
+            bands[::2]
+        # no whole array: neither numpy nor `norm_scores` builds the volume
+        with pytest.raises(TypeError, match="no volume"):
+            np.asarray(bands)
+        result = ReferenceResult(reference_infer(volume).winner, params.d_max, bands)
+        with pytest.raises(TypeError, match="no volume"):
+            result.norm_scores
 
 
 class TestDisparityImages:

@@ -2,6 +2,7 @@
 items drawn once from one counter, no thread at workers=1, one worker-count
 rule, errors from pool threads, stalled pool threads and forked children."""
 
+import io
 import multiprocessing
 import sys
 import threading
@@ -26,6 +27,8 @@ from stochastic_disparity.model import (
     build_likelihood_volume,
     compute_features,
 )
+from stochastic_disparity.pgm import save_image
+from stochastic_disparity.pipeline import RunConfig, run_pipeline
 from stochastic_disparity.reference import reference_infer, reference_outcome
 from stochastic_disparity.synthetic import natural_scene_pair
 
@@ -85,6 +88,26 @@ class TestStagesEqualTheSerialRun:
         for workers in THREADED:
             assert compare_results(runs[0], reference, workers) == report
             assert score_readouts(*readouts, workers) == scores
+
+    def test_band_pass(self, monkeypatch, interleaved, tmp_path):
+        # a `both` run builds, argmaxes and races 19 2-row bands on threads
+        # that write one set of grids
+        monkeypatch.setattr(model, "RACE_BLOCK", 80)
+        paths = tmp_path / "left.pgm", tmp_path / "right.pgm"
+        for path, img in zip(paths, pair(37)):
+            save_image(path, img)
+        runs = [
+            run_pipeline(
+                RunConfig(*paths, params=PARAMS, n_max=16, seed=4, workers=w),
+                log=io.StringIO(),
+            )
+            for w in (1, *THREADED)
+        ]
+        for run in runs[1:]:
+            assert run.reference.winner.tobytes() == runs[0].reference.winner.tobytes()
+            for name in ("counts", "winner", "cycles"):
+                got, want = (getattr(r.stochastic, name) for r in (run, runs[0]))
+                assert got.tobytes() == want.tobytes(), name
 
     def test_sweep_csv(self, monkeypatch, interleaved):
         monkeypatch.setattr(model, "RACE_BLOCK", 80)  # 2-row bands
