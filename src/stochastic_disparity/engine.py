@@ -3,14 +3,14 @@
 The valid grid is raced in the whole-row bands of `model._rows_per_band`, one
 `race_arrivals` call per band in the one race body of `_grid_racer`, over a
 volume (`run_stochastic_grid`) or, in a `stochastic` or `both` run, on each
-band as it is built, with no volume. Band k draws from its own generator
-stream keyed by the master seed and k, so results are independent of scan
-order and of which thread races a band. The bands are a term of the
-determinism contract: the same seed gives the same bytes for every worker
-count, and other bands would give other bytes with the same law. Bands are
-written in place into the counts, winner and cycles arrays, allocated once
-per grid; no-match, timeouts and the MAP are read from the winner
-(`Outcome`).
+band of `run_pipeline`'s one pass as it is built, with no volume. Band k
+draws from its own generator stream keyed by the master seed and k, so
+results are independent of scan order and of which thread races a band. The
+bands are a term of the determinism contract: the same seed gives the same
+bytes for every worker count, and other bands would give other bytes with
+the same law. Bands are written in place into the counts, winner and cycles
+arrays, allocated once per grid; no-match, timeouts and the MAP are read
+from the winner (`Outcome`).
 """
 
 from dataclasses import dataclass

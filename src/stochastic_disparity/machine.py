@@ -143,6 +143,8 @@ def check_race_args(n_max: int, max_cycles: int, workers: int = 1, seed: int = 0
         raise ValueError("counter maximum n_max must be positive")
     if not 0 < max_cycles < 2**63 - 1:  # arrivals clip at max_cycles + 1 in int64
         raise ValueError("max_cycles must lie in [1, 2**63 - 2]")
+    if n_max > max_cycles:  # no counter reaches n_max: every pixel times out
+        raise ValueError("counter maximum n_max must not exceed max_cycles")
     if seed < 0:  # a `SeedSequence` entropy
         raise ValueError("seed must be nonnegative")
     check_worker_count(workers)

@@ -37,7 +37,8 @@ class AccuracyReport:
 
 class Readout(NamedTuple):
     """One run over the valid pixel grid as scoring reads it, by row slice:
-    counts or oracle rates (or `BandRates`), the last channel no-match, and
+    counts or oracle rates (a volume's or `BandRates`, whose row slices are
+    the volume's bit for bit), the last channel no-match, and
     the `outcome` that gives each pixel's winner: a disparity, no-match or a
     timeout. A pixel whose winner is a disparity peaks there, so its
     max-normalized distribution is its disparity values over the value at

@@ -267,8 +267,8 @@ def _likelihood_tables(params: ModelParams):
 
 class BandRates:
     """The one rate builder, and the rates of `build_likelihood_volume` by
-    row slice with no volume: `rates[rows]` builds those rows' (n, W_valid,
-    d_max + 2) rates, bit for bit the volume's, and `np.asarray` refuses."""
+    row slice with no volume: each band is one (n, W_valid, d_max + 2) array,
+    bit for bit the volume's rows; `rates[rows]` builds one, `np.asarray` no."""
 
     def __init__(self, fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params):
         (h, w), d_max = fmaps_l.mean.shape, params.d_max
@@ -283,39 +283,41 @@ class BandRates:
         self.pair = (t_m[:, None] * t_h).ravel()
 
     def builder(self, n_rows: int):
-        """build(rows): disparity and no-match rates of up to `n_rows` rows,
-        in C-contiguous buffers its next call reuses. A subtraction of intp
-        codes indexes `pair`, t_m * t_h at (dm + 255) * 511 + dh + 255, and
-        t_v gives the third factor, multiplied in that order."""
+        """build(rows): the rates of up to `n_rows` rows in one C-contiguous
+        buffer its next call reuses. A subtraction of intp codes indexes
+        `pair`, t_m * t_h at (dm + 255) * 511 + dh + 255, and t_v gives the
+        third factor, multiplied in that order; then the no-match rate."""
         (fmaps_l, fmaps_r), (t_v, t_nm), d_max = self.maps, self.tables, self.d_max
         w = fmaps_l.width
-        codes = np.empty((2, 2, n_rows, w), np.intp)  # [view][mean-grad_h, grad_v]
-        # [code, y, x, d] is the right partner of valid pixel x at disparity d;
+        # [view][mean-grad_h, grad_v] and a pad column. [code, y, x, d] is the
+        # right partner of valid pixel x at disparity d, the pad at d_max + 1;
         # right codes are held reversed in x so d runs forward, a unit stride.
-        right = sliding_window_view(codes[1], d_max + 1, axis=2)[:, :, ::-1]
-        shape = (n_rows, w - d_max, d_max + 1)
+        codes = np.zeros((2, 2, n_rows, w + 1), np.intp)
+        right = sliding_window_view(codes[1], d_max + 2, axis=2)[:, :, ::-1]
+        shape = (n_rows, w - d_max, d_max + 2)
         index, pm, pv = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
 
         def build(rows):
             n = rows.stop - rows.start
             i, m, v = index[:n], pm[:n], pv[:n]
-            views = zip((fmaps_l, fmaps_r), codes[:, :, :n], (1, -1))
+            views = zip((fmaps_l, fmaps_r), codes[:, :, :n, :w], (1, -1))
             for fmaps, (code, gv), dx in views:
                 code[...], gv[...] = fmaps.mean[rows, ::dx], fmaps.grad_v[rows, ::dx]
                 code *= _SPAN
                 code += fmaps.grad_h[rows, ::dx]
-            code_l, gv_l = codes[0, :, :n, d_max:, None]
+            code_l, gv_l = codes[0, :, :n, d_max:w, None]
             code_l += 255 * _SPAN + 255
             gv_l += 255
             # mode="clip" writes straight into `out` ("raise" would buffer a
-            # copy); `FeatureMaps`' ranges keep every index inside its table
+            # copy); only the pad's index leaves its table, and no-match wins it
             np.subtract(code_l, right[0, :n], out=i)
             np.take(self.pair, i, out=m, mode="clip")
             np.subtract(gv_l, right[1, :n], out=i)
             np.take(t_v, i, out=v, mode="clip")
             np.multiply(m, v, out=m)
             gv = fmaps_l.grad_v[rows, d_max:] + 127
-            return m, np.take(t_nm, gv, mode="clip")
+            m[..., -1] = np.take(t_nm, gv, mode="clip")
+            return m
 
         return build
 
@@ -323,24 +325,24 @@ class BandRates:
         start, stop, step = rows.indices(self.shape[0])
         if step != 1:
             raise IndexError("band rates are read by row slices of step 1")
-        disparity, nomatch = self.builder(stop - start)(slice(start, stop))
-        return np.concatenate((disparity, nomatch[..., None]), axis=2)
+        return self.builder(stop - start)(slice(start, stop))
 
     def __array__(self, *args, **kwargs):
         raise TypeError("band rates hold no volume: read row slices of them")
 
 
 def _rate_bands(rates: BandRates, each, workers=1):
-    """each(rows, disparity rates, no-match rates) for every band of
-    `_rows_per_band` rows, on up to `workers` threads with buffers each."""
+    """each(rows, band rates) for every band of `_rows_per_band` rows, on up
+    to `workers` threads; a thread's buffers come with its first band."""
     h, width, _ = rates.shape
     band = min(_rows_per_band(width), h)
 
     def share(bands):
-        build = rates.builder(band)
+        build = None
         for y0 in (k * band for k in bands):
             rows = slice(y0, min(y0 + band, h))
-            each(rows, *build(rows))
+            build = build or rates.builder(band)
+            each(rows, build(rows))
 
     _run_shares(share, -(-h // band), workers)
 
@@ -352,9 +354,8 @@ def build_likelihood_volume(
     bands = BandRates(fmaps_l, fmaps_r, params)
     rates = np.empty(bands.shape)
 
-    def store(rows, disparity_rates, nomatch_rates):
-        rates[rows, :, :-1] = disparity_rates
-        rates[rows, :, -1] = nomatch_rates
+    def store(rows, band):
+        rates[rows] = band
 
     _rate_bands(bands, store, workers)
     # products of factors in [0, 1] stay in [0, 1]: no scan of the whole volume

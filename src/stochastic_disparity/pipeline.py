@@ -11,10 +11,10 @@ from .bitstream import DEFAULT_MAX_CYCLES
 from .dump import COUNT_MAX, D_MAX_LIMIT, write_dump
 from .engine import StochasticResult, _grid_racer
 from .machine import check_race_args
-from .model import BandRates, ModelParams, Outcome, _rate_bands, check_pair_shapes
-from .model import compute_features
+from .model import BandRates, FeatureMaps, ModelParams, Outcome, _rate_bands
+from .model import check_pair_shapes, compute_features
 from .pgm import load_image, save_image
-from .reference import ReferenceResult, reference_outcome
+from .reference import ReferenceResult
 
 MODES = ("reference", "stochastic", "both")
 
@@ -68,9 +68,9 @@ class RunConfig:
 
 @dataclass
 class PipelineSummary:
-    """Each engine's result, or None. The oracle's is a winner grid alone in
-    `reference` mode and in `both` mode a `ReferenceResult` whose rates are
-    `BandRates`, rebuilt by row slice: neither mode holds the volume."""
+    """Each engine's result, or None, from one band pass. The oracle's is a
+    winner grid alone in `reference` mode and in `both` mode a
+    `ReferenceResult` whose rates are `BandRates`: no mode holds the volume."""
 
     reference: Optional[Outcome]
     stochastic: Optional[StochasticResult]
@@ -106,6 +106,29 @@ def render_disparity(
     return img
 
 
+def _band_pass(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, config: RunConfig):
+    """The oracle's and the race's results of one pass over the bands of
+    rates: each band is built, argmaxed as `reference_infer` would (not in
+    `stochastic` mode), raced (not in `reference` mode) and dropped."""
+    bands, mode = BandRates(fmaps_l, fmaps_r, config.params), config.mode
+    oracle = None if mode == "stochastic" else np.empty(bands.shape[:2], np.intp)
+    stochastic, race = (None, None) if mode == "reference" else _grid_racer(
+        bands.shape, config.n_max, config.seed, config.max_cycles
+    )
+
+    def each(rows, rates):
+        if oracle is not None:
+            rates.argmax(axis=2, out=oracle[rows])
+        if race is not None:
+            race(rows, rates)
+
+    _rate_bands(bands, each, config.workers)
+    d_max = config.params.d_max
+    if mode == "both":
+        return ReferenceResult(oracle, d_max, bands), stochastic
+    return (None if oracle is None else Outcome(oracle, d_max)), stochastic
+
+
 def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
     """Run the configured engines on one stereo pair and write artifacts.
 
@@ -126,27 +149,7 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
     feature_width = fmaps_l.width
     d_max = config.params.d_max
 
-    workers = config.workers
-    if config.mode == "reference":
-        reference = reference_outcome(fmaps_l, fmaps_r, config.params, workers)
-        stochastic = None
-    else:
-        # each band is built, argmaxed as `reference_infer` would, raced, dropped
-        bands = BandRates(fmaps_l, fmaps_r, config.params)
-        stochastic, race = _grid_racer(
-            bands.shape, config.n_max, config.seed, config.max_cycles
-        )
-        both = config.mode == "both"
-        oracle = np.empty(bands.shape[:2], np.intp) if both else None
-
-        def each(rows, disparity_rates, nomatch_rates):
-            rates = np.concatenate((disparity_rates, nomatch_rates[..., None]), 2)
-            if both:
-                rates.argmax(axis=2, out=oracle[rows])
-            race(rows, rates)
-
-        _rate_bands(bands, each, workers)
-        reference = ReferenceResult(oracle, d_max, bands) if both else None
+    reference, stochastic = _band_pass(fmaps_l, fmaps_r, config)
     if reference is not None and config.reference_image_out is not None:
         save_image(
             config.reference_image_out,

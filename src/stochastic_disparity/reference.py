@@ -2,16 +2,17 @@
 
 Reads each pixel's exact posterior scores, the products of its feature
 likelihoods under a uniform prior, straight off the channel rates. The
-winner is the first channel at the top score, the counter race's tie-break:
-no-match wins only by strictly exceeding every disparity score. Reference
-mode keeps that winner grid alone (`reference_outcome`), and no rates.
+winner is `argmax(axis=2)`, the first channel at the top score, the counter
+race's tie-break: no-match wins only by strictly exceeding every disparity
+score. `run_pipeline` takes the same argmax of each band of rates as it is
+built, and keeps the winner grid alone in `reference` mode.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BandRates, FeatureMaps, LikelihoodVolume, Outcome, _rate_bands
+from .model import LikelihoodVolume, Outcome
 
 
 @dataclass(frozen=True)
@@ -41,22 +42,3 @@ def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
     rates = volume.rates
     return ReferenceResult(rates.argmax(axis=2), volume.params.d_max, rates)
 
-
-def reference_outcome(
-    fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params, workers: int = 1
-) -> Outcome:
-    """The winners of `reference_infer(build_likelihood_volume(...))`, one
-    band of rates at a time, on up to `workers` threads: no-match wins only
-    above the top disparity rate."""
-    bands = BandRates(fmaps_l, fmaps_r, params)
-    winner = np.empty(bands.shape[:2], np.intp)
-
-    def pick(rows, rates, nomatch):
-        best = rates.argmax(axis=2, out=winner[rows])
-        # flat positions in the C-ordered band: each pixel's disparity 0, + best
-        starts = np.arange(best.size).reshape(best.shape) * (params.d_max + 1)
-        top = rates.take(starts + best)
-        best[nomatch > top] = params.nomatch_index
-
-    _rate_bands(bands, pick, workers=workers)
-    return Outcome(winner, params.d_max)

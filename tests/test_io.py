@@ -771,9 +771,10 @@ class TestCli:
             (["--max-cycles", "0"], "max_cycles must lie"),
             (["--workers", "0"], "worker count must be positive"),
             (["--sigma-m", "nan"], "sigma_m"),
+            (["--n-max-list", "1,8", "--max-cycles", "7"], "not exceed max_cycles"),
         ],
         ids=["seed", "seeds", "n_max_list", "n_max_text", "max_cycles", "workers",
-             "param"],
+             "param", "n_max_beyond_max_cycles"],
     )
     def test_bad_sweep_argument_exits_with_code_2_before_reading_an_image(
         self, extra, message, tmp_path, monkeypatch, capsys
@@ -793,8 +794,10 @@ class TestCli:
             (["--crop", "0,0,0,5"], "crop dimensions must be positive"),
             (["--crop=-1,0,5,5"], "crop rectangle outside the image"),
             (["--d-max", "65536", "--n-max", "1"], "d_max above 65535 does not fit"),
+            (["--max-cycles", "15"], "must not exceed max_cycles"),  # n_max 16
         ],
-        ids=["crop_empty", "crop_negative_origin", "d_max_beyond_dump"],
+        ids=["crop_empty", "crop_negative_origin", "d_max_beyond_dump",
+             "n_max_beyond_max_cycles"],
     )
     def test_bad_disparity_argument_exits_with_code_2_before_reading_an_image(
         self, extra, message, tmp_path, monkeypatch, capsys

@@ -341,6 +341,10 @@ class TestRaceArrivals:
             race_arrivals(np.random.default_rng(0), np.ones((1, 2)), n_max=0)
         with pytest.raises(ValueError):
             race_arrivals(np.random.default_rng(0), np.ones((1, 2)), 4, max_cycles=0)
+        # no counter could reach n_max within the budget
+        with pytest.raises(ValueError, match="must not exceed max_cycles"):
+            race_arrivals(np.random.default_rng(0), np.ones((1, 2)), 4, max_cycles=3)
+        race_arrivals(np.random.default_rng(0), np.ones((1, 2)), 4, max_cycles=4)
 
     @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.1])
     @pytest.mark.parametrize("n_max", [1, 4])

@@ -19,12 +19,13 @@ from stochastic_disparity.model import (
     compute_features,
 )
 from stochastic_disparity.pgm import save_image
-from stochastic_disparity.pipeline import RunConfig, render_disparity, run_pipeline
-from stochastic_disparity.reference import (
-    ReferenceResult,
-    reference_infer,
-    reference_outcome,
+from stochastic_disparity.pipeline import (
+    RunConfig,
+    _band_pass,
+    render_disparity,
+    run_pipeline,
 )
+from stochastic_disparity.reference import ReferenceResult, reference_infer
 from stochastic_disparity.synthetic import natural_scene_pair, planted_shift_pair
 
 
@@ -113,10 +114,10 @@ def write_pair(tmp_path, left, right):
 
 
 class TestReferenceOutcome:
-    """`reference_outcome` takes the oracle band by band, with no volume."""
+    """A `reference` run takes the oracle band by band, with no volume."""
 
     @pytest.mark.parametrize("height", [1, 4, 5, 6, 37])
-    def test_winner_equals_the_volume_oracle(self, monkeypatch, height):
+    def test_winner_equals_the_volume_oracle(self, monkeypatch, tmp_path, height):
         params = ModelParams(d_max=16)
         left, right = natural_scene_pair(
             120 + BORDER, height + BORDER, 8, seed=3, content_x=20
@@ -134,9 +135,12 @@ class TestReferenceOutcome:
         rates = volume.rates[y, tie - params.d_max]
         assert rates[d] == rates[-1] == rates.max() == 1.0
         want = reference_infer(volume).winner
-        got = reference_outcome(fmaps_l, fmaps_r, params).winner
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+        unread = tmp_path / "left.pgm", tmp_path / "right.pgm"
+        for mode in ("reference", "both"):
+            config = RunConfig(*unread, params, mode=mode)
+            got = _band_pass(fmaps_l, fmaps_r, config)[0].winner
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
         assert want[y, tie - params.d_max] <= params.d_max  # the tie stays matched
         assert want[y, flat - params.d_max] == params.nomatch_index
 
@@ -253,6 +257,13 @@ class TestBandPass:
         volume = build_likelihood_volume(*fmaps, params)
         bands = BandRates(*fmaps, params)
         assert bands.shape == volume.rates.shape
+        # one C-contiguous band in the volume's layout, its buffer reused
+        build = bands.builder(4)
+        for rows in (slice(0, 4), slice(4, 8), slice(8, 9)):
+            got = build(rows)
+            assert isinstance(got, np.ndarray) and got.flags.c_contiguous
+            assert got.shape == (rows.stop - rows.start, *bands.shape[1:])
+            assert got.tobytes() == volume.rates[rows].tobytes()
         for rows in (slice(0, 3), slice(4, 5), slice(2, None), slice(None),
                      slice(-3, 100), slice(7, 7)):
             got = bands[rows]

@@ -29,7 +29,7 @@ from stochastic_disparity.model import (
 )
 from stochastic_disparity.pgm import save_image
 from stochastic_disparity.pipeline import RunConfig, run_pipeline
-from stochastic_disparity.reference import reference_infer, reference_outcome
+from stochastic_disparity.reference import reference_infer
 from stochastic_disparity.synthetic import natural_scene_pair
 
 PARAMS = ModelParams(d_max=16)
@@ -58,19 +58,39 @@ def feature_pair(height):
     return tuple(compute_features(img) for img in pair(height))
 
 
+def write_pair(tmp_path, images):
+    paths = tmp_path / "left.pgm", tmp_path / "right.pgm"
+    for path, img in zip(paths, images):
+        save_image(path, img)
+    return paths
+
+
+def stalling_pool(done):
+    """A pool whose shares wait, before their first draw, for `done`."""
+
+    class StallingPool(ThreadPoolExecutor):
+        def submit(self, share, draws):
+            return super().submit(lambda: done.wait(60) and share(draws))
+
+    return StallingPool
+
+
 class TestStagesEqualTheSerialRun:
     @pytest.mark.parametrize("height", [1, 5, 37])
-    def test_rates_and_winners(self, monkeypatch, interleaved, height):
+    def test_rates_and_winners(self, monkeypatch, interleaved, tmp_path, height):
         # 2-row bands of the 44-pixel rows: one band at height 1, three at 5
         # (the last short)
         monkeypatch.setattr(model, "RACE_BLOCK", 80)
-        fmaps_l, fmaps_r = feature_pair(height)
+        images = pair(height)
+        fmaps_l, fmaps_r = (compute_features(img) for img in images)
         volume = build_likelihood_volume(fmaps_l, fmaps_r, PARAMS)
-        outcome = reference_outcome(fmaps_l, fmaps_r, PARAMS).winner
-        for workers in THREADED:
+        outcome = reference_infer(volume).winner
+        paths = write_pair(tmp_path, images)
+        for workers in (1, *THREADED):
             rates = build_likelihood_volume(fmaps_l, fmaps_r, PARAMS, workers).rates
             assert rates.tobytes() == volume.rates.tobytes()
-            got = reference_outcome(fmaps_l, fmaps_r, PARAMS, workers).winner
+            config = RunConfig(*paths, params=PARAMS, mode="reference", workers=workers)
+            got = run_pipeline(config, log=io.StringIO()).reference.winner
             assert got.dtype == outcome.dtype
             assert got.tobytes() == outcome.tobytes()
 
@@ -93,9 +113,7 @@ class TestStagesEqualTheSerialRun:
         # a `both` run builds, argmaxes and races 19 2-row bands on threads
         # that write one set of grids
         monkeypatch.setattr(model, "RACE_BLOCK", 80)
-        paths = tmp_path / "left.pgm", tmp_path / "right.pgm"
-        for path, img in zip(paths, pair(37)):
-            save_image(path, img)
+        paths = write_pair(tmp_path, pair(37))
         runs = [
             run_pipeline(
                 RunConfig(*paths, params=PARAMS, n_max=16, seed=4, workers=w),
@@ -122,14 +140,17 @@ class TestStagesEqualTheSerialRun:
 
 
 class TestThreads:
-    def test_one_worker_starts_no_thread(self, monkeypatch):
+    def test_one_worker_starts_no_thread(self, monkeypatch, tmp_path):
         def refuse(thread):
             raise AssertionError("a thread was started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         left, right = pair(37)
         sweep_counter_sizes(left, right, PARAMS, [1, 16], [0], workers=1)
-        reference_outcome(*feature_pair(37), PARAMS, workers=1)
+        paths = write_pair(tmp_path, (left, right))
+        for mode in ("reference", "both"):
+            config = RunConfig(*paths, params=PARAMS, mode=mode, workers=1)
+            run_pipeline(config, log=io.StringIO())
 
     def test_every_item_is_drawn_once(self, interleaved):
         drawn = []  # one list per share
@@ -175,18 +196,36 @@ class TestThreads:
                 done.set()
             return machine.race_arrivals(*args)
 
-        class StallingPool(ThreadPoolExecutor):
-            def submit(self, share, draws):
-                # the pool share waits, before its first draw, for the caller
-                # to race every block
-                return super().submit(lambda: done.wait(60) and share(draws))
-
         monkeypatch.setattr(engine, "race_arrivals", race_on_the_caller)
-        monkeypatch.setattr(model, "ThreadPoolExecutor", StallingPool)
+        # the pool share waits for the caller to race every block
+        monkeypatch.setattr(model, "ThreadPoolExecutor", stalling_pool(done))
         stalled = run_stochastic_grid(volume, 16, 5, workers=2)
         assert raced == [True] * blocks
         for name in ("counts", "winner", "cycles"):
             assert getattr(stalled, name).tobytes() == getattr(serial, name).tobytes()
+
+    def test_a_share_that_draws_no_band_allocates_no_buffers(self, monkeypatch):
+        rates = model.BandRates(*feature_pair(37), PARAMS)
+        # 10-row bands of the 37 rows: 4 bands, all drawn by the caller while
+        # the pool share waits
+        monkeypatch.setattr(model, "RACE_BLOCK", 10 * rates.shape[1])
+        seen, built, done = [], [], threading.Event()
+        builder = model.BandRates.builder
+
+        def counted_builder(self, n_rows):
+            built.append(n_rows)
+            return builder(self, n_rows)
+
+        def each(rows, band):
+            seen.append(rows.start)
+            if len(seen) == 4:
+                done.set()
+
+        monkeypatch.setattr(model.BandRates, "builder", counted_builder)
+        monkeypatch.setattr(model, "ThreadPoolExecutor", stalling_pool(done))
+        model._rate_bands(rates, each, workers=2)
+        assert seen == [0, 10, 20, 30]
+        assert built == [10]
 
     def test_a_scoring_error_on_a_pool_thread_reaches_the_caller(
         self, monkeypatch
@@ -212,7 +251,7 @@ class TestThreads:
 
     @pytest.mark.parametrize("workers", [0, -3])
     @pytest.mark.parametrize(
-        "stage", ["volume", "reference_outcome", "engine", "compare"]
+        "stage", ["volume", "band_pass", "engine", "compare"]
     )
     def test_every_stage_rejects_a_nonpositive_worker_count(self, stage, workers):
         fmaps = feature_pair(5)
@@ -220,7 +259,9 @@ class TestThreads:
         reference, run = reference_infer(volume), run_stochastic_grid(volume, 8, 0)
         calls = {
             "volume": lambda: build_likelihood_volume(*fmaps, PARAMS, workers),
-            "reference_outcome": lambda: reference_outcome(*fmaps, PARAMS, workers),
+            "band_pass": lambda: model._rate_bands(
+                model.BandRates(*fmaps, PARAMS), lambda rows, band: None, workers
+            ),
             "engine": lambda: run_stochastic_grid(volume, 8, 0, workers=workers),
             "compare": lambda: compare_results(run, reference, workers),
         }
