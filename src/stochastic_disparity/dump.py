@@ -34,7 +34,7 @@ from typing import Tuple
 import numpy as np
 
 from .engine import CountGrid
-from .model import Outcome, _rows_per_band
+from .model import Outcome, _rows_per_band, winner_dtype
 
 MAGIC = b"SDSP"
 VERSION = 1
@@ -71,7 +71,7 @@ def _check_counts(counts: np.ndarray, n_max: int) -> None:
 def _winner(counts: np.ndarray, n_max: int) -> np.ndarray:
     """Each valid pixel's winner, read off its counts: the first channel at
     n_max, or -1 (a timeout) where none reached it, band by band."""
-    winner = np.empty(counts.shape[:2], np.int64)
+    winner = np.empty(counts.shape[:2], winner_dtype(counts.shape[2] - 2))
     band = _rows_per_band(counts.shape[1])
     for y in range(0, len(counts), band):
         at_max = counts[y : y + band] == n_max

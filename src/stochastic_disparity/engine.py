@@ -19,7 +19,7 @@ import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES, stream_seed
 from .machine import check_race_args, race_arrivals
-from .model import LikelihoodVolume, Outcome, _rows_per_band, _run_shares
+from .model import LikelihoodVolume, Outcome, _rows_per_band, _run_shares, winner_dtype
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,14 @@ class StochasticResult(CountGrid):
 
 def _grid_racer(shape, n_max: int, master_seed: int, max_cycles: int):
     """A race's result over a (H, W_valid, d_max + 2) grid, allocated once
-    (counts in the smallest unsigned dtype that holds n_max), and the race
-    body that fills it: race(rows, rates) races band k of `_rows_per_band`,
-    on `stream_seed(master_seed, k)`, in place. Bands write disjoint rows,
-    so threads need no lock; numpy's draws and kernels release the GIL."""
+    (counts in the smallest unsigned dtype that holds n_max, the winner in
+    `winner_dtype`), and the race body that fills it: race(rows, rates)
+    races band k of `_rows_per_band`, on `stream_seed(master_seed, k)`, in
+    place. Bands write disjoint rows, so threads need no lock; numpy's draws
+    and kernels release the GIL."""
     counts = np.empty(shape, dtype=np.min_scalar_type(n_max))
-    winner, cycles = np.empty(shape[:2], np.int64), np.empty(shape[:2], np.int64)
+    winner = np.empty(shape[:2], winner_dtype(shape[2] - 2))
+    cycles = np.empty(shape[:2], np.int64)
     band, m = _rows_per_band(shape[1]), shape[2]
 
     def race(rows, rates):

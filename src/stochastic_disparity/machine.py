@@ -230,7 +230,8 @@ def race_arrivals(
     Rates are quantised to ceil(p * 2**53) / 2**53, the probability of
     `random() < p`, so p = 0 never arrives and any other rate is >= 2**-53.
     NegBin(n_max, p) is summed over shares of at most ARRIVAL_SHARE
-    successes, so every valid rate and counter size can be drawn.
+    successes, so every valid rate and counter size can be drawn; no share is
+    drawn once every arrival of the block is past max_cycles.
 
     Returns per-pixel (counts, winner, cycles); counts have the smallest
     unsigned dtype that holds n_max.
@@ -252,11 +253,13 @@ def race_arrivals(
     p_c = p[rows, cols]
     cap = max_cycles + 1
     arrival = np.full(p_c.shape, min(n_max, cap), dtype=np.int64)
+    arrival[p_c == 0] = cap
     for done in range(0, n_max, ARRIVAL_SHARE):
         share = min(ARRIVAL_SHARE, n_max - done)
         failures = rng.negative_binomial(share, np.where(p_c > 0, p_c, 1.0))
         arrival += np.minimum(failures, cap - arrival)
-    arrival[p_c == 0] = cap
+        if arrival.min(initial=cap) == cap:  # later shares would be discarded
+            break
     starts = np.searchsorted(rows, np.arange(p.shape[0]))
     stop = np.minimum.reduceat(arrival, starts)
     cycles = np.minimum(stop, max_cycles)

@@ -21,6 +21,7 @@ from .pgm import check_gray_pixels
 
 KERNEL_SIZE = 5
 BORDER = KERNEL_SIZE - 1  # feature maps lose 4 pixels per dimension
+_IMAGE_BLOCK = 2**15  # output pixels per band of the front end and the render
 
 # Filter kernels, which `compute_features` evaluates exactly in integers. The
 # mean filter is a normalized 5x5 box. The gradients are separable: a flat
@@ -79,10 +80,11 @@ class Outcome:
     """Which channel of each pixel's machine won, over the valid grid.
 
     `winner` in 0..d_max is the MAP disparity, d_max + 1 the no-match channel
-    and -1 a timeout: no counter overflowed within the cycle budget.
+    and -1 a timeout: no counter overflowed within the cycle budget. Every
+    engine, oracle and dump gives it in the dtype of `winner_dtype(d_max)`.
     """
 
-    winner: np.ndarray  # (H, W_valid) int
+    winner: np.ndarray  # (H, W_valid), int16 unless d_max + 1 > 32767
     d_max: int
 
     @property
@@ -99,13 +101,18 @@ class Outcome:
         return np.where(self.winner <= self.d_max, self.winner, -1)
 
 
+def winner_dtype(d_max: int) -> np.dtype:
+    """The dtype of every winner grid: int16 unless d_max + 1 > 32767."""
+    return np.dtype(np.int16 if d_max < np.iinfo(np.int16).max else np.int32)
+
+
 def validate_gray_image(img: np.ndarray) -> np.ndarray:
-    """Pixels of a non-empty 2-D 8-bit image, as int32 for the filter sums."""
+    """The pixels of a non-empty 2-D 8-bit image, in their own dtype."""
     img = np.asarray(img)
     if img.ndim != 2 or img.size == 0:
         raise ValueError("image must be a non-empty 2-D array")
     check_gray_pixels(img, ValueError)
-    return img.astype(np.int32)
+    return img
 
 
 def check_pair_shapes(left, right) -> None:
@@ -162,20 +169,34 @@ def _rounded(num: np.ndarray, scale: int, den: int) -> np.ndarray:
     return (2 * scale * num + den) // (2 * den)
 
 
+def _image_rows(width: int) -> int:
+    """Rows of a band of `compute_features` or `render_disparity`; exact
+    sums and a shade table make them no term of the determinism contract."""
+    return -(-_IMAGE_BLOCK // width)
+
+
 def compute_features(img: np.ndarray) -> FeatureMaps:
     """Apply the three 5x5 filters with valid-region support, exactly: int32
     5-pixel column and row sums give the correlations, rounded half away from
     zero into int16 maps. No response is near a tie (box/25 is a multiple of
     0.04, 127 * ramp / 3825 at least 1/7650 from a half-integer), so rounding
-    the floats agrees."""
-    pixels = validate_gray_image(img)
-    if pixels.shape[0] < KERNEL_SIZE or pixels.shape[1] < KERNEL_SIZE:
+    the floats agrees. The maps are written band by band of `_image_rows`,
+    each read with its 4-row halo, so no full-frame sum is held."""
+    img = validate_gray_image(img)
+    if img.shape[0] < KERNEL_SIZE or img.shape[1] < KERNEL_SIZE:
         raise ValueError("image smaller than the 5x5 filter support")
-    cols, rows = _window_sums(pixels, 0), _window_sums(pixels, 1)
-    ramp_h = 2 * (cols[:, 4:] - cols[:, :-4]) + cols[:, 3:-1] - cols[:, 1:-3]
-    ramp_v = 2 * (rows[4:] - rows[:-4]) + rows[3:-1] - rows[1:-3]
-    mean = _rounded(_window_sums(cols, 1), 1, KERNEL_SIZE**2)
-    return FeatureMaps(mean, _rounded(ramp_h, 127, 3825), _rounded(ramp_v, 127, 3825))
+    h, w = img.shape[0] - BORDER, img.shape[1] - BORDER
+    maps = [np.empty((h, w), np.int16) for _ in FEATURE_NAMES]
+    band = _image_rows(w)
+    for y in range(0, h, band):
+        pixels = img[y : y + band + BORDER].astype(np.int32)
+        cols, rows = _window_sums(pixels, 0), _window_sums(pixels, 1)
+        ramp_h = 2 * (cols[:, 4:] - cols[:, :-4]) + cols[:, 3:-1] - cols[:, 1:-3]
+        ramp_v = 2 * (rows[4:] - rows[:-4]) + rows[3:-1] - rows[1:-3]
+        maps[0][y : y + band] = _rounded(_window_sums(cols, 1), 1, KERNEL_SIZE**2)
+        maps[1][y : y + band] = _rounded(ramp_h, 127, 3825)
+        maps[2][y : y + band] = _rounded(ramp_v, 127, 3825)
+    return FeatureMaps(*maps)
 
 
 def likelihood(cost, sigma: float, p0: float):

@@ -23,7 +23,7 @@ class ImageFormatError(ImageIOError):
     pass
 
 
-_TOKEN = re.compile(rb"^[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*([^ \t\r\n]+)")
+_TOKEN = re.compile(rb"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*([^ \t\r\n]+)")
 
 
 def _read_tokens(data: bytes, count: int):
@@ -32,11 +32,11 @@ def _read_tokens(data: bytes, count: int):
     tokens = []
     pos = 0
     for _ in range(count):
-        match = _TOKEN.match(data[pos:])
+        match = _TOKEN.match(data, pos)  # at pos, with no copy of the tail
         if not match:
             raise ImageFormatError("truncated or malformed header")
         tokens.append(match.group(1))
-        pos += match.end()
+        pos = match.end()
     if pos >= len(data) or data[pos : pos + 1] not in (b" ", b"\t", b"\r", b"\n"):
         raise ImageFormatError("missing whitespace after header")
     return tokens, pos + 1
@@ -64,7 +64,7 @@ def load_image(path) -> np.ndarray:
         )
     channels = 3 if color else 1
     expected = width * height * channels
-    raster = data[offset : offset + expected]
+    raster = memoryview(data)[offset : offset + expected]  # no copy
     if len(raster) < expected:
         raise ImageFormatError(f"truncated raster in {path}")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)

@@ -11,8 +11,8 @@ from .bitstream import DEFAULT_MAX_CYCLES
 from .dump import COUNT_MAX, D_MAX_LIMIT, write_dump
 from .engine import StochasticResult, _grid_racer
 from .machine import check_race_args
-from .model import BandRates, FeatureMaps, ModelParams, Outcome, _rate_bands
-from .model import check_pair_shapes, compute_features
+from .model import BandRates, FeatureMaps, ModelParams, Outcome, _image_rows
+from .model import _rate_bands, check_pair_shapes, compute_features, winner_dtype
 from .pgm import load_image, save_image
 from .reference import ReferenceResult
 
@@ -99,10 +99,14 @@ def render_disparity(
     """Grayscale image of a MAP disparity grid over the full feature-map
     width: disparity d renders round(255 * d / d_max); -1 (no-match or
     timeout) and the x < d_max border, which has no valid pixels, are black.
-    One uint8 table holds the shade of every d, at entry d + 1."""
+    One uint8 table holds the shade of every d, at entry d + 1; it is read
+    band by band of `model._image_rows`, so indices are intp for one band."""
     shades = np.rint(255.0 * np.maximum(np.arange(-1, d_max + 1), 0) / d_max)
+    shades = shades.astype(np.uint8)
     img = np.zeros((map_disparity.shape[0], feature_width), dtype=np.uint8)
-    img[:, d_max:] = shades.astype(np.uint8)[map_disparity + 1]
+    band = _image_rows(feature_width)
+    for y in range(0, len(img), band):
+        img[y : y + band, d_max:] = shades[map_disparity[y : y + band] + 1]
     return img
 
 
@@ -111,19 +115,19 @@ def _band_pass(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, config: RunConfig):
     rates: each band is built, argmaxed as `reference_infer` would (not in
     `stochastic` mode), raced (not in `reference` mode) and dropped."""
     bands, mode = BandRates(fmaps_l, fmaps_r, config.params), config.mode
-    oracle = None if mode == "stochastic" else np.empty(bands.shape[:2], np.intp)
+    d_max, grid = config.params.d_max, bands.shape[:2]
+    oracle = None if mode == "stochastic" else np.empty(grid, winner_dtype(d_max))
     stochastic, race = (None, None) if mode == "reference" else _grid_racer(
         bands.shape, config.n_max, config.seed, config.max_cycles
     )
 
     def each(rows, rates):
         if oracle is not None:
-            rates.argmax(axis=2, out=oracle[rows])
+            oracle[rows] = rates.argmax(axis=2)
         if race is not None:
             race(rows, rates)
 
     _rate_bands(bands, each, config.workers)
-    d_max = config.params.d_max
     if mode == "both":
         return ReferenceResult(oracle, d_max, bands), stochastic
     return (None if oracle is None else Outcome(oracle, d_max)), stochastic
@@ -146,10 +150,13 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
 
     fmaps_l = compute_features(left)
     fmaps_r = compute_features(right)
+    del left, right
     feature_width = fmaps_l.width
     d_max = config.params.d_max
 
+    # a `both` result's `BandRates` keep the maps; no other mode does
     reference, stochastic = _band_pass(fmaps_l, fmaps_r, config)
+    del fmaps_l, fmaps_r
     if reference is not None and config.reference_image_out is not None:
         save_image(
             config.reference_image_out,

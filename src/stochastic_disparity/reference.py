@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LikelihoodVolume, Outcome
+from .model import LikelihoodVolume, Outcome, winner_dtype
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
     the first channel at the top rate: tied disparities resolve to the
     lowest index, and an exact tie with no-match stays matched.
     """
-    rates = volume.rates
-    return ReferenceResult(rates.argmax(axis=2), volume.params.d_max, rates)
+    rates, d_max = volume.rates, volume.params.d_max
+    winner = rates.argmax(axis=2).astype(winner_dtype(d_max))
+    return ReferenceResult(winner, d_max, rates)
 

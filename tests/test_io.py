@@ -59,6 +59,20 @@ class TestPgm:
         path.write_bytes(b"P5\n# a comment\n 2  1\n# another\n255\n\x07\x09")
         assert np.array_equal(load_image(path), [[7, 9]])
 
+    def test_p5_load_holds_the_file_and_one_raster(self, tmp_path):
+        # the file's bytes and the returned pixels; a sliced raster and
+        # sliced header tails each made one more copy
+        img = np.random.default_rng(0).integers(0, 256, (480, 640), np.uint8)
+        save_image(tmp_path / "vga.pgm", img)
+        tracemalloc.start()
+        try:
+            loaded = load_image(tmp_path / "vga.pgm")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded, img) and loaded.flags.writeable
+        assert peak < 2.2 * img.size
+
     def test_color_input_converts_via_integer_luma(self, tmp_path):
         path = tmp_path / "c.ppm"
         rgb = bytes([200, 10, 30, 0, 255, 0])

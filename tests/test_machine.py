@@ -346,6 +346,39 @@ class TestRaceArrivals:
             race_arrivals(np.random.default_rng(0), np.ones((1, 2)), 4, max_cycles=3)
         race_arrivals(np.random.default_rng(0), np.ones((1, 2)), 4, max_cycles=4)
 
+    @pytest.mark.parametrize(
+        "rate, n_max, max_cycles, calls",
+        [(1e-6, 2**17, 2**17, 1), (0.5, 2048, 10**7, 4)],
+        ids=["every_arrival_capped", "arrivals_below_the_cap"],
+    )
+    def test_arrival_shares_stop_once_every_arrival_is_capped(
+        self, rate, n_max, max_cycles, calls
+    ):
+        # one 1024-pixel block of 82 channels: at 1e-6 the first share of 512
+        # successes puts every arrival past max_cycles, so the other 255
+        # would be discarded; at 0.5 every one of n_max / 512 shares counts
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def negative_binomial(self, *args):
+                self.calls += 1
+                return self.rng.negative_binomial(*args)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        rng = CountingRng(np.random.default_rng(0))
+        counts, winner, cycles = race_arrivals(
+            rng, np.full((1024, 82), rate), n_max, max_cycles
+        )
+        assert rng.calls == calls
+        if calls == 1:
+            assert (winner == -1).all() and (cycles == max_cycles).all()
+            assert counts.max() < n_max
+        else:
+            assert (winner >= 0).all() and (cycles < max_cycles).all()
+
     @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.1])
     @pytest.mark.parametrize("n_max", [1, 4])
     def test_rates_outside_the_unit_interval_are_rejected(self, bad, n_max):

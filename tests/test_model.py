@@ -55,6 +55,16 @@ class TestKernels:
         assert -127 <= fmaps.grad_h[0, 0] <= 127
 
 
+def whole_frame_features(img):
+    """The maps as one whole-frame pass of int32 sums computes them."""
+    pixels = np.asarray(img).astype(np.int32)
+    cols, rows = model._window_sums(pixels, 0), model._window_sums(pixels, 1)
+    ramp_h = 2 * (cols[:, 4:] - cols[:, :-4]) + cols[:, 3:-1] - cols[:, 1:-3]
+    ramp_v = 2 * (rows[4:] - rows[:-4]) + rows[3:-1] - rows[1:-3]
+    mean = model._rounded(model._window_sums(cols, 1), 1, 25)
+    return mean, model._rounded(ramp_h, 127, 3825), model._rounded(ramp_v, 127, 3825)
+
+
 class TestComputeFeatures:
     def test_constant_image(self):
         fmaps = compute_features(np.full((7, 9), 100, dtype=np.uint8))
@@ -138,8 +148,25 @@ class TestComputeFeatures:
         gap = min(abs(abs(q) % 1 - Fraction(1, 2)) for q in ratios)
         assert gap >= Fraction(1, 7650)
 
-    def test_vga_maps_are_int16_and_peak_below_48_bytes_per_pixel(self):
-        # int32 sums into int16 maps; int64 ones peaked at 63 bytes per pixel
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    @pytest.mark.parametrize("band", [1, 2, 3])
+    def test_bands_equal_the_whole_frame(self, monkeypatch, band, dtype):
+        # 19-pixel rows of maps, `band` rows to a band: heights 5 and 37, a
+        # map height of four whole bands and one row more
+        width = 19 + BORDER
+        monkeypatch.setattr(model, "_IMAGE_BLOCK", band * 19)
+        rng = np.random.default_rng(band)
+        for height in (5, 37, 4 * band + BORDER, 4 * band + BORDER + 1):
+            img = rng.integers(0, 256, (height, width)).astype(dtype)
+            img[0, :3] = (0, 255, 0)  # the extremes reach the first band
+            fmaps = compute_features(img)
+            for name, want in zip(FEATURE_NAMES, whole_frame_features(img)):
+                assert getattr(fmaps, name).dtype == np.int16
+                np.testing.assert_array_equal(getattr(fmaps, name), want, name)
+
+    def test_vga_maps_are_int16_and_peak_below_12_bytes_per_pixel(self):
+        # int16 maps written band by band; whole-frame int32 sums peaked near
+        # 38 bytes per pixel and int64 ones at 63; the maps alone are 6
         img, _ = planted_shift_pair(640, 480, 20, seed=1, noise_sigma=20)
         tracemalloc.start()
         try:
@@ -148,7 +175,7 @@ class TestComputeFeatures:
         finally:
             tracemalloc.stop()
         assert [getattr(fmaps, n).dtype for n in FEATURE_NAMES] == [np.int16] * 3
-        assert peak < 48 * img.size
+        assert peak < 12 * img.size
 
     def test_package_import_loads_no_heavy_scipy_modules(self):
         src = Path(model.__file__).parents[1]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stochastic_disparity import model
+from stochastic_disparity.dump import read_dump, write_dump
 from stochastic_disparity.engine import run_stochastic_grid
 from stochastic_disparity.metrics import compare_results
 from stochastic_disparity.model import (
@@ -90,8 +91,8 @@ class TestReferenceInfer:
         assert result.map_disparity[0, 0] == 1
 
     def test_holds_the_rates_without_a_copy(self):
-        # no score-sized copy or mask: the only grid is the int64 winner,
-        # 1/82 of the rates here
+        # no score-sized copy or mask: the only grids are argmax's intp
+        # indices and the int16 winner, 10 of the rates' 656 bytes per pixel
         rng = np.random.default_rng(0)
         volume = volume_from_rates(
             rng.random((60, 100, 81)), rng.random((60, 100)), d_max=80
@@ -163,9 +164,10 @@ class TestReferenceOutcome:
 
     def test_reference_mode_never_holds_the_volume(self, tmp_path):
         # a 640x480 pair has a 476 x 556 x 82 float64 volume, 174 MB; one
-        # band of rates, the int16 feature maps and the winner grid are about
-        # a twelfth of it. Small grids do not show this: the feature maps and
-        # the 511 x 511 mean-grad_h table stay a fixed share.
+        # band of rates, the int16 feature maps, one band of the front end's
+        # sums and the int16 winner grid are about a twentieth of it. Small
+        # grids do not show this: the feature maps and the 511 x 511
+        # mean-grad_h table stay a fixed share.
         paths = write_pair(
             tmp_path, *planted_shift_pair(640, 480, 20, seed=1, noise_sigma=20)
         )
@@ -180,7 +182,7 @@ class TestReferenceOutcome:
             tracemalloc.stop()
         volume_bytes = summary.reference.winner.size * config.params.machine_width * 8
         assert summary.reference.winner.shape == (476, 556)
-        assert peak < volume_bytes / 8
+        assert peak < volume_bytes / 16
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_both_mode_never_holds_the_volume(self, workers, tmp_path):
@@ -279,6 +281,35 @@ class TestBandPass:
             result.norm_scores
 
 
+class TestWinnerDtype:
+    """Every winner grid has the dtype of `model.winner_dtype`."""
+
+    def test_int16_while_the_no_match_index_fits(self):
+        assert model.winner_dtype(32766) == np.int16
+        assert model.winner_dtype(32767) == np.int32
+
+    def test_every_producer_gives_the_helpers_dtype(self, tmp_path):
+        params = ModelParams(d_max=80)
+        left, right = natural_scene_pair(100 + BORDER, 6 + BORDER, 8, seed=3)
+        fmaps = compute_features(left), compute_features(right)
+        volume = build_likelihood_volume(*fmaps, params)
+        run = run_stochastic_grid(volume, 4, 1)
+        write_dump(tmp_path / "run.sdsp", run.counts, 80, 4)
+        got = {
+            "run_stochastic_grid": run.winner.dtype,
+            "reference_infer": reference_infer(volume).winner.dtype,
+            "read_dump": read_dump(tmp_path / "run.sdsp").winner.dtype,
+        }
+        unread = tmp_path / "left.pgm", tmp_path / "right.pgm"
+        for mode in ("reference", "stochastic", "both"):
+            results = _band_pass(*fmaps, RunConfig(*unread, params, n_max=4, mode=mode))
+            for engine, result in zip(("oracle", "race"), results):
+                if result is not None:
+                    got[f"{mode} {engine}"] = result.winner.dtype
+        assert len(got) == 7
+        assert got == dict.fromkeys(got, model.winner_dtype(80))
+
+
 class TestDisparityImages:
     """`render_disparity` draws every disparity image, over the full
     feature-map width."""
@@ -297,6 +328,18 @@ class TestDisparityImages:
         want = np.rint(255.0 * np.maximum(disparity, 0) / d_max).astype(np.uint8)
         img = render_disparity(disparity, d_max, d_max + disparity.shape[1])
         assert img.dtype == np.uint8
+        assert img[:, d_max:].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("band", [1, 2, 3])
+    def test_bands_equal_the_whole_grid(self, monkeypatch, band):
+        d_max, width = 7, 7 + 11
+        monkeypatch.setattr(model, "_IMAGE_BLOCK", band * width)  # `band` rows
+        disparity = np.random.default_rng(band).integers(-1, d_max + 1, (9, 11))
+        disparity[0, :3] = -1, 0, d_max
+        shades = np.rint(255.0 * np.maximum(np.arange(-1, d_max + 1), 0) / d_max)
+        want = shades.astype(np.uint8)[disparity + 1]
+        img = render_disparity(disparity.astype(np.int16), d_max, width)
+        assert not img[:, :d_max].any()
         assert img[:, d_max:].tobytes() == want.tobytes()
 
     def test_no_match_pixels_render_black(self):
