@@ -34,7 +34,7 @@ from typing import Tuple
 import numpy as np
 
 from .engine import CountGrid
-from .model import Outcome, _rows_per_band, winner_dtype
+from .model import Outcome, _walk_bands, winner_dtype
 
 MAGIC = b"SDSP"
 VERSION = 1
@@ -72,10 +72,12 @@ def _winner(counts: np.ndarray, n_max: int) -> np.ndarray:
     """Each valid pixel's winner, read off its counts: the first channel at
     n_max, or -1 (a timeout) where none reached it, band by band."""
     winner = np.empty(counts.shape[:2], winner_dtype(counts.shape[2] - 2))
-    band = _rows_per_band(counts.shape[1])
-    for y in range(0, len(counts), band):
-        at_max = counts[y : y + band] == n_max
-        winner[y : y + band] = np.where(at_max.any(2), at_max.argmax(2), -1)
+
+    def each(k, rows, band):
+        at_max = band == n_max
+        winner[rows] = np.where(at_max.any(2), at_max.argmax(2), -1)
+
+    _walk_bands([counts], each)
     return winner
 
 
@@ -99,11 +101,9 @@ def write_dump(path, counts: np.ndarray, d_max: int, n_max: int) -> None:
     _check_header(*header)
     _check_counts(counts, n_max)
     bitmaps = _bitmaps(Outcome(_winner(counts, n_max), d_max))
-    band = _rows_per_band(counts.shape[1])
     with open(path, "wb") as f:  # the counts go out band by band, as <u2
         f.write(_HEADER.pack(MAGIC, VERSION, *header))
-        for y in range(0, len(counts), band):
-            f.write(np.ascontiguousarray(counts[y : y + band], "<u2"))
+        _walk_bands([counts], lambda k, _, b: f.write(np.ascontiguousarray(b, "<u2")))
         f.writelines(bitmaps)
 
 

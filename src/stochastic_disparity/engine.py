@@ -1,16 +1,16 @@
 """Grid execution of the fusion machine over all valid pixels of an image.
 
-The valid grid is raced in the whole-row bands of `model._rows_per_band`, one
-`race_arrivals` call per band in the one race body of `_grid_racer`, over a
-volume (`run_stochastic_grid`) or, in a `stochastic` or `both` run, on each
-band of `run_pipeline`'s one pass as it is built, with no volume. Band k
-draws from its own generator stream keyed by the master seed and k, so
-results are independent of scan order and of which thread races a band. The
-bands are a term of the determinism contract: the same seed gives the same
-bytes for every worker count, and other bands would give other bytes with
-the same law. Bands are written in place into the counts, winner and cycles
-arrays, allocated once per grid; no-match, timeouts and the MAP are read
-from the winner (`Outcome`).
+The valid grid is raced band by band, in the whole-row bands that
+`model._walk_bands` hands out, one `race_arrivals` call per band in the one
+race body of `_grid_racer`, over a volume (`run_stochastic_grid`) or, in a
+`stochastic` or `both` run, on each band of `run_pipeline`'s one pass as it
+is built, with no volume. Band k draws from its own generator stream keyed
+by the master seed and k, so results are independent of scan order and of
+which thread races a band. The bands are a term of the determinism
+contract: the same seed gives the same bytes for every worker count, and
+other bands would give other bytes with the same law. Bands are written in
+place into the counts, winner and cycles arrays, allocated once per grid;
+no-match, timeouts and the MAP are read from the winner (`Outcome`).
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES, stream_seed
 from .machine import check_race_args, race_arrivals
-from .model import LikelihoodVolume, Outcome, _rows_per_band, _run_shares, winner_dtype
+from .model import LikelihoodVolume, Outcome, _walk_bands, winner_dtype
 
 
 @dataclass(frozen=True)
@@ -48,23 +48,22 @@ class StochasticResult(CountGrid):
 def _grid_racer(shape, n_max: int, master_seed: int, max_cycles: int):
     """A race's result over a (H, W_valid, d_max + 2) grid, allocated once
     (counts in the smallest unsigned dtype that holds n_max, the winner in
-    `winner_dtype`), and the race body that fills it: race(rows, rates)
-    races band k of `_rows_per_band`, on `stream_seed(master_seed, k)`, in
-    place. Bands write disjoint rows, so threads need no lock; numpy's draws
-    and kernels release the GIL."""
+    `winner_dtype`), and the race body that fills it: race(k, rows, rates),
+    a callback of `_walk_bands`, races band k on `stream_seed(master_seed, k)`
+    in place. Bands write disjoint rows, so threads need no lock; numpy's
+    draws and kernels release the GIL."""
     counts = np.empty(shape, dtype=np.min_scalar_type(n_max))
     winner = np.empty(shape[:2], winner_dtype(shape[2] - 2))
     cycles = np.empty(shape[:2], np.int64)
-    band, m = _rows_per_band(shape[1]), shape[2]
 
-    def race(rows, rates):
-        rng = np.random.default_rng(stream_seed(master_seed, rows.start // band))
+    def race(k, rows, rates):
+        rng = np.random.default_rng(stream_seed(master_seed, k))
         # (pixels, M) rates: only a band that is not C-contiguous is copied
-        out = race_arrivals(rng, rates.reshape(-1, m), n_max, max_cycles)
+        out = race_arrivals(rng, rates.reshape(-1, shape[2]), n_max, max_cycles)
         for grid, part in zip((counts, winner, cycles), out):
             grid[rows] = part.reshape(grid[rows].shape)
 
-    return StochasticResult(winner, m - 2, counts, n_max, cycles), race
+    return StochasticResult(winner, shape[2] - 2, counts, n_max, cycles), race
 
 
 def run_stochastic_grid(
@@ -76,19 +75,11 @@ def run_stochastic_grid(
 ) -> StochasticResult:
     """Run one machine per valid pixel and collect counts, winners and cycles.
 
-    Band k, valid rows R*k .. R*(k+1) - 1 of `_rows_per_band` (the last may
-    be short), races in `_grid_racer` on `stream_seed(master_seed, k)`, so
-    any `workers` count gives the serial run's bits.
+    Band k of `_walk_bands`, valid rows R*k .. R*(k+1) - 1 (the last may be
+    short), races in `_grid_racer` on `stream_seed(master_seed, k)`, so any
+    `workers` count gives the serial run's bits.
     """
     check_race_args(n_max, max_cycles, workers, master_seed)
-    rates = volume.rates
-    result, race = _grid_racer(rates.shape, n_max, master_seed, max_cycles)
-    band = _rows_per_band(rates.shape[1])
-
-    def race_bands(draws):
-        for k in draws:
-            rows = slice(k * band, min((k + 1) * band, len(rates)))
-            race(rows, rates[rows])
-
-    _run_shares(race_bands, -(-len(rates) // band), workers)
+    result, race = _grid_racer(volume.rates.shape, n_max, master_seed, max_cycles)
+    _walk_bands([volume.rates], race, workers)
     return result

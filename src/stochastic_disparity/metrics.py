@@ -10,7 +10,7 @@ import numpy as np
 from .bitstream import DEFAULT_MAX_CYCLES
 from .engine import StochasticResult, run_stochastic_grid
 from .machine import check_race_args
-from .model import BORDER, ModelParams, Outcome, _rows_per_band, _run_shares
+from .model import BORDER, ModelParams, Outcome, _walk_bands
 from .model import build_likelihood_volume, check_pair_shapes, compute_features
 from .reference import ReferenceResult, reference_infer
 
@@ -36,11 +36,11 @@ class AccuracyReport:
 
 
 class Readout(NamedTuple):
-    """One run over the valid pixel grid as scoring reads it, by row slice:
-    counts or oracle rates (a volume's or `BandRates`, whose row slices are
-    the volume's bit for bit), the last channel no-match, and
-    the `outcome` that gives each pixel's winner: a disparity, no-match or a
-    timeout. A pixel whose winner is a disparity peaks there, so its
+    """One run over the valid pixel grid as scoring reads it, band by band of
+    `model._walk_bands`: counts or oracle rates (a volume's or `BandRates`,
+    whose bands are the volume's bit for bit), the last channel no-match,
+    and the `outcome` that gives each pixel's winner: a disparity, no-match
+    or a timeout. A pixel whose winner is a disparity peaks there, so its
     max-normalized distribution is its disparity values over the value at
     its winner: counts over n_max, or rates over the winning score."""
 
@@ -135,11 +135,11 @@ def hardware_estimate(
     )
 
 
-def _distributions(side: Readout, rows: slice, keep: np.ndarray) -> np.ndarray:
-    """The kept pixels' disparity values in the band of `rows`, each pixel
-    divided in place by its peak, the value at its winner."""
-    dist = side.values[rows][keep, :-1].astype(float, copy=False)
-    dist /= np.take_along_axis(dist, side.outcome.winner[rows][keep, None], axis=1)
+def _distributions(values: np.ndarray, winner: np.ndarray, keep) -> np.ndarray:
+    """The kept pixels' disparity values of one band, each pixel divided in
+    place by its peak, the value at its winner."""
+    dist = values[keep, :-1].astype(float, copy=False)
+    dist /= np.take_along_axis(dist, winner[keep, None], axis=1)
     return dist
 
 
@@ -151,8 +151,9 @@ def score_readouts(
     F1 covers every pixel, with the reference outcome's no-match flags as
     truth; a timed-out pixel counts as not flagging no-match. RMS covers the
     pixels whose winner is a disparity on both sides, summed over the bands
-    of `_rows_per_band`, on up to `workers` threads, each side read by band
-    (`values[rows]`): no grid-sized distribution or volume is built.
+    in which `_walk_bands` hands out both sides' values (`BandRates` built in
+    one set of buffers a thread), on up to `workers` threads, and added in
+    band order: no grid-sized distribution or volume is built.
     """
     if np.shape(run.values) != np.shape(reference.values):
         raise ValueError("distribution arrays must have identical shapes")
@@ -160,20 +161,18 @@ def score_readouts(
     m, n_matched = np.shape(run.values)[-1], int(matched.sum())
     if n_matched == 0:
         raise ValueError("no pixels to compare")
-    band = _rows_per_band(matched.shape[1])
-    sums = [0.0] * -(-len(matched) // band)
+    sums = {}
 
-    def share(bands):
-        for k in bands:
-            rows = slice(k * band, (k + 1) * band)
-            diff = _distributions(run, rows, matched[rows])
-            diff -= _distributions(reference, rows, matched[rows])
-            sums[k] = float(np.square(diff, out=diff).sum())
+    def each(k, rows, run_values, reference_values):
+        keep = matched[rows]
+        diff = _distributions(run_values, run.outcome.winner[rows], keep)
+        diff -= _distributions(reference_values, reference.outcome.winner[rows], keep)
+        sums[k] = float(np.square(diff, out=diff).sum())
 
-    _run_shares(share, len(sums), workers)
+    _walk_bands([run.values, reference.values], each, workers)
     total = 0.0
-    for band_sum in sums:  # in band order, as one thread adds them
-        total += band_sum
+    for k in sorted(sums):  # in band order, as one thread adds them
+        total += sums[k]
     rms = math.sqrt(total / (n_matched * (m - 1)))
     return rms, f1_nomatch(reference.outcome.no_match, run.outcome.no_match), n_matched
 

@@ -10,6 +10,7 @@ low-contrast pixels so the machine never stalls on near-zero rates.
 import functools
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 
@@ -255,20 +256,26 @@ _SPAN = 2 * 255 + 1  # signed feature differences -255..255
 def _rows_per_band(width: int) -> int:
     """R, the fewest whole rows of a valid grid `width` pixels wide that hold
     `RACE_BLOCK` pixels, a term of the determinism contract and no parameter.
-    Band k is rows R*k .. R*(k+1) - 1 (the last may be short); the rate
-    builder, the race (band k on stream k), scoring and the dump walk them."""
+    Band k is rows R*k .. R*(k+1) - 1 (the last may be short), in `_walk_bands`."""
     return -(-RACE_BLOCK // width)
 
 
+def _thread_cap() -> int:
+    """The most threads a stage starts: the usable cores, plus one."""
+    usable = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return (len(usable(0)) if usable else os.cpu_count() or 1) + 1
+
+
 def _run_shares(share, items: int, workers: int) -> None:
-    """Run share(draws) on T = min(workers, items) threads, the caller's and
-    T - 1 of a pool made for this call (none at T = 1). All draws take items
-    below `items` from one `itertools.count()`, advanced under CPython's GIL,
-    so a slow thread leaves the rest to the others. Shares write disjoint
-    outputs and never nest; the first pool error re-raises once all end."""
+    """Run share(draws) on T = min(workers, items, `_thread_cap()`) threads,
+    the caller's and T - 1 of a pool made for this call (none at T = 1). All
+    draws take items below `items` from one `itertools.count()`, advanced
+    under CPython's GIL, so a slow thread leaves the rest to the others.
+    Shares write disjoint outputs and never nest; the first pool error
+    re-raises once all end."""
     check_worker_count(workers)
     draws = functools.partial(itertools.takewhile, items.__gt__, itertools.count())
-    threads = min(workers, items)
+    threads = min(workers, items, _thread_cap())
     with ThreadPoolExecutor(max(1, threads - 1)) as pool:
         rest = [pool.submit(share, draws()) for _ in range(threads - 1)]
         share(draws())
@@ -287,9 +294,9 @@ def _likelihood_tables(params: ModelParams):
 
 
 class BandRates:
-    """The one rate builder, and the rates of `build_likelihood_volume` by
-    row slice with no volume: each band is one (n, W_valid, d_max + 2) array,
-    bit for bit the volume's rows; `rates[rows]` builds one, `np.asarray` no."""
+    """The one rate builder, and the rates of `build_likelihood_volume` with
+    no volume: `_walk_bands` builds each band as one (n, W_valid, d_max + 2)
+    array, bit for bit the volume's rows; `np.asarray` builds none."""
 
     def __init__(self, fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params):
         (h, w), d_max = fmaps_l.mean.shape, params.d_max
@@ -342,28 +349,24 @@ class BandRates:
 
         return build
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        start, stop, step = rows.indices(self.shape[0])
-        if step != 1:
-            raise IndexError("band rates are read by row slices of step 1")
-        return self.builder(stop - start)(slice(start, stop))
-
     def __array__(self, *args, **kwargs):
-        raise TypeError("band rates hold no volume: read row slices of them")
+        raise TypeError("band rates hold no volume: walk their bands")
 
 
-def _rate_bands(rates: BandRates, each, workers=1):
-    """each(rows, band rates) for every band of `_rows_per_band` rows, on up
-    to `workers` threads; a thread's buffers come with its first band."""
-    h, width, _ = rates.shape
-    band = min(_rows_per_band(width), h)
+def _walk_bands(grids, each, workers=1):
+    """each(k, rows, *bands) for band k of `_rows_per_band` rows of every
+    (H, W_valid, ...) grid of `grids`, on up to `workers` threads: an array
+    is sliced, and `BandRates` are built in buffers a thread makes on its
+    first band. The only code that turns the band rule into rows."""
+    h, band = grids[0].shape[0], _rows_per_band(grids[0].shape[1])
 
-    def share(bands):
-        build = None
-        for y0 in (k * band for k in bands):
-            rows = slice(y0, min(y0 + band, h))
-            build = build or rates.builder(band)
-            each(rows, build(rows))
+    def share(draws):
+        readers = None
+        for k in draws:
+            rows = slice(k * band, min(k * band + band, h))
+            readers = readers or [g.builder(min(band, h)) if isinstance(g, BandRates)
+                                  else g.__getitem__ for g in grids]
+            each(k, rows, *(read(rows) for read in readers))
 
     _run_shares(share, -(-h // band), workers)
 
@@ -371,14 +374,14 @@ def _rate_bands(rates: BandRates, each, workers=1):
 def build_likelihood_volume(
     fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params: ModelParams, workers: int = 1
 ) -> LikelihoodVolume:
-    """Every band of `_rate_bands` on `workers` threads, stored in one array."""
+    """Every band of the rates on `workers` threads, stored in one array."""
     bands = BandRates(fmaps_l, fmaps_r, params)
     rates = np.empty(bands.shape)
 
-    def store(rows, band):
+    def store(k, rows, band):
         rates[rows] = band
 
-    _rate_bands(bands, store, workers)
+    _walk_bands([bands], store, workers)
     # products of factors in [0, 1] stay in [0, 1]: no scan of the whole volume
     checked = all(0 <= f.min() <= f.max() <= 1 for f in _likelihood_tables(params))
     return LikelihoodVolume(rates, params, checked)

@@ -68,9 +68,11 @@ def load_image(path) -> np.ndarray:
     if len(raster) < expected:
         raise ImageFormatError(f"truncated raster in {path}")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
-    if color:
-        rgb = pixels.astype(np.uint32)
-        luma = (77 * rgb[:, :, 0] + 150 * rgb[:, :, 1] + 29 * rgb[:, :, 2]) >> 8
+    if color:  # one channel at a time into uint16: 255 * (77 + 150 + 29) fits
+        luma = np.multiply(pixels[:, :, 0], 77, dtype=np.uint16)
+        for channel, weight in ((1, 150), (2, 29)):
+            luma += np.multiply(pixels[:, :, channel], weight, dtype=np.uint16)
+        luma >>= 8
         return luma.astype(np.uint8)
     return pixels[:, :, 0].copy()
 

@@ -12,7 +12,7 @@ from .dump import COUNT_MAX, D_MAX_LIMIT, write_dump
 from .engine import StochasticResult, _grid_racer
 from .machine import check_race_args
 from .model import BandRates, FeatureMaps, ModelParams, Outcome, _image_rows
-from .model import _rate_bands, check_pair_shapes, compute_features, winner_dtype
+from .model import _walk_bands, check_pair_shapes, compute_features, winner_dtype
 from .pgm import load_image, save_image
 from .reference import ReferenceResult
 
@@ -121,13 +121,13 @@ def _band_pass(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, config: RunConfig):
         bands.shape, config.n_max, config.seed, config.max_cycles
     )
 
-    def each(rows, rates):
+    def each(k, rows, rates):
         if oracle is not None:
             oracle[rows] = rates.argmax(axis=2)
         if race is not None:
-            race(rows, rates)
+            race(k, rows, rates)
 
-    _rate_bands(bands, each, config.workers)
+    _walk_bands([bands], each, config.workers)
     if mode == "both":
         return ReferenceResult(oracle, d_max, bands), stochastic
     return (None if oracle is None else Outcome(oracle, d_max)), stochastic

@@ -83,6 +83,7 @@ class TestDeterminism:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(model, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(model, "_thread_cap", lambda: 64)  # any host: 4 threads
         run_stochastic_grid(small_volume, 8, master_seed=1, workers=small_blocks + 3)
         run_stochastic_grid(small_volume, 8, master_seed=1, workers=2)
         # the calling thread races one share of the bands itself

@@ -73,6 +73,24 @@ class TestPgm:
         assert np.array_equal(loaded, img) and loaded.flags.writeable
         assert peak < 2.2 * img.size
 
+    def test_p6_luma_is_the_formula_below_three_rasters(self, tmp_path):
+        # uint16 sums of one channel at a time, not full-frame uint32 products
+        rgb = np.random.default_rng(1).integers(0, 256, (480, 640, 3), np.uint8)
+        rgb[0, 0], rgb[0, 1] = 0, 255  # the extremes: black and white
+        path = tmp_path / "vga.ppm"
+        path.write_bytes(b"P6\n640 480\n255\n" + rgb.tobytes())
+        tracemalloc.start()
+        try:
+            loaded = load_image(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        r, g, b = rgb.astype(np.int64).transpose(2, 0, 1)
+        assert loaded.dtype == np.uint8
+        assert np.array_equal(loaded, (77 * r + 150 * g + 29 * b) >> 8)
+        assert list(loaded[0, :2]) == [0, 255]
+        assert peak < 3 * rgb.size
+
     def test_color_input_converts_via_integer_luma(self, tmp_path):
         path = tmp_path / "c.ppm"
         rgb = bytes([200, 10, 30, 0, 255, 0])
@@ -340,6 +358,15 @@ class TestDump:
         )
         assert np.array_equal(back.counts, dump.counts)
         assert np.array_equal(back.winner, dump.winner)
+
+    def test_a_grid_of_zero_rows_round_trips(self, tmp_path):
+        # a header allows height 0: no band, an empty winner and no bitmap bytes
+        counts = np.zeros((0, 5, 7 + 2), np.uint16)
+        write_dump(tmp_path / "d.bin", counts, 7, 4)
+        assert (tmp_path / "d.bin").stat().st_size == struct.calcsize("<4sHIIHI")
+        back = read_dump(tmp_path / "d.bin")
+        assert back.counts.shape == counts.shape
+        assert back.winner.shape == (0, 5)
 
     @pytest.mark.parametrize("layout", ["uint8", "uint16", "fortran_order"])
     def test_bytes_equal_the_whole_array_layout(self, layout, tmp_path):

@@ -252,8 +252,9 @@ class TestBandPass:
             assert sto.read_bytes() == both.read_bytes()
         assert logs["stochastic"].getvalue() == logs["both"].getvalue()
 
-    def test_band_rates_are_the_volume_by_row_slice(self):
+    def test_band_rates_are_the_volume_by_row_slice(self, monkeypatch):
         params = ModelParams(d_max=16)
+        monkeypatch.setattr(model, "RACE_BLOCK", 80)  # 2-row bands of 44 pixels
         left, right = natural_scene_pair(60 + BORDER, 9 + BORDER, 8, seed=2)
         fmaps = compute_features(left), compute_features(right)
         volume = build_likelihood_volume(*fmaps, params)
@@ -266,13 +267,18 @@ class TestBandPass:
             assert isinstance(got, np.ndarray) and got.flags.c_contiguous
             assert got.shape == (rows.stop - rows.start, *bands.shape[1:])
             assert got.tobytes() == volume.rates[rows].tobytes()
-        for rows in (slice(0, 3), slice(4, 5), slice(2, None), slice(None),
-                     slice(-3, 100), slice(7, 7)):
-            got = bands[rows]
-            assert got.shape == volume.rates[rows].shape
-            assert got.tobytes() == volume.rates[rows].tobytes()
-        with pytest.raises(IndexError, match="step 1"):
-            bands[::2]
+        # walked beside the volume, every band of the builder is the volume's
+        walked = []
+
+        def each(k, rows, built, sliced):
+            walked.append((k, rows.start, rows.stop))
+            assert built.shape == sliced.shape
+            assert built.tobytes() == sliced.tobytes()
+
+        for workers in (1, 2):
+            walked.clear()
+            model._walk_bands([bands, volume.rates], each, workers)
+            assert sorted(walked) == [(k, 2 * k, min(2 * k + 2, 9)) for k in range(5)]
         # no whole array: neither numpy nor `norm_scores` builds the volume
         with pytest.raises(TypeError, match="no volume"):
             np.asarray(bands)

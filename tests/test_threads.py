@@ -4,6 +4,7 @@ rule, errors from pool threads, stalled pool threads and forked children."""
 
 import io
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -152,7 +153,7 @@ class TestThreads:
             config = RunConfig(*paths, params=PARAMS, mode=mode, workers=1)
             run_pipeline(config, log=io.StringIO())
 
-    def test_every_item_is_drawn_once(self, interleaved):
+    def test_every_item_is_drawn_once(self, monkeypatch, interleaved):
         drawn = []  # one list per share
 
         def share(items):
@@ -162,9 +163,22 @@ class TestThreads:
                 mine.append(k)
                 time.sleep(0)  # let another thread draw next
 
+        monkeypatch.setattr(model, "_thread_cap", lambda: 8)  # 8 shares on any host
         model._run_shares(share, 5000, workers=8)
         assert len(drawn) == 8
         assert sorted(k for mine in drawn for k in mine) == list(range(5000))
+
+    def test_threads_never_outnumber_the_usable_cores_plus_one(self):
+        threads = set()
+
+        def share(items):
+            for _ in items:
+                threads.add(threading.get_ident())
+                time.sleep(1e-4)  # leave items to every started thread
+
+        model._run_shares(share, 64, workers=64)
+        assert model._thread_cap() == len(os.sched_getaffinity(0)) + 1
+        assert len(threads) <= model._thread_cap()
 
     def test_a_pool_thread_error_reaches_the_caller_after_every_share(self):
         ran, failed = [], threading.Event()
@@ -216,16 +230,37 @@ class TestThreads:
             built.append(n_rows)
             return builder(self, n_rows)
 
-        def each(rows, band):
-            seen.append(rows.start)
+        def each(k, rows, band):
+            seen.append((k, rows.start))
             if len(seen) == 4:
                 done.set()
 
         monkeypatch.setattr(model.BandRates, "builder", counted_builder)
         monkeypatch.setattr(model, "ThreadPoolExecutor", stalling_pool(done))
-        model._rate_bands(rates, each, workers=2)
-        assert seen == [0, 10, 20, 30]
+        model._walk_bands([rates], each, workers=2)
+        assert seen == [(0, 0), (1, 10), (2, 20), (3, 30)]
         assert built == [10]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scoring_builds_buffers_once_per_thread(
+        self, monkeypatch, tmp_path, workers
+    ):
+        # a `both` run's oracle rates are `BandRates`: scoring builds each
+        # band in one thread's buffers, not in a new set per band
+        monkeypatch.setattr(model, "RACE_BLOCK", 80)  # 19 bands
+        paths = write_pair(tmp_path, pair(37))
+        config = RunConfig(*paths, params=PARAMS, n_max=16, seed=4, workers=workers)
+        summary = run_pipeline(config, log=io.StringIO())
+        built, builder = [], model.BandRates.builder
+
+        def counted_builder(self, n_rows):
+            built.append(n_rows)
+            return builder(self, n_rows)
+
+        monkeypatch.setattr(model.BandRates, "builder", counted_builder)
+        compare_results(summary.stochastic, summary.reference, workers)
+        assert 1 <= len(built) <= workers
+        assert built == [2] * len(built)
 
     def test_a_scoring_error_on_a_pool_thread_reaches_the_caller(
         self, monkeypatch
@@ -259,8 +294,8 @@ class TestThreads:
         reference, run = reference_infer(volume), run_stochastic_grid(volume, 8, 0)
         calls = {
             "volume": lambda: build_likelihood_volume(*fmaps, PARAMS, workers),
-            "band_pass": lambda: model._rate_bands(
-                model.BandRates(*fmaps, PARAMS), lambda rows, band: None, workers
+            "band_pass": lambda: model._walk_bands(
+                [model.BandRates(*fmaps, PARAMS)], lambda k, rows, band: None, workers
             ),
             "engine": lambda: run_stochastic_grid(volume, 8, 0, workers=workers),
             "compare": lambda: compare_results(run, reference, workers),
