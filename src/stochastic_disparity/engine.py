@@ -1,16 +1,16 @@
 """Grid execution of the fusion machine over all valid pixels of an image.
 
-The valid grid is raced band by band, in the whole-row bands that
-`model._walk_bands` hands out, one `race_arrivals` call per band in the one
-race body of `_grid_racer`, over a volume (`run_stochastic_grid`) or, in a
-`stochastic` or `both` run, on each band of `run_pipeline`'s one pass as it
-is built, with no volume. Band k draws from its own generator stream keyed
-by the master seed and k, so results are independent of scan order and of
-which thread races a band. The bands are a term of the determinism
-contract: the same seed gives the same bytes for every worker count, and
-other bands would give other bytes with the same law. Bands are written in
-place into the counts, winner and cycles arrays, allocated once per grid;
-no-match, timeouts and the MAP are read from the winner (`Outcome`).
+`_band_pass` is the one walk of a grid of rates: a volume's array
+(`run_stochastic_grid`, `reference.reference_infer`) or, in `run_pipeline`,
+`BandRates` built band by band with no volume. Each whole-row band of
+`model._walk_bands` is argmaxed into the oracle's winner and raced in one
+`race_arrivals` call, as the mode asks. Band k draws from its own generator
+stream keyed by the master seed and k, so results are independent of scan
+order and of which thread races a band. The bands are a term of the
+determinism contract: the same seed gives the same bytes for every worker
+count, and other bands would give other bytes with the same law. Bands are
+written in place into the counts, winner and cycles arrays, allocated once
+per grid; no-match, timeouts and the MAP are read from the winner (`Outcome`).
 """
 
 from dataclasses import dataclass
@@ -20,6 +20,8 @@ import numpy as np
 from .bitstream import DEFAULT_MAX_CYCLES, stream_seed
 from .machine import check_race_args, race_arrivals
 from .model import LikelihoodVolume, Outcome, _walk_bands, winner_dtype
+
+MODES = ("reference", "stochastic", "both")  # the oracle, the race, or both
 
 
 @dataclass(frozen=True)
@@ -45,25 +47,35 @@ class StochasticResult(CountGrid):
     cycles: np.ndarray  # (H, W_valid) int
 
 
-def _grid_racer(shape, n_max: int, master_seed: int, max_cycles: int):
-    """A race's result over a (H, W_valid, d_max + 2) grid, allocated once
-    (counts in the smallest unsigned dtype that holds n_max, the winner in
-    `winner_dtype`), and the race body that fills it: race(k, rows, rates),
-    a callback of `_walk_bands`, races band k on `stream_seed(master_seed, k)`
-    in place. Bands write disjoint rows, so threads need no lock; numpy's
-    draws and kernels release the GIL."""
-    counts = np.empty(shape, dtype=np.min_scalar_type(n_max))
-    winner = np.empty(shape[:2], winner_dtype(shape[2] - 2))
-    cycles = np.empty(shape[:2], np.int64)
+def _band_pass(
+    rates, mode: str, n_max=1, master_seed=0, max_cycles=DEFAULT_MAX_CYCLES, workers=1
+):
+    """The oracle's `Outcome` and the race's `StochasticResult` of one walk of
+    `rates`, an (H, W_valid, d_max + 2) array or `BandRates`, on `workers`
+    threads; a result is None when `mode` (one of `MODES`) skips its engine.
+    Band k is argmaxed, the first channel at the top rate (not in `stochastic`
+    mode), and raced on `stream_seed(master_seed, k)` (not in `reference`
+    mode). Bands write disjoint rows of grids allocated once, so threads need
+    no lock; numpy's draws and kernels release the GIL."""
+    shape, d_max = rates.shape, rates.shape[2] - 2
+    oracle = None if mode == "stochastic" else np.empty(shape[:2], winner_dtype(d_max))
+    run = None if mode == "reference" else StochasticResult(
+        np.empty(shape[:2], winner_dtype(d_max)), d_max,
+        np.empty(shape, np.min_scalar_type(n_max)), n_max, np.empty(shape[:2], np.int64)
+    )
 
-    def race(k, rows, rates):
-        rng = np.random.default_rng(stream_seed(master_seed, k))
-        # (pixels, M) rates: only a band that is not C-contiguous is copied
-        out = race_arrivals(rng, rates.reshape(-1, shape[2]), n_max, max_cycles)
-        for grid, part in zip((counts, winner, cycles), out):
-            grid[rows] = part.reshape(grid[rows].shape)
+    def each(k, rows, band):
+        if oracle is not None:
+            oracle[rows] = band.argmax(axis=2)
+        if run is not None:
+            rng = np.random.default_rng(stream_seed(master_seed, k))
+            # (pixels, M) rates: only a band that is not C-contiguous is copied
+            out = race_arrivals(rng, band.reshape(-1, shape[2]), n_max, max_cycles)
+            for grid, part in zip((run.counts, run.winner, run.cycles), out):
+                grid[rows] = part.reshape(grid[rows].shape)
 
-    return StochasticResult(winner, shape[2] - 2, counts, n_max, cycles), race
+    _walk_bands([rates], each, workers)
+    return (None if oracle is None else Outcome(oracle, d_max)), run
 
 
 def run_stochastic_grid(
@@ -73,13 +85,10 @@ def run_stochastic_grid(
     max_cycles: int = DEFAULT_MAX_CYCLES,
     workers: int = 1,
 ) -> StochasticResult:
-    """Run one machine per valid pixel and collect counts, winners and cycles.
-
-    Band k of `_walk_bands`, valid rows R*k .. R*(k+1) - 1 (the last may be
-    short), races in `_grid_racer` on `stream_seed(master_seed, k)`, so any
-    `workers` count gives the serial run's bits.
-    """
+    """Run one machine per valid pixel and collect counts, winners and cycles:
+    the race of `_band_pass` over the volume, so any `workers` count gives
+    the serial run's bits."""
     check_race_args(n_max, max_cycles, workers, master_seed)
-    result, race = _grid_racer(volume.rates.shape, n_max, master_seed, max_cycles)
-    _walk_bands([volume.rates], race, workers)
-    return result
+    return _band_pass(
+        volume.rates, "stochastic", n_max, master_seed, max_cycles, workers
+    )[1]

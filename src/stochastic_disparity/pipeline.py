@@ -9,14 +9,12 @@ import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES
 from .dump import COUNT_MAX, D_MAX_LIMIT, write_dump
-from .engine import StochasticResult, _grid_racer
+from .engine import MODES, StochasticResult, _band_pass
 from .machine import check_race_args
-from .model import BandRates, FeatureMaps, ModelParams, Outcome, _image_rows
-from .model import _walk_bands, check_pair_shapes, compute_features, winner_dtype
+from .model import BandRates, ModelParams, Outcome, _image_rows
+from .model import check_pair_shapes, compute_features
 from .pgm import load_image, save_image
 from .reference import ReferenceResult
-
-MODES = ("reference", "stochastic", "both")
 
 
 def check_output_dirs(*paths) -> None:
@@ -68,9 +66,10 @@ class RunConfig:
 
 @dataclass
 class PipelineSummary:
-    """Each engine's result, or None, from one band pass. The oracle's is a
-    winner grid alone in `reference` mode and in `both` mode a
-    `ReferenceResult` whose rates are `BandRates`: no mode holds the volume."""
+    """Each engine's result, or None, from one `engine._band_pass` over
+    `BandRates`. The oracle's is its `Outcome` alone in `reference` mode and
+    in `both` mode a `ReferenceResult` whose rates are the `BandRates`: no
+    mode holds the volume."""
 
     reference: Optional[Outcome]
     stochastic: Optional[StochasticResult]
@@ -110,29 +109,6 @@ def render_disparity(
     return img
 
 
-def _band_pass(fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, config: RunConfig):
-    """The oracle's and the race's results of one pass over the bands of
-    rates: each band is built, argmaxed as `reference_infer` would (not in
-    `stochastic` mode), raced (not in `reference` mode) and dropped."""
-    bands, mode = BandRates(fmaps_l, fmaps_r, config.params), config.mode
-    d_max, grid = config.params.d_max, bands.shape[:2]
-    oracle = None if mode == "stochastic" else np.empty(grid, winner_dtype(d_max))
-    stochastic, race = (None, None) if mode == "reference" else _grid_racer(
-        bands.shape, config.n_max, config.seed, config.max_cycles
-    )
-
-    def each(k, rows, rates):
-        if oracle is not None:
-            oracle[rows] = rates.argmax(axis=2)
-        if race is not None:
-            race(k, rows, rates)
-
-    _walk_bands([bands], each, config.workers)
-    if mode == "both":
-        return ReferenceResult(oracle, d_max, bands), stochastic
-    return (None if oracle is None else Outcome(oracle, d_max)), stochastic
-
-
 def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
     """Run the configured engines on one stereo pair and write artifacts.
 
@@ -154,9 +130,15 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
     feature_width = fmaps_l.width
     d_max = config.params.d_max
 
-    # a `both` result's `BandRates` keep the maps; no other mode does
-    reference, stochastic = _band_pass(fmaps_l, fmaps_r, config)
+    # each band is built, argmaxed and raced as the mode asks, then dropped
+    rates = BandRates(fmaps_l, fmaps_r, config.params)
     del fmaps_l, fmaps_r
+    reference, stochastic = _band_pass(
+        rates, config.mode, config.n_max, config.seed, config.max_cycles, config.workers
+    )
+    if config.mode == "both":  # its `BandRates` keep the maps; no other mode does
+        reference = ReferenceResult(reference.winner, d_max, rates)
+    del rates
     if reference is not None and config.reference_image_out is not None:
         save_image(
             config.reference_image_out,

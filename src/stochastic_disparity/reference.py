@@ -4,15 +4,16 @@ Reads each pixel's exact posterior scores, the products of its feature
 likelihoods under a uniform prior, straight off the channel rates. The
 winner is `argmax(axis=2)`, the first channel at the top score, the counter
 race's tie-break: no-match wins only by strictly exceeding every disparity
-score. `run_pipeline` takes the same argmax of each band of rates as it is
-built, and keeps the winner grid alone in `reference` mode.
+score. `engine._band_pass` takes it band by band, over a volume here and,
+in `run_pipeline`, over each band of rates as it is built.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LikelihoodVolume, Outcome, winner_dtype
+from .engine import _band_pass
+from .model import LikelihoodVolume, Outcome
 
 
 @dataclass(frozen=True)
@@ -33,13 +34,13 @@ class ReferenceResult(Outcome):
 
 
 def reference_infer(volume: LikelihoodVolume) -> ReferenceResult:
-    """Exact MAP indices and no-match flags of every pixel, one argmax.
+    """Exact MAP indices and no-match flags of every pixel, argmaxed band by
+    band in `engine._band_pass` on the calling thread.
 
     The uniform prior constant drops out of the argmax, and `argmax` takes
     the first channel at the top rate: tied disparities resolve to the
     lowest index, and an exact tie with no-match stays matched.
     """
-    rates, d_max = volume.rates, volume.params.d_max
-    winner = rates.argmax(axis=2).astype(winner_dtype(d_max))
-    return ReferenceResult(winner, d_max, rates)
+    oracle, _ = _band_pass(volume.rates, "reference")
+    return ReferenceResult(oracle.winner, oracle.d_max, volume.rates)
 

@@ -8,7 +8,7 @@ import pytest
 
 from stochastic_disparity import model
 from stochastic_disparity.dump import read_dump, write_dump
-from stochastic_disparity.engine import run_stochastic_grid
+from stochastic_disparity.engine import _band_pass, run_stochastic_grid
 from stochastic_disparity.metrics import compare_results
 from stochastic_disparity.model import (
     BORDER,
@@ -20,12 +20,7 @@ from stochastic_disparity.model import (
     compute_features,
 )
 from stochastic_disparity.pgm import save_image
-from stochastic_disparity.pipeline import (
-    RunConfig,
-    _band_pass,
-    render_disparity,
-    run_pipeline,
-)
+from stochastic_disparity.pipeline import RunConfig, render_disparity, run_pipeline
 from stochastic_disparity.reference import ReferenceResult, reference_infer
 from stochastic_disparity.synthetic import natural_scene_pair, planted_shift_pair
 
@@ -91,8 +86,8 @@ class TestReferenceInfer:
         assert result.map_disparity[0, 0] == 1
 
     def test_holds_the_rates_without_a_copy(self):
-        # no score-sized copy or mask: the only grids are argmax's intp
-        # indices and the int16 winner, 10 of the rates' 656 bytes per pixel
+        # no score-sized copy or mask: the only grid is the int16 winner, 2 of
+        # the rates' 656 bytes per pixel, and argmax's indices of one band
         rng = np.random.default_rng(0)
         volume = volume_from_rates(
             rng.random((60, 100, 81)), rng.random((60, 100)), d_max=80
@@ -106,6 +101,22 @@ class TestReferenceInfer:
         assert peak < volume.rates.nbytes / 20
         assert result.rates is volume.rates
 
+    def test_argmax_holds_no_index_grid(self):
+        # a natural VGA volume, 476 x 556 valid pixels: the winner grid is 2
+        # bytes a pixel, and a whole-volume argmax's intp indices would add 8
+        params = ModelParams(d_max=80)
+        fmaps = [compute_features(img) for img in natural_scene_pair(640, 480, 40, 1)]
+        volume = build_likelihood_volume(*fmaps, params)
+        del fmaps
+        tracemalloc.start()
+        try:
+            result = reference_infer(volume)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.winner.shape == (476, 556)
+        assert peak < 4 * result.winner.size
+
 
 def write_pair(tmp_path, left, right):
     paths = tmp_path / "left.pgm", tmp_path / "right.pgm"
@@ -115,10 +126,11 @@ def write_pair(tmp_path, left, right):
 
 
 class TestReferenceOutcome:
-    """A `reference` run takes the oracle band by band, with no volume."""
+    """The band pass takes the oracle band by band, over `BandRates` with no
+    volume."""
 
     @pytest.mark.parametrize("height", [1, 4, 5, 6, 37])
-    def test_winner_equals_the_volume_oracle(self, monkeypatch, tmp_path, height):
+    def test_winner_equals_the_volume_oracle(self, monkeypatch, height):
         params = ModelParams(d_max=16)
         left, right = natural_scene_pair(
             120 + BORDER, height + BORDER, 8, seed=3, content_x=20
@@ -135,12 +147,11 @@ class TestReferenceOutcome:
         volume = build_likelihood_volume(fmaps_l, fmaps_r, params)
         rates = volume.rates[y, tie - params.d_max]
         assert rates[d] == rates[-1] == rates.max() == 1.0
-        want = reference_infer(volume).winner
-        unread = tmp_path / "left.pgm", tmp_path / "right.pgm"
+        want = volume.rates.argmax(axis=2)  # the oracle rule, over the whole volume
+        bands = BandRates(fmaps_l, fmaps_r, params)
         for mode in ("reference", "both"):
-            config = RunConfig(*unread, params, mode=mode)
-            got = _band_pass(fmaps_l, fmaps_r, config)[0].winner
-            assert got.dtype == want.dtype
+            got = _band_pass(bands, mode)[0].winner
+            assert got.dtype == model.winner_dtype(params.d_max)
             np.testing.assert_array_equal(got, want)
         assert want[y, tie - params.d_max] <= params.d_max  # the tie stays matched
         assert want[y, flat - params.d_max] == params.nomatch_index
@@ -306,9 +317,9 @@ class TestWinnerDtype:
             "reference_infer": reference_infer(volume).winner.dtype,
             "read_dump": read_dump(tmp_path / "run.sdsp").winner.dtype,
         }
-        unread = tmp_path / "left.pgm", tmp_path / "right.pgm"
+        bands = BandRates(*fmaps, params)
         for mode in ("reference", "stochastic", "both"):
-            results = _band_pass(*fmaps, RunConfig(*unread, params, n_max=4, mode=mode))
+            results = _band_pass(bands, mode, n_max=4)
             for engine, result in zip(("oracle", "race"), results):
                 if result is not None:
                     got[f"{mode} {engine}"] = result.winner.dtype
