@@ -13,12 +13,13 @@ written in place into the counts, winner and cycles arrays, allocated once
 per grid; no-match, timeouts and the MAP are read from the winner (`Outcome`).
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES, stream_seed
-from .machine import check_race_args, race_arrivals
+from .machine import RaceBuffers, check_race_args, race_arrivals
 from .model import LikelihoodVolume, Outcome, _walk_bands, winner_dtype
 
 MODES = ("reference", "stochastic", "both")  # the oracle, the race, or both
@@ -55,22 +56,27 @@ def _band_pass(
     threads; a result is None when `mode` (one of `MODES`) skips its engine.
     Band k is argmaxed, the first channel at the top rate (not in `stochastic`
     mode), and raced on `stream_seed(master_seed, k)` (not in `reference`
-    mode). Bands write disjoint rows of grids allocated once, so threads need
-    no lock; numpy's draws and kernels release the GIL."""
+    mode) in the `RaceBuffers` a share makes on its first band. Bands write
+    disjoint rows of grids allocated once, so threads need no lock; numpy's
+    draws and kernels release the GIL."""
     shape, d_max = rates.shape, rates.shape[2] - 2
     oracle = None if mode == "stochastic" else np.empty(shape[:2], winner_dtype(d_max))
     run = None if mode == "reference" else StochasticResult(
         np.empty(shape[:2], winner_dtype(d_max)), d_max,
         np.empty(shape, np.min_scalar_type(n_max)), n_max, np.empty(shape[:2], np.int64)
     )
+    share = threading.local()  # one share per thread in each walk
 
     def each(k, rows, band):
         if oracle is not None:
             oracle[rows] = band.argmax(axis=2)
         if run is not None:
             rng = np.random.default_rng(stream_seed(master_seed, k))
+            if not hasattr(share, "buffers"):  # the share's first band
+                share.buffers = RaceBuffers()
             # (pixels, M) rates: only a band that is not C-contiguous is copied
-            out = race_arrivals(rng, band.reshape(-1, shape[2]), n_max, max_cycles)
+            out = race_arrivals(rng, band.reshape(-1, shape[2]), n_max, max_cycles,
+                                buffers=share.buffers)
             for grid, part in zip((run.counts, run.winner, run.cycles), out):
                 grid[rows] = part.reshape(grid[rows].shape)
 

@@ -203,11 +203,30 @@ _CONTENDER_CUT = 0.1
 _HYPERGEOMETRIC_LIMIT = 10**9
 
 
+class RaceBuffers:
+    """The full-width work arrays of `race_arrivals`: the uniforms, the bound
+    and two masks over a (pixels, M) band. They are made on the first call
+    and grown for a wider band, so the bands of one share reuse them; every
+    call overwrites what it reads."""
+
+    def __init__(self):
+        self._arrays = ()
+
+    def views(self, shape):
+        """(v, bound, mask, mask), each a C-contiguous view of `shape`."""
+        size = shape[0] * shape[1]
+        if not self._arrays or size > self._arrays[0].size:
+            self._arrays = [np.empty(size, t) for t in (float, float, bool, bool)]
+        return [a[:size].reshape(shape) for a in self._arrays]
+
+
 def race_arrivals(
     rng: np.random.Generator,
     rates: np.ndarray,
     n_max: int,
     max_cycles: int = DEFAULT_MAX_CYCLES,
+    *,
+    buffers: RaceBuffers | None = None,
 ):
     """Race each row of a (pixels, M) rate array in closed form.
 
@@ -227,30 +246,40 @@ def race_arrivals(
     the arrivals inside the span. At n_max 1 the race stops at the earliest
     first firing (`_race_first_firing`).
 
-    Rates are quantised to ceil(p * 2**53) / 2**53, the probability of
-    `random() < p`, so p = 0 never arrives and any other rate is >= 2**-53.
+    Rates are quantised to q(p) = ceil(p * 2**53) / 2**53, the probability
+    of `random() < p`, so p = 0 never arrives and any other rate is >= 2**-53.
     NegBin(n_max, p) is summed over shares of at most ARRIVAL_SHARE
     successes, so every valid rate and counter size can be drawn; no share is
     drawn once every arrival of the block is past max_cycles.
+
+    Only gathered rates are quantised: q is monotone, so the top rate is q of
+    the raw maximum, and contenders are read off the raw rates exactly
+    (`_raw_threshold`). Full-width work is the uniforms' draw, one bound
+    (`_below_bound`) and the masks of two compares, all in `buffers`, a
+    fresh `RaceBuffers` by default.
 
     Returns per-pixel (counts, winner, cycles); counts have the smallest
     unsigned dtype that holds n_max.
     """
     check_race_args(n_max, max_cycles)
-    rates = np.asarray(rates, dtype=float)
-    p = _quantised(rates)
-    top = p.max(axis=1, keepdims=True)
-    if not (p.min() >= 0 and top.max() <= 1):
+    rates = np.ascontiguousarray(rates, dtype=float)
+    (n, m), flat = rates.shape, rates.ravel()
+    top_at = np.arange(0, n * m, m) + rates.argmax(axis=1)  # flat offsets
+    top = _quantised(flat[top_at])
+    # q(min) >= 0, where a NaN fails as it does in the max
+    if not (np.ceil(rates.min() * 2.0**53) >= 0 and top.max() <= 1):
         raise ValueError("rates must lie in [0, 1]")
+    work = (buffers or RaceBuffers()).views(rates.shape)
     if n_max == 1:
-        return _race_first_firing(rng, p, max_cycles)
+        return _race_first_firing(rng, rates, top_at, top, max_cycles, work)
+    v, bound, contends, near = work
 
     cut = _CONTENDER_CUT if max_cycles < _HYPERGEOMETRIC_LIMIT else 0.0
-    contends = p >= cut * top
-    m = p.shape[1]
+    np.greater(rates, _raw_threshold(cut * top)[:, None], out=contends)
     # row-major, so each pixel's contenders are adjacent; its top one is there
-    rows, cols = np.divmod(np.flatnonzero(contends), m)
-    p_c = p[rows, cols]
+    at = np.flatnonzero(contends)
+    rows, cols = _rows_cols(at, m)
+    p_c = _quantised(flat[at])
     cap = max_cycles + 1
     arrival = np.full(p_c.shape, min(n_max, cap), dtype=np.int64)
     arrival[p_c == 0] = cap
@@ -260,40 +289,66 @@ def race_arrivals(
         arrival += np.minimum(failures, cap - arrival)
         if arrival.min(initial=cap) == cap:  # later shares would be discarded
             break
-    starts = np.searchsorted(rows, np.arange(p.shape[0]))
+    starts = np.searchsorted(rows, np.arange(n))
     stop = np.minimum.reduceat(arrival, starts)
     cycles = np.minimum(stop, max_cycles)
 
-    counts = np.zeros(p.shape, dtype=np.min_scalar_type(n_max))
+    counts = np.zeros(rates.shape, dtype=np.min_scalar_type(n_max))
+    out = counts.ravel()
+    out[at] = n_max
     fills = arrival <= cycles[rows]
-    lost = ~fills
-    counts[rows[fills], cols[fills]] = n_max
-    counts[rows[lost], cols[lost]] = _binomial_below(
-        rng, cycles[rows[lost]], p_c[lost], n_max
-    )
+    lost = np.flatnonzero(~fills)  # gathers by index beat three by mask
+    out[at[lost]] = _binomial_below(rng, cycles[rows[lost]], p_c[lost], n_max)
     lead = np.minimum.reduceat(np.where(fills, cols, m), starts)
     winner = np.where(lead < m, lead, -1)
 
-    # An outsider counts by the span with probability at most span * p, so
-    # only uniforms below that bound are inverted; p = 0 never passes. The
-    # bound is formed in p's buffer, and once the near channels are gathered
-    # the full-size arrays are let go and their rates quantised again.
-    np.multiply(p, cycles[:, None], out=p)
-    v = rng.random(p.shape)
-    near = (v < p) & ~contends
-    rows, cols = np.divmod(np.flatnonzero(near), m)
-    v = v[rows, cols]
-    p = _quantised(rates[rows, cols])
+    # An outsider counts by the span with probability at most span * q, so
+    # only uniforms below that bound are inverted; q = 0 never passes. The
+    # bound on the raw rates holds every such outsider, and the gathered
+    # ones are held to v < q * span exactly.
+    span = cycles.astype(float)  # as a product of the cycles and a float casts
+    v = rng.random(out=v).ravel()
+    near = _below_bound(v, rates, span, bound, near)
+    at = np.flatnonzero(np.greater(near, contends, out=near))  # no contender
+    rows, p, v = at // m, _quantised(flat[at]), v[at]
+    inside = v < p * span[rows]
+    if not inside.all():
+        at, rows, p, v = at[inside], rows[inside], p[inside], v[inside]
     hit, k = _counts_by_span(rng, v, p, cycles[rows])
-    rows, cols = rows[hit], cols[hit]
+    at = at[hit]
     short = k < n_max
-    counts[rows[short], cols[short]] = k[short]
-    if not short.all():
+    if short.all():  # as a rule no outsider fills by the span
+        out[at] = k
+    else:
+        out[at[short]] = k[short]
         _settle_outsiders(
-            rng, (counts, winner, cycles), rows[~short], cols[~short], k[~short],
+            rng, (counts, winner, cycles), *_rows_cols(at[~short], m), k[~short],
             n_max,
         )
     return counts, winner, cycles
+
+
+def _rows_cols(at: np.ndarray, m: int):
+    """Rows and columns of flat offsets into a C-contiguous (pixels, m)
+    array; two passes, where np.divmod takes about four times as long."""
+    rows = at // m
+    return rows, at - rows * m
+
+
+def _below_bound(v, rates, scale, bound, mask) -> np.ndarray:
+    """The mask of v < fl(fl(r + 2**-48) * s), s the row's `scale`, formed in
+    `bound` and `mask`. It holds wherever v < q(r) * s does in floats: q(r)
+    <= r + 2**-53 < fl(r + 2**-48) for r <= 1, and rounding is monotone."""
+    np.add(rates, 2.0**-48, out=bound)
+    np.multiply(bound, scale[:, None], out=bound)
+    return np.less(v.reshape(bound.shape), bound, out=mask)
+
+
+def _raw_threshold(t: np.ndarray) -> np.ndarray:
+    """q(t) - 2**-53, exact in floats: q(r) >= t exactly where r exceeds it,
+    as q(r) >= t means the integer ceil(r * 2**53) is at least ceil(t *
+    2**53), that is r * 2**53 > ceil(t * 2**53) - 1."""
+    return _quantised(t) - 2.0**-53
 
 
 def _quantised(rates: np.ndarray) -> np.ndarray:
@@ -307,8 +362,8 @@ def _quantised(rates: np.ndarray) -> np.ndarray:
 def _counts_by_span(rng, v: np.ndarray, p: np.ndarray, span: np.ndarray):
     """Binomial(span, p) draws for 0 < p < 1 from uniforms v, as (indices,
     counts) of the nonzero ones: 1 + Binomial(span - G, p) where the first
-    success G, drawn from v by `_first_success`, is at most span."""
-    first = _first_success(v, np.log1p(-p))
+    success G, drawn from v by `_first_firing`, is at most span."""
+    first = _first_firing(v, p)
     hit = np.flatnonzero(first <= span)
     gap = span[hit] - first[hit].astype(np.int64)
     return hit, 1 + rng.binomial(gap, p[hit])
@@ -384,23 +439,50 @@ def _nth_position(rng, k: np.ndarray, n: int, span: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _race_first_firing(rng, p: np.ndarray, max_cycles: int):
+def _race_first_firing(rng, rates, top_at, top, max_cycles, work):
     """The n_max = 1 race: channel j first fires at an independent
     Geometric(p_j) cycle. The stop T is the earliest, the winner the lowest
     index firing at T, and each channel firing at T reads 1. If T exceeds
-    max_cycles the pixel times out, every channel reading 0. log1p(-p) is
-    formed in p's buffer, which is overwritten."""
-    v = rng.random(p.shape)
-    with np.errstate(divide="ignore"):  # log1p(-1) is -inf
-        log_q = np.log1p(np.negative(p, out=p), out=p)
-    first = _first_success(v, log_q)
-    stop = first.min(axis=1)
+    max_cycles the pixel times out, every channel reading 0. Only the
+    channels of `_firing_candidates` are inverted."""
+    n, m = rates.shape
+    v, bound, mask, _ = work
+    v = rng.random(out=v).ravel()
+    at = _firing_candidates(v, rates, top_at, top, max_cycles, bound, mask)
+    rows, cols = _rows_cols(at, m)
+    first = _first_firing(v[at], _quantised(rates.ravel()[at]))
+    starts = np.searchsorted(rows, np.arange(n))
+    stop = np.minimum.reduceat(first, starts)
     # exact in int64: a finite stop is below 2**59, and inf never wins
     t = np.minimum(stop, 2.0**62).astype(np.int64)
     won = np.isfinite(stop) & (t <= max_cycles)
-    counts = ((first == stop[:, None]) & won[:, None]).view(np.uint8)
-    winner = np.where(won, counts.argmax(axis=1), -1)
-    return counts, winner, np.where(won, t, max_cycles)
+    hit = (first == stop[rows]) & won[rows]
+    counts = np.zeros(rates.shape, np.uint8)
+    counts.ravel()[at[hit]] = 1
+    lead = np.minimum.reduceat(np.where(hit, cols, m), starts)
+    return counts, np.where(won, lead, -1), np.where(won, t, max_cycles)
+
+
+def _firing_candidates(v, rates, top_at, top, max_cycles, bound, mask):
+    """Flat offsets of the channels that can fire first within max_cycles:
+    the top one, at `top_at` with quantised rate `top`, and those that
+    `_below_bound` finds with v_j < S * q_j * (1 + 2**-40), a superset,
+    where S = min(F_top, max_cycles) and F_top is the top channel's first
+    firing. F_j <= S means 1 - v_j > (1 - q_j)**S, so v_j < S * q_j by the
+    union bound (Devroye 1986); the margin covers the roundings of log1p
+    and the division. The earliest firing is F_top or one of these
+    channels', unless the pixel times out."""
+    span = np.minimum(_first_firing(v[top_at], top), max_cycles)
+    mask = _below_bound(v, rates, span * (1 + 2.0**-40), bound, mask)
+    mask.ravel()[top_at] = True
+    return np.flatnonzero(mask)
+
+
+def _first_firing(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """First-success cycles of Bernoulli(p) streams from uniforms v, which
+    are overwritten, as `_first_success` inverts them."""
+    with np.errstate(divide="ignore"):  # log1p(-1) is -inf
+        return _first_success(v, np.log1p(-p))
 
 
 def _binomial_below(rng, n: np.ndarray, p: np.ndarray, limit: int) -> np.ndarray:

@@ -7,10 +7,10 @@ with a floor probability. An extra no-match channel covers occlusions and
 low-contrast pixels so the machine never stalls on near-zero rates.
 """
 
-import functools
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 
@@ -271,14 +271,26 @@ def _run_shares(share, items: int, workers: int) -> None:
     the caller's and T - 1 of a pool made for this call (none at T = 1). All
     draws take items below `items` from one `itertools.count()`, advanced
     under CPython's GIL, so a slow thread leaves the rest to the others.
-    Shares write disjoint outputs and never nest; the first pool error
-    re-raises once all end."""
+    Shares write disjoint outputs and never nest. A share that ends, by an
+    error or the caller's KeyboardInterrupt too, sets a stop flag that every
+    draw checks before its next item, so the others finish the item in hand
+    and stop; the first pool error re-raises once all end."""
     check_worker_count(workers)
-    draws = functools.partial(itertools.takewhile, items.__gt__, itertools.count())
+    stop, count = threading.Event(), itertools.count()
+
+    def draws():
+        return itertools.takewhile(lambda k: k < items and not stop.is_set(), count)
+
+    def run(drawn):
+        try:
+            share(drawn)
+        finally:
+            stop.set()  # a share ends before the items do only by an error
+
     threads = min(workers, items, _thread_cap())
     with ThreadPoolExecutor(max(1, threads - 1)) as pool:
-        rest = [pool.submit(share, draws()) for _ in range(threads - 1)]
-        share(draws())
+        rest = [pool.submit(run, draws()) for _ in range(threads - 1)]
+        run(draws())
     for future in rest:
         future.result()
 
@@ -336,15 +348,16 @@ class BandRates:
             code_l, gv_l = codes[0, :, :n, d_max:w, None]
             code_l += 255 * _SPAN + 255
             gv_l += 255
-            # mode="clip" writes straight into `out` ("raise" would buffer a
-            # copy); only the pad's index leaves its table, and no-match wins it
+            # mode="wrap" writes straight into `out` ("raise" would buffer a
+            # copy) and is faster than "clip"; every index, the pad's too,
+            # lies inside its table, so neither mode moves one
             np.subtract(code_l, right[0, :n], out=i)
-            np.take(self.pair, i, out=m, mode="clip")
+            np.take(self.pair, i, out=m, mode="wrap")
             np.subtract(gv_l, right[1, :n], out=i)
-            np.take(t_v, i, out=v, mode="clip")
+            np.take(t_v, i, out=v, mode="wrap")
             np.multiply(m, v, out=m)
             gv = fmaps_l.grad_v[rows, d_max:] + 127
-            m[..., -1] = np.take(t_nm, gv, mode="clip")
+            m[..., -1] = np.take(t_nm, gv, mode="wrap")
             return m
 
         return build

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stochastic_disparity import engine, model
-from stochastic_disparity.bitstream import stream_seed
+from stochastic_disparity.bitstream import DEFAULT_MAX_CYCLES, stream_seed
 from stochastic_disparity.engine import run_stochastic_grid
 from stochastic_disparity.machine import race_arrivals
 from stochastic_disparity.model import (
@@ -18,7 +18,7 @@ from stochastic_disparity.model import (
     compute_features,
 )
 from stochastic_disparity.reference import reference_infer
-from stochastic_disparity.synthetic import planted_shift_pair
+from stochastic_disparity.synthetic import natural_scene_pair, planted_shift_pair
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,26 @@ def small_blocks(small_volume, monkeypatch):
     """Race bands of at least SMALL_BLOCK pixels; the value is their number."""
     monkeypatch.setattr(model, "RACE_BLOCK", SMALL_BLOCK)
     return -(-small_volume.rates[..., 0].size // SMALL_BAND)
+
+
+# (pair, d_max, rows of the last band): the natural pair has 17 bands of 9
+# rows, the planted one 4 bands of 11
+BAND_CASES = {
+    "natural-200x150": (lambda: natural_scene_pair(200, 150, 12, 1), 80, 2),
+    "planted-120x40": (
+        lambda: planted_shift_pair(120, 40, 5, 3, noise_sigma=20), 16, 3
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BAND_CASES))
+def band_case(request):
+    """A case's `BandRates`, its volume's rates and its last band's rows."""
+    make_pair, d_max, last = BAND_CASES[request.param]
+    fmaps = [compute_features(img) for img in make_pair()]
+    params = ModelParams(d_max=d_max)
+    volume = build_likelihood_volume(*fmaps, params)
+    return model.BandRates(*fmaps, params), volume.rates, last
 
 
 class TestDeterminism:
@@ -107,6 +127,35 @@ class TestDeterminism:
                 for got, want in zip(flat, expected):
                     assert np.array_equal(got[part], want)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "n_max, max_cycles",
+        [(1, None), (1, 4), (1, 1), (16, None), (16, 64), (64, None), (64, 256)],
+    )
+    def test_buffers_never_carry_one_band_into_the_next(
+        self, band_case, n_max, max_cycles, workers
+    ):
+        # each share races its bands in one set of buffers, from the rates
+        # in its builder's buffer; every band equals a race of its rows in
+        # fresh buffers, also at budgets where pixels time out
+        bands, rates, last = band_case
+        max_cycles = max_cycles or DEFAULT_MAX_CYCLES
+        _, run = engine._band_pass(bands, "both", n_max, 2, max_cycles, workers)
+        h, w, m = rates.shape
+        band = model._rows_per_band(w)
+        assert h % band == last
+        for k in range(-(-h // band)):
+            rows = slice(k * band, (k + 1) * band)
+            want = race_arrivals(
+                np.random.default_rng(stream_seed(2, k)),
+                rates[rows].reshape(-1, m), n_max, max_cycles,
+            )
+            got = run.counts[rows].reshape(-1, m), run.winner[rows], run.cycles[rows]
+            for part, expected in zip(got, want):
+                assert np.array_equal(part.reshape(expected.shape), expected)
+        if max_cycles < DEFAULT_MAX_CYCLES:
+            assert (run.winner < 0).any()
+
 
 class TestResultSemantics:
     def test_shapes_and_winner_counts(self, small_volume):
@@ -171,13 +220,13 @@ class TestResultSemantics:
     ):
         failed = threading.Event()
 
-        def fail_the_first_pooled_block(rng, rates, n_max, max_cycles):
+        def fail_the_first_pooled_block(rng, rates, n_max, max_cycles, **kwargs):
             if threading.current_thread() is threading.main_thread():
                 failed.wait(timeout=60)  # a pool thread draws a block first
             elif not failed.is_set():
                 failed.set()
                 raise RuntimeError("pooled block failed")
-            return race_arrivals(rng, rates, n_max, max_cycles)
+            return race_arrivals(rng, rates, n_max, max_cycles, **kwargs)
 
         monkeypatch.setattr(engine, "race_arrivals", fail_the_first_pooled_block)
         with pytest.raises(RuntimeError, match="pooled block"):

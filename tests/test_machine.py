@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import comb
 
@@ -10,8 +12,14 @@ from stochastic_disparity.machine import (
     PRIOR_LANE,
     FusionSpec,
     Machine,
+    RaceBuffers,
+    _below_bound,
     _binomial_below,
+    _firing_candidates,
+    _first_firing,
     _nth_position,
+    _quantised,
+    _raw_threshold,
     _settle_outsiders,
     build_machine,
     race_arrivals,
@@ -398,6 +406,120 @@ class TestRaceArrivals:
                 race_arrivals(
                     np.random.default_rng(0), np.ones((1, 2)), n_max, max_cycles
                 )
+
+
+def q(x: float) -> float:
+    """The quantised rate of one float."""
+    return float(_quantised(np.array([x]))[0])
+
+
+_GRID = st.integers(0, 2**53).map(lambda k: k / 2**53)  # exact multiples of 2**-53
+# floats in [0, 1]: the ends, subnormals, and the grid of quantised rates with
+# each point's neighbours
+UNIT = st.one_of(
+    st.floats(0, 1),
+    st.floats(0, 2.0**-1000),
+    _GRID,
+    _GRID.map(lambda x: float(np.nextafter(x, 0.0))),
+    _GRID.map(lambda x: float(np.nextafter(x, 1.0))),
+    st.sampled_from([0.0, 1.0, 5e-324, 2.0**-1022, 2.0**-53, 2.0**-52, 1 - 2.0**-53]),
+)
+# the values of `random()`: multiples of 2**-53 below 1, with both ends
+UNIFORM = st.one_of(
+    _GRID.filter(lambda x: x < 1), st.sampled_from([0.0, 1 - 2.0**-53])
+)
+# rows that race_arrivals must bound exactly: adversarial ones (all zero, one
+# nonzero channel, p = 1, p = 2**-53, tied tops) and rows of unit floats
+ROWS = st.one_of(
+    st.lists(UNIT, min_size=1, max_size=12),
+    st.integers(1, 12).map(lambda m: [0.0] * m),
+    st.tuples(st.integers(1, 12), UNIT).map(lambda a: [0.0] * (a[0] - 1) + [a[1]]),
+    st.tuples(st.integers(1, 12), st.sampled_from([1.0, 2.0**-53])).map(
+        lambda a: [a[1]] * a[0]
+    ),
+    st.tuples(st.lists(UNIT, min_size=1, max_size=8), UNIT).map(
+        lambda a: [*a[0], max(a[0]), a[1], max(a[0])]
+    ),
+)
+
+
+def first_firing_race(v, p, max_cycles):
+    """The n_max = 1 race over every channel at full width, for reference."""
+    first = _first_firing(v.copy(), p)
+    stop = first.min(axis=1)
+    t = np.minimum(stop, 2.0**62).astype(np.int64)
+    won = np.isfinite(stop) & (t <= max_cycles)
+    counts = ((first == stop[:, None]) & won[:, None]).view(np.uint8)
+    winner = np.where(won, counts.argmax(axis=1), -1)
+    return counts, winner, np.where(won, t, max_cycles)
+
+
+class TestBoundsOnRawRates:
+    """The float identities by which the race reads contenders, outsider
+    candidates and first-firing candidates off raw rates, so that it only
+    quantises the rates it gathers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=UNIT, t=UNIT)
+    def test_contender_threshold_is_exact(self, r, t):
+        threshold = float(_raw_threshold(np.array([t]))[0])
+        assert threshold == q(t) - 2.0**-53
+        assert (q(r) >= t) == (r > threshold)
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=UNIT, v=UNIFORM, s=st.integers(1, 2**63 - 2))
+    def test_outsider_bound_holds_every_exact_candidate(self, r, v, s):
+        s = float(s)  # as the race casts its int64 spans
+        assert q(r) * s <= (r + 2.0**-48) * s
+        bound, mask = np.empty((1, 1)), np.empty((1, 1), bool)
+        below = _below_bound(np.array([v]), np.array([[r]]), np.array([s]), bound, mask)
+        assert below[0, 0] or not v < q(r) * s
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        row=ROWS,
+        data=st.data(),
+        max_cycles=st.sampled_from([1, 4, 10**7, 2**63 - 2]),
+    )
+    def test_first_firing_candidates_hold_every_channel_up_to_the_top(
+        self, row, data, max_cycles
+    ):
+        rates = np.array([row])
+        m = rates.shape[1]
+        v = np.array(data.draw(st.lists(UNIFORM, min_size=m, max_size=m)))
+        p = _quantised(rates)
+        first = _first_firing(v.copy(), p.ravel())
+        top_at = np.array([rates.argmax()])
+        top = p.ravel()[top_at]
+        span = min(first[top_at[0]], max_cycles)
+        bound, mask = np.empty_like(rates), np.empty(rates.shape, bool)
+        at = _firing_candidates(v, rates, top_at, top, max_cycles, bound, mask)
+        assert top_at[0] in at
+        assert set(np.flatnonzero(first <= span)) <= set(at)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(ROWS.map(lambda r: (r * 6)[:6]), min_size=1, max_size=20),
+        seed=st.integers(0, 2**32 - 1),
+        max_cycles=st.sampled_from([1, 4, 10**7]),
+    )
+    def test_first_firing_race_equals_the_full_width_race(self, rows, seed, max_cycles):
+        rates = np.array(rows)
+        v = np.random.default_rng(seed).random(rates.shape)
+        want = first_firing_race(v, _quantised(rates), max_cycles)
+        got = race_arrivals(np.random.default_rng(seed), rates, 1, max_cycles)
+        for part, expected in zip(got, want):
+            assert part.dtype == expected.dtype
+            assert np.array_equal(part, expected)
+
+    def test_buffers_grow_for_a_wider_band_and_are_reused(self):
+        buffers = RaceBuffers()
+        small = buffers.views((2, 3))
+        wide = buffers.views((4, 5))
+        assert [a.shape for a in wide] == [(4, 5)] * 4
+        again = buffers.views((3, 5))
+        assert all(np.shares_memory(a, b) for a, b in zip(wide, again))
+        assert not np.shares_memory(small[0], wide[0])
 
 
 class TestOutsiderFallback:

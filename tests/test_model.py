@@ -381,6 +381,37 @@ class TestLikelihoodVolume:
         assert {s[:2] for s in seen} >= {(m, g) for m in (-255, 0, 255) for g in ends}
         assert {s[2] for s in seen} >= set(ends)
 
+    def test_extreme_features_index_inside_every_table(self):
+        # means 0 and 255 and gradients -127 and 127 give the largest and
+        # smallest index of each table, the pad column's too; the builder
+        # takes in mode "wrap", so an index that left its table would give
+        # another rate than plain indexing, which raises on it instead
+        params = ModelParams(d_max=80)
+        rng = np.random.default_rng(5)
+        shape = (30, 120)  # 26-row bands of 40 valid pixels: two, one short
+
+        def fmaps():
+            grads = [rng.choice([-127, 127], shape) for _ in range(2)]
+            return FeatureMaps(rng.choice([0, 255], shape), *grads)
+
+        fmaps_l, fmaps_r = fmaps(), fmaps()
+        rates = build_likelihood_volume(fmaps_l, fmaps_r, params).rates
+        t_m, t_h, t_v, t_nm = model._likelihood_tables(params)
+        pair = t_m[:, None] * t_h
+        x = np.arange(params.d_max, shape[1])
+        for d in range(params.d_max + 1):
+            dm, dh, dv = (
+                getattr(fmaps_l, n)[:, x].astype(int) - getattr(fmaps_r, n)[:, x - d]
+                for n in FEATURE_NAMES
+            )
+            assert min(dm.min(), dh.min(), dv.min()) + 255 >= 0  # no index wraps
+            np.testing.assert_array_equal(
+                rates[..., d], pair[dm + 255, dh + 255] * t_v[dv + 255]
+            )
+        np.testing.assert_array_equal(rates[..., -1], t_nm[fmaps_l.grad_v[:, x] + 127])
+        # the extremes are all there: both signs of every difference
+        assert {-255, 255} <= set(np.unique(fmaps_l.mean[:, x] - fmaps_r.mean[:, x]))
+
     def test_rates_do_not_depend_on_the_row_band(self, monkeypatch):
         params = ModelParams(d_max=16)
         fmaps_l, fmaps_r = feature_pair(params, height=37)

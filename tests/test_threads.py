@@ -194,8 +194,32 @@ class TestThreads:
 
         with pytest.raises(RuntimeError, match="item 0 failed"):
             model._run_shares(share, 5, workers=2)
-        # the caller drew every other item before the error re-raised
-        assert ran == [1, 2, 3, 4]
+        # the failed share stopped the caller: at most the item in hand ran
+        assert ran in ([], [1])
+
+    @pytest.mark.parametrize("failing", ["pool", "caller"])
+    def test_a_failing_share_stops_the_others(self, failing):
+        # a pool share's error, or the caller's KeyboardInterrupt, on its
+        # first item: each other thread runs at most one more item, not the
+        # rest of the 1000 at 10 ms each
+        error = RuntimeError if failing == "pool" else KeyboardInterrupt
+        started, raised, after = threading.Event(), threading.Event(), []
+
+        def share(items):
+            on_caller = threading.current_thread() is threading.main_thread()
+            for k in items:
+                if on_caller == (failing == "caller"):
+                    started.wait(timeout=60)  # the other share draws first
+                    raised.set()
+                    raise error(f"item {k} failed")
+                started.set()
+                if raised.is_set():
+                    after.append(k)
+                time.sleep(0.01)
+
+        with pytest.raises(error, match="failed"):
+            model._run_shares(share, 1000, workers=2)
+        assert len(after) <= 1
 
     def test_a_stalled_pool_share_leaves_its_items_to_the_caller(self, monkeypatch):
         volume = build_likelihood_volume(*feature_pair(37), PARAMS)
@@ -204,11 +228,11 @@ class TestThreads:
         monkeypatch.setattr(model, "RACE_BLOCK", 10 * volume.rates.shape[1])
         serial = run_stochastic_grid(volume, 16, 5)
 
-        def race_on_the_caller(*args):
+        def race_on_the_caller(*args, **kwargs):
             raced.append(threading.current_thread() is threading.main_thread())
             if len(raced) == blocks:
                 done.set()
-            return machine.race_arrivals(*args)
+            return machine.race_arrivals(*args, **kwargs)
 
         monkeypatch.setattr(engine, "race_arrivals", race_on_the_caller)
         # the pool share waits for the caller to race every block
