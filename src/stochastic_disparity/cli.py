@@ -8,7 +8,7 @@ Subcommands:
 
 Machine-readable tables go to stdout or files; progress and cycle statistics
 go to stderr. Exit codes: 0 success, 2 validation/usage error, 3 I/O error,
-4 timeout fraction above the configured threshold.
+4 timeout fraction above the configured threshold, 130 interrupted.
 """
 
 import argparse
@@ -29,13 +29,14 @@ from .metrics import (
     sweep_to_csv,
 )
 from .model import ModelParams
-from .pgm import ImageIOError, load_image
+from .pgm import ImageIOError, load_image, write_whole
 from .pipeline import MODES, RunConfig, check_output_dirs, run_pipeline
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_TIMEOUT = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports Ctrl-C
 
 
 def _add_param_args(parser: argparse.ArgumentParser) -> None:
@@ -98,7 +99,7 @@ def _cmd_sweep(args) -> int:
     )
     csv_text = sweep_to_csv(reports)
     if args.out:
-        Path(args.out).write_text(csv_text)
+        write_whole(args.out, lambda f: f.write(csv_text.encode()))
     else:
         sys.stdout.write(csv_text)
     return EXIT_OK
@@ -208,6 +209,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except KeyboardInterrupt:  # every artifact is whole or absent
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

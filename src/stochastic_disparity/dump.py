@@ -22,9 +22,10 @@ the first channel at n_max (tied channels also read n_max), and a pixel with
 no channel at n_max timed out. `write_dump(path, counts, d_max, n_max)` takes
 the width and height from the shape of the counts and builds both bitmaps
 from that outcome, whatever winner the caller holds, so it never writes a
-file that `read_dump` rejects. `read_dump` returns an `engine.CountGrid`
-whose winner it reads off the counts once, and rejects a file whose stored
-bitmaps differ from the ones that winner gives.
+file that `read_dump` rejects; the file is written whole or not at all
+(`pgm.write_whole`). `read_dump` returns an `engine.CountGrid` whose winner
+it reads off the counts once, and rejects a file whose stored bitmaps differ
+from the ones that winner gives.
 """
 
 import os
@@ -35,6 +36,7 @@ import numpy as np
 
 from .engine import CountGrid
 from .model import Outcome, _walk_bands, winner_dtype
+from .pgm import write_whole
 
 MAGIC = b"SDSP"
 VERSION = 1
@@ -101,10 +103,13 @@ def write_dump(path, counts: np.ndarray, d_max: int, n_max: int) -> None:
     _check_header(*header)
     _check_counts(counts, n_max)
     bitmaps = _bitmaps(Outcome(_winner(counts, n_max), d_max))
-    with open(path, "wb") as f:  # the counts go out band by band, as <u2
+
+    def write(f):  # the counts go out band by band, as <u2
         f.write(_HEADER.pack(MAGIC, VERSION, *header))
         _walk_bands([counts], lambda k, _, b: f.write(np.ascontiguousarray(b, "<u2")))
         f.writelines(bitmaps)
+
+    write_whole(path, write)
 
 
 def read_dump(path) -> CountGrid:

@@ -3,14 +3,15 @@
 `_band_pass` is the one walk of a grid of rates: a volume's array
 (`run_stochastic_grid`, `reference.reference_infer`) or, in `run_pipeline`,
 `BandRates` built band by band with no volume. Each whole-row band of
-`model._walk_bands` is argmaxed into the oracle's winner and raced in one
-`race_arrivals` call, as the mode asks. Band k draws from its own generator
-stream keyed by the master seed and k, so results are independent of scan
-order and of which thread races a band. The bands are a term of the
-determinism contract: the same seed gives the same bytes for every worker
-count, and other bands would give other bytes with the same law. Bands are
-written in place into the counts, winner and cycles arrays, allocated once
-per grid; no-match, timeouts and the MAP are read from the winner (`Outcome`).
+`model._walk_bands` is argmaxed once, into the oracle's winner, and raced
+from that argmax in one `machine._race` call, as the mode asks. Band k draws
+from its own generator stream keyed by the master seed and k, so results are
+independent of scan order and of which thread races a band. The bands are a
+term of the determinism contract: the same seed gives the same bytes for
+every worker count, and other bands would give other bytes with the same
+law. Bands are written in place into the counts, winner and cycles arrays,
+allocated once per grid; no-match, timeouts and the MAP are read from the
+winner (`Outcome`).
 """
 
 import threading
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitstream import DEFAULT_MAX_CYCLES, stream_seed
-from .machine import RaceBuffers, check_race_args, race_arrivals
-from .model import LikelihoodVolume, Outcome, _walk_bands, winner_dtype
+from .machine import _race, _work_arrays, check_race_args
+from .model import LikelihoodVolume, Outcome, _rows_per_band, _walk_bands, winner_dtype
 
 MODES = ("reference", "stochastic", "both")  # the oracle, the race, or both
 
@@ -54,29 +55,32 @@ def _band_pass(
     """The oracle's `Outcome` and the race's `StochasticResult` of one walk of
     `rates`, an (H, W_valid, d_max + 2) array or `BandRates`, on `workers`
     threads; a result is None when `mode` (one of `MODES`) skips its engine.
-    Band k is argmaxed, the first channel at the top rate (not in `stochastic`
-    mode), and raced on `stream_seed(master_seed, k)` (not in `reference`
-    mode) in the `RaceBuffers` a share makes on its first band. Bands write
-    disjoint rows of grids allocated once, so threads need no lock; numpy's
-    draws and kernels release the GIL."""
+    Band k is argmaxed once, into the oracle's winner (not in `stochastic`
+    mode), and raced from that argmax on `stream_seed(master_seed, k)` (not in
+    `reference` mode) in work arrays a share makes on its first band; its
+    rates were checked where they were built. Bands write disjoint rows of
+    grids allocated once, so threads need no lock; numpy's draws and kernels
+    release the GIL."""
     shape, d_max = rates.shape, rates.shape[2] - 2
     oracle = None if mode == "stochastic" else np.empty(shape[:2], winner_dtype(d_max))
     run = None if mode == "reference" else StochasticResult(
         np.empty(shape[:2], winner_dtype(d_max)), d_max,
         np.empty(shape, np.min_scalar_type(n_max)), n_max, np.empty(shape[:2], np.int64)
     )
+    band_size = min(_rows_per_band(shape[1]), shape[0]) * shape[1] * shape[2]
     share = threading.local()  # one share per thread in each walk
 
     def each(k, rows, band):
+        top = band.argmax(axis=2)
         if oracle is not None:
-            oracle[rows] = band.argmax(axis=2)
+            oracle[rows] = top
         if run is not None:
             rng = np.random.default_rng(stream_seed(master_seed, k))
-            if not hasattr(share, "buffers"):  # the share's first band
-                share.buffers = RaceBuffers()
-            # (pixels, M) rates: only a band that is not C-contiguous is copied
-            out = race_arrivals(rng, band.reshape(-1, shape[2]), n_max, max_cycles,
-                                buffers=share.buffers)
+            if not hasattr(share, "work"):  # the share's first band
+                share.work = _work_arrays(band_size)
+            # (pixels, M) rates: only a band that is not C-contiguous float is copied
+            pixels = np.ascontiguousarray(band.reshape(-1, shape[2]), float)
+            out = _race(rng, pixels, top, n_max, max_cycles, share.work)
             for grid, part in zip((run.counts, run.winner, run.cycles), out):
                 grid[rows] = part.reshape(grid[rows].shape)
 

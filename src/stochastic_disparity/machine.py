@@ -203,30 +203,11 @@ _CONTENDER_CUT = 0.1
 _HYPERGEOMETRIC_LIMIT = 10**9
 
 
-class RaceBuffers:
-    """The full-width work arrays of `race_arrivals`: the uniforms, the bound
-    and two masks over a (pixels, M) band. They are made on the first call
-    and grown for a wider band, so the bands of one share reuse them; every
-    call overwrites what it reads."""
-
-    def __init__(self):
-        self._arrays = ()
-
-    def views(self, shape):
-        """(v, bound, mask, mask), each a C-contiguous view of `shape`."""
-        size = shape[0] * shape[1]
-        if not self._arrays or size > self._arrays[0].size:
-            self._arrays = [np.empty(size, t) for t in (float, float, bool, bool)]
-        return [a[:size].reshape(shape) for a in self._arrays]
-
-
 def race_arrivals(
     rng: np.random.Generator,
     rates: np.ndarray,
     n_max: int,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    *,
-    buffers: RaceBuffers | None = None,
 ):
     """Race each row of a (pixels, M) rate array in closed form.
 
@@ -255,25 +236,38 @@ def race_arrivals(
     Only gathered rates are quantised: q is monotone, so the top rate is q of
     the raw maximum, and contenders are read off the raw rates exactly
     (`_raw_threshold`). Full-width work is the uniforms' draw, one bound
-    (`_below_bound`) and the masks of two compares, all in `buffers`, a
-    fresh `RaceBuffers` by default.
+    (`_below_bound`) and the masks of two compares, in `_work_arrays`. This
+    entry checks and argmaxes the rates; the band pass calls `_race` itself.
 
     Returns per-pixel (counts, winner, cycles); counts have the smallest
     unsigned dtype that holds n_max.
     """
     check_race_args(n_max, max_cycles)
     rates = np.ascontiguousarray(rates, dtype=float)
-    (n, m), flat = rates.shape, rates.ravel()
-    top_at = np.arange(0, n * m, m) + rates.argmax(axis=1)  # flat offsets
-    top = _quantised(flat[top_at])
-    # q(min) >= 0, where a NaN fails as it does in the max
+    top_col = rates.argmax(axis=1)
+    top = rates[np.arange(len(rates)), top_col]
+    # q(min) >= 0 and q(max) <= 1, where a NaN fails as it does in the max
     if not (np.ceil(rates.min() * 2.0**53) >= 0 and top.max() <= 1):
         raise ValueError("rates must lie in [0, 1]")
-    work = (buffers or RaceBuffers()).views(rates.shape)
-    if n_max == 1:
-        return _race_first_firing(rng, rates, top_at, top, max_cycles, work)
-    v, bound, contends, near = work
+    return _race(rng, rates, top_col, n_max, max_cycles, _work_arrays(rates.size))
 
+
+def _work_arrays(size: int):
+    """The uniforms, the bound and two masks of `_race` for up to `size`
+    rates; a race overwrites what it reads, so they serve band after band."""
+    return [np.empty(size, t) for t in (float, float, bool, bool)]
+
+
+def _race(rng, rates, top_col, n_max, max_cycles, work):
+    """The race of `race_arrivals` over C-contiguous (pixels, M) rates in
+    [0, 1], given each row's first top channel `top_col` and `_work_arrays`
+    of at least rates.size."""
+    (n, m), flat = rates.shape, rates.ravel()
+    top_at = np.arange(0, n * m, m) + top_col.ravel()  # flat offsets
+    top = _quantised(flat[top_at])
+    v, bound, contends, near = (a[: rates.size].reshape(rates.shape) for a in work)
+    if n_max == 1:
+        return _race_first_firing(rng, rates, top_at, top, max_cycles, v, bound, near)
     cut = _CONTENDER_CUT if max_cycles < _HYPERGEOMETRIC_LIMIT else 0.0
     np.greater(rates, _raw_threshold(cut * top)[:, None], out=contends)
     # row-major, so each pixel's contenders are adjacent; its top one is there
@@ -369,21 +363,6 @@ def _counts_by_span(rng, v: np.ndarray, p: np.ndarray, span: np.ndarray):
     return hit, 1 + rng.binomial(gap, p[hit])
 
 
-def _first_success(v: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    """First-success cycles of Bernoulli(p) streams by inversion of uniforms
-    v, floor(log(1 - v) / log_q) + 1 with log_q = log1p(-p) (Devroye 1986),
-    or inf where p = 0. Quantised rates are >= 2**-53, so log_q is 0 only
-    there and a finite cycle is an integer < 2**59. The cycles are computed
-    in v's buffer, which is overwritten."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # log_q is 0 at p = 0
-        first = np.log1p(np.negative(v, out=v), out=v)
-        first /= log_q
-    np.floor(first, out=first)
-    first += 1
-    first[log_q == 0] = np.inf
-    return first
-
-
 def _settle_outsiders(rng, result, rows, cols, k, n_max):
     """Finish, in place, the pixels where an outsider's count k reached n_max
     by the span.
@@ -439,14 +418,13 @@ def _nth_position(rng, k: np.ndarray, n: int, span: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _race_first_firing(rng, rates, top_at, top, max_cycles, work):
+def _race_first_firing(rng, rates, top_at, top, max_cycles, v, bound, mask):
     """The n_max = 1 race: channel j first fires at an independent
     Geometric(p_j) cycle. The stop T is the earliest, the winner the lowest
     index firing at T, and each channel firing at T reads 1. If T exceeds
     max_cycles the pixel times out, every channel reading 0. Only the
     channels of `_firing_candidates` are inverted."""
     n, m = rates.shape
-    v, bound, mask, _ = work
     v = rng.random(out=v).ravel()
     at = _firing_candidates(v, rates, top_at, top, max_cycles, bound, mask)
     rows, cols = _rows_cols(at, m)
@@ -479,10 +457,19 @@ def _firing_candidates(v, rates, top_at, top, max_cycles, bound, mask):
 
 
 def _first_firing(v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """First-success cycles of Bernoulli(p) streams from uniforms v, which
-    are overwritten, as `_first_success` inverts them."""
-    with np.errstate(divide="ignore"):  # log1p(-1) is -inf
-        return _first_success(v, np.log1p(-p))
+    """First-success cycles of Bernoulli(p) streams by inversion of uniforms
+    v, floor(log(1 - v) / log1p(-p)) + 1 (Devroye 1986), or inf where p = 0.
+    Quantised rates are >= 2**-53, so log1p(-p) is 0 only there and a finite
+    cycle is an integer < 2**59. The cycles are computed in v's buffer, which
+    is overwritten."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # log_q is 0 at p = 0
+        log_q = np.log1p(-p)  # and log1p(-1) is -inf
+        first = np.log1p(np.negative(v, out=v), out=v)
+        first /= log_q
+    np.floor(first, out=first)
+    first += 1
+    first[log_q == 0] = np.inf
+    return first
 
 
 def _binomial_below(rng, n: np.ndarray, p: np.ndarray, limit: int) -> np.ndarray:

@@ -319,7 +319,10 @@ class BandRates:
                              f"at d_max={d_max}")
         self.maps, self.d_max = (fmaps_l, fmaps_r), d_max
         self.shape = (h, w - d_max, d_max + 2)
-        t_m, t_h, *self.tables = _likelihood_tables(params)  # t_v, t_nm
+        tables = _likelihood_tables(params)  # products stay in [0, 1] if these do
+        if not all(0 <= t.min() <= t.max() <= 1 for t in tables):
+            raise ValueError("likelihood tables must lie in [0, 1]")
+        t_m, t_h, *self.tables = tables  # t_v, t_nm
         self.pair = (t_m[:, None] * t_h).ravel()
 
     def builder(self, n_rows: int):
@@ -395,9 +398,7 @@ def build_likelihood_volume(
         rates[rows] = band
 
     _walk_bands([bands], store, workers)
-    # products of factors in [0, 1] stay in [0, 1]: no scan of the whole volume
-    checked = all(0 <= f.min() <= f.max() <= 1 for f in _likelihood_tables(params))
-    return LikelihoodVolume(rates, params, checked)
+    return LikelihoodVolume(rates, params, True)  # `BandRates` checked the tables
 
 
 def build_pixel_spec(

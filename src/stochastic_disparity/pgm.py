@@ -5,6 +5,8 @@ input is accepted and converted to luminance with integer BT.601 weights:
 Y = (77 R + 150 G + 29 B) >> 8.
 """
 
+import itertools
+import os
 import re
 from pathlib import Path
 
@@ -97,4 +99,27 @@ def save_image(path, pixels: np.ndarray) -> None:
     pixels = pixels.astype(np.uint8, copy=False)
     height, width = pixels.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.tobytes())
+    write_whole(path, lambda f: f.write(header + pixels.tobytes()))
+
+
+def write_whole(path, write) -> None:
+    """Run write(f) on a new sibling temp file of `path`, then move it onto
+    `path`, so `path` is never a partial file. On any error, an interrupt
+    too, the temp is unlinked and `path` is left as it was. The temp is made
+    as `open(path, "wb")` makes a new file, its permissions set by the umask."""
+    path = Path(path)
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    for n in itertools.count():  # a temp of another writer is never opened
+        temp = path.with_name(f".{path.name}.{os.getpid()}.{n}.tmp")
+        try:
+            fd = os.open(temp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with open(fd, "wb") as f:
+            write(f)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

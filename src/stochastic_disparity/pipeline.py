@@ -18,10 +18,13 @@ from .reference import ReferenceResult
 
 
 def check_output_dirs(*paths) -> None:
-    """Raise FileNotFoundError if the directory of an output path is missing."""
-    for path in filter(None, paths):
-        if not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"no such directory: {Path(path).parent}")
+    """Raise FileNotFoundError if the directory of an output path is missing,
+    and IsADirectoryError if the path is a directory, before any work."""
+    for path in map(Path, filter(None, paths)):
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"no such directory: {path.parent}")
+        if path.is_dir():
+            raise IsADirectoryError(f"output is a directory: {path}")
 
 
 @dataclass

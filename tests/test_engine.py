@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from stochastic_disparity import engine, model
+from stochastic_disparity import engine, machine, model
 from stochastic_disparity.bitstream import DEFAULT_MAX_CYCLES, stream_seed
 from stochastic_disparity.engine import run_stochastic_grid
 from stochastic_disparity.machine import race_arrivals
@@ -53,9 +53,25 @@ BAND_CASES = {
 }
 
 
-@pytest.fixture(scope="module", params=sorted(BAND_CASES))
+def tied_and_zero_case():
+    """Hand-built volume rates, twice, and the 5 rows of the last of their 2
+    bands of 18 rows: exactly tied top rates, among disparities and between
+    a disparity and no-match, all-zero pixels and an all-zero row."""
+    rates = np.random.default_rng(7).uniform(0.0, 0.5, (23, 60, 10))
+    rates[::3, :, [2, 5]] = 0.75
+    rates[1::3, :, [4, 9]] = 0.75
+    rates[7, ::4] = 0.0
+    rates[20] = 0.0
+    volume = LikelihoodVolume(rates, ModelParams(d_max=8))
+    return volume.rates, volume.rates, 5
+
+
+@pytest.fixture(scope="module", params=[*sorted(BAND_CASES), "tied-and-zero"])
 def band_case(request):
-    """A case's `BandRates`, its volume's rates and its last band's rows."""
+    """A case's rates to walk (`BandRates` of a pair, or a hand-built
+    volume's array), its volume's rates and its last band's rows."""
+    if request.param == "tied-and-zero":
+        return tied_and_zero_case()
     make_pair, d_max, last = BAND_CASES[request.param]
     fmaps = [compute_features(img) for img in make_pair()]
     params = ModelParams(d_max=d_max)
@@ -135,12 +151,14 @@ class TestDeterminism:
     def test_buffers_never_carry_one_band_into_the_next(
         self, band_case, n_max, max_cycles, workers
     ):
-        # each share races its bands in one set of buffers, from the rates
-        # in its builder's buffer; every band equals a race of its rows in
-        # fresh buffers, also at budgets where pixels time out
+        # each share races its bands in one set of work arrays, from the
+        # rates in its builder's buffer and the pass's argmax; every band
+        # equals a checked race of its rows in fresh arrays, also at budgets
+        # where pixels time out
         bands, rates, last = band_case
         max_cycles = max_cycles or DEFAULT_MAX_CYCLES
-        _, run = engine._band_pass(bands, "both", n_max, 2, max_cycles, workers)
+        oracle, run = engine._band_pass(bands, "both", n_max, 2, max_cycles, workers)
+        assert np.array_equal(oracle.winner, rates.argmax(axis=2))
         h, w, m = rates.shape
         band = model._rows_per_band(w)
         assert h % band == last
@@ -220,15 +238,15 @@ class TestResultSemantics:
     ):
         failed = threading.Event()
 
-        def fail_the_first_pooled_block(rng, rates, n_max, max_cycles, **kwargs):
+        def fail_the_first_pooled_block(*args):
             if threading.current_thread() is threading.main_thread():
                 failed.wait(timeout=60)  # a pool thread draws a block first
             elif not failed.is_set():
                 failed.set()
                 raise RuntimeError("pooled block failed")
-            return race_arrivals(rng, rates, n_max, max_cycles, **kwargs)
+            return machine._race(*args)
 
-        monkeypatch.setattr(engine, "race_arrivals", fail_the_first_pooled_block)
+        monkeypatch.setattr(engine, "_race", fail_the_first_pooled_block)
         with pytest.raises(RuntimeError, match="pooled block"):
             run_stochastic_grid(small_volume, 8, master_seed=0, workers=2)
 

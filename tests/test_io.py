@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import stochastic_disparity
-from stochastic_disparity import cli, metrics, pipeline
-from stochastic_disparity.cli import EXIT_IO, EXIT_OK, EXIT_TIMEOUT, EXIT_VALIDATION
+from stochastic_disparity import cli, metrics, pgm, pipeline
+from stochastic_disparity import dump as dump_module
+from stochastic_disparity.cli import EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, EXIT_TIMEOUT
+from stochastic_disparity.cli import EXIT_VALIDATION
 from stochastic_disparity.cli import main
 from stochastic_disparity.dump import DumpFormatError, read_dump, write_dump
 from stochastic_disparity.engine import CountGrid, run_stochastic_grid
@@ -451,6 +453,41 @@ class TestDump:
         with pytest.raises(DumpFormatError):
             write_dump(tmp_path / "d.bin", dump.counts, dump.d_max, 1 << 16)
 
+    def test_a_write_that_fails_after_its_header_leaves_no_partial_file(
+        self, tmp_path, monkeypatch
+    ):
+        old, new = tiny_dump(n_max=16), tiny_dump(n_max=8)
+        path = tmp_path / "d.bin"
+        write(path, old)
+        before = path.read_bytes()
+        walk, seen = dump_module._walk_bands, []
+
+        def fail_the_counts(grids, each, workers=1):
+            if seen:  # the writer's walk, after the header, in a temp file
+                seen.append(len(list(tmp_path.iterdir())))
+                raise OSError("disk full")
+            seen.append("winner")
+            return walk(grids, each, workers)
+
+        monkeypatch.setattr(dump_module, "_walk_bands", fail_the_counts)
+        for target in (path, tmp_path / "new.bin"):
+            seen.clear()
+            with pytest.raises(OSError, match="disk full"):
+                write_dump(target, new.counts, new.d_max, new.n_max)
+            assert seen == ["winner", 2]
+            assert [f.name for f in tmp_path.iterdir()] == ["d.bin"]
+            assert path.read_bytes() == before
+
+    def test_a_written_file_takes_the_umask_permissions(self, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            save_image(tmp_path / "a.pgm", np.zeros((2, 2), np.uint8))
+            write(tmp_path / "d.bin", tiny_dump())
+        finally:
+            os.umask(mask)
+        for name in ("a.pgm", "d.bin"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
+
 
 class TestPipeline:
     def test_artifacts_and_dump_contents(self, tmp_path):
@@ -874,6 +911,47 @@ class TestCli:
         assert main(args) == EXIT_IO
         assert f"no such directory: {nowhere.parent}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "output", ["--ref-out", "--stoch-out", "--dump-out", "--out"]
+    )
+    def test_a_directory_output_exits_with_code_3_before_reading_an_image(
+        self, output, tmp_path, monkeypatch, capsys
+    ):
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(pipeline, "load_image", unread)
+        monkeypatch.setattr(cli, "load_image", unread)
+        missing, folder = tmp_path / "missing.pgm", tmp_path / "folder"
+        folder.mkdir()
+        if output == "--out":  # sweep's only output
+            args = ["sweep", "--left", str(missing), "--right", str(missing)]
+            args += ["--out", ""]
+        else:
+            args = self.disparity_args(tmp_path, missing, missing)
+        args[args.index(output) + 1] = str(folder)
+        assert main(args) == EXIT_IO
+        assert f"output is a directory: {folder}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["folder"]
+        assert not any(folder.iterdir())
+
+    def test_an_interrupt_exits_with_code_130_and_leaves_no_output(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        lp, rp = write_pair(tmp_path)
+
+        def interrupted_while_writing(config):
+            def write(f):
+                f.write(b"SDSP")
+                raise KeyboardInterrupt
+
+            pgm.write_whole(config.dump_out, write)
+
+        monkeypatch.setattr(cli, "run_pipeline", interrupted_while_writing)
+        assert main(self.disparity_args(tmp_path, lp, rp)) == EXIT_INTERRUPTED
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["left.pgm", "right.pgm"]
 
     @pytest.mark.parametrize("command", ["disparity", "sweep"])
     def test_unequal_images_exit_with_code_2_before_any_filtering(

@@ -12,7 +12,6 @@ from stochastic_disparity.machine import (
     PRIOR_LANE,
     FusionSpec,
     Machine,
-    RaceBuffers,
     _below_bound,
     _binomial_below,
     _firing_candidates,
@@ -511,15 +510,6 @@ class TestBoundsOnRawRates:
         for part, expected in zip(got, want):
             assert part.dtype == expected.dtype
             assert np.array_equal(part, expected)
-
-    def test_buffers_grow_for_a_wider_band_and_are_reused(self):
-        buffers = RaceBuffers()
-        small = buffers.views((2, 3))
-        wide = buffers.views((4, 5))
-        assert [a.shape for a in wide] == [(4, 5)] * 4
-        again = buffers.views((3, 5))
-        assert all(np.shares_memory(a, b) for a, b in zip(wide, again))
-        assert not np.shares_memory(small[0], wide[0])
 
 
 class TestOutsiderFallback:

@@ -228,13 +228,13 @@ class TestThreads:
         monkeypatch.setattr(model, "RACE_BLOCK", 10 * volume.rates.shape[1])
         serial = run_stochastic_grid(volume, 16, 5)
 
-        def race_on_the_caller(*args, **kwargs):
+        def race_on_the_caller(*args):
             raced.append(threading.current_thread() is threading.main_thread())
             if len(raced) == blocks:
                 done.set()
-            return machine.race_arrivals(*args, **kwargs)
+            return machine._race(*args)
 
-        monkeypatch.setattr(engine, "race_arrivals", race_on_the_caller)
+        monkeypatch.setattr(engine, "_race", race_on_the_caller)
         # the pool share waits for the caller to race every block
         monkeypatch.setattr(model, "ThreadPoolExecutor", stalling_pool(done))
         stalled = run_stochastic_grid(volume, 16, 5, workers=2)
