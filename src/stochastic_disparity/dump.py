@@ -66,6 +66,10 @@ def _check_header(*values: int) -> None:
 
 
 def _check_counts(counts: np.ndarray, n_max: int) -> None:
+    """Reject counts that are not integers in [0, n_max]; float counts are
+    written as <u2, which would truncate a fraction and cast NaN to junk."""
+    if counts.dtype.kind == "f" and not np.array_equal(counts, np.trunc(counts)):
+        raise DumpFormatError("counts must be integers")  # NaN fails this too
     if not (counts.min(initial=0) >= 0 and counts.max(initial=0) <= n_max):
         raise DumpFormatError("counts outside [0, n_max]")
 

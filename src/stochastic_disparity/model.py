@@ -23,6 +23,7 @@ from .pgm import check_gray_pixels
 KERNEL_SIZE = 5
 BORDER = KERNEL_SIZE - 1  # feature maps lose 4 pixels per dimension
 _IMAGE_BLOCK = 2**15  # output pixels per band of the front end and the render
+_SUB_BAND = 2**9  # about the valid pixels per sub-band of `BandRates.builder`
 
 # Filter kernels, which `compute_features` evaluates exactly in integers. The
 # mean filter is a normalized 5x5 box. The gradients are separable: a flat
@@ -156,18 +157,40 @@ class FeatureMaps:
         return self.mean.shape[1]
 
 
+def _taps(a: np.ndarray, axis: int) -> list:
+    """The KERNEL_SIZE views of `a` whose entry i along `axis` (0 or 1) is
+    entry i + k of `a`, for k = 0..4."""
+    n = a.shape[axis] - BORDER
+    return [a[k : k + n] if axis == 0 else a[:, k : k + n] for k in range(KERNEL_SIZE)]
+
+
 def _window_sums(a: np.ndarray, axis: int) -> np.ndarray:
     """Sums of KERNEL_SIZE consecutive entries of `a` along `axis` (0 or 1)."""
-    n = a.shape[axis] - BORDER
-    out = np.take(a, range(n), axis)
-    for k in range(1, KERNEL_SIZE):
-        out += a[k : k + n] if axis == 0 else a[:, k : k + n]
+    first, *rest = _taps(a, axis)
+    out = first.copy()
+    for tap in rest:
+        out += tap
+    return out
+
+
+def _ramps(a: np.ndarray, axis: int) -> np.ndarray:
+    """Responses of the ramp (-2, -1, 0, 1, 2) to KERNEL_SIZE consecutive
+    entries of `a` along `axis` (0 or 1), formed in place in one new array."""
+    taps = _taps(a, axis)
+    out = np.subtract(taps[4], taps[0])
+    out *= 2
+    out += taps[3]
+    out -= taps[1]
     return out
 
 
 def _rounded(num: np.ndarray, scale: int, den: int) -> np.ndarray:
-    """num * scale / den rounded to the nearest integer (never a tie here)."""
-    return (2 * scale * num + den) // (2 * den)
+    """num * scale / den rounded to the nearest integer (never a tie here),
+    formed in place in `num`, which it returns."""
+    num *= 2 * scale
+    num += den
+    num //= 2 * den
+    return num
 
 
 def _image_rows(width: int) -> int:
@@ -178,8 +201,9 @@ def _image_rows(width: int) -> int:
 
 def compute_features(img: np.ndarray) -> FeatureMaps:
     """Apply the three 5x5 filters with valid-region support, exactly: int32
-    5-pixel column and row sums give the correlations, rounded half away from
-    zero into int16 maps. No response is near a tie (box/25 is a multiple of
+    5-pixel column and row sums give the correlations, each formed and
+    rounded half away from zero in place in its own int32 array, then stored
+    in int16 maps. No response is near a tie (box/25 is a multiple of
     0.04, 127 * ramp / 3825 at least 1/7650 from a half-integer), so rounding
     the floats agrees. The maps are written band by band of `_image_rows`,
     each read with its 4-row halo, so no full-frame sum is held."""
@@ -192,11 +216,9 @@ def compute_features(img: np.ndarray) -> FeatureMaps:
     for y in range(0, h, band):
         pixels = img[y : y + band + BORDER].astype(np.int32)
         cols, rows = _window_sums(pixels, 0), _window_sums(pixels, 1)
-        ramp_h = 2 * (cols[:, 4:] - cols[:, :-4]) + cols[:, 3:-1] - cols[:, 1:-3]
-        ramp_v = 2 * (rows[4:] - rows[:-4]) + rows[3:-1] - rows[1:-3]
         maps[0][y : y + band] = _rounded(_window_sums(cols, 1), 1, KERNEL_SIZE**2)
-        maps[1][y : y + band] = _rounded(ramp_h, 127, 3825)
-        maps[2][y : y + band] = _rounded(ramp_v, 127, 3825)
+        maps[1][y : y + band] = _rounded(_ramps(cols, 1), 127, 3825)
+        maps[2][y : y + band] = _rounded(_ramps(rows, 0), 127, 3825)
     return FeatureMaps(*maps)
 
 
@@ -327,41 +349,64 @@ class BandRates:
 
     def builder(self, n_rows: int):
         """build(rows): the rates of up to `n_rows` rows in one C-contiguous
-        buffer its next call reuses. A subtraction of intp codes indexes
-        `pair`, t_m * t_h at (dm + 255) * 511 + dh + 255, and t_v gives the
-        third factor, multiplied in that order; then the no-match rate."""
+        buffer its next call reuses, the only one the size of a band. It is
+        filled sub-band by sub-band of about `_SUB_BAND` valid pixels (whole
+        rows, or equal runs of one row where a row is wider), so the scratch
+        and the 2 MB `pair` table share the cache. In each, a subtraction of
+        intp codes indexes `pair`, t_m * t_h at (dm + 255) * 511 + dh + 255,
+        and t_v gives the third factor, multiplied in that order; then the
+        no-match rate. A rate is the product of the same entries whatever
+        the sub-band, so sub-bands are no term of the determinism contract."""
         (fmaps_l, fmaps_r), (t_v, t_nm), d_max = self.maps, self.tables, self.d_max
-        w = fmaps_l.width
+        w, (_, w_valid, channels) = fmaps_l.width, self.shape
         # [view][mean-grad_h, grad_v] and a pad column. [code, y, x, d] is the
         # right partner of valid pixel x at disparity d, the pad at d_max + 1;
         # right codes are held reversed in x so d runs forward, a unit stride.
         codes = np.zeros((2, 2, n_rows, w + 1), np.intp)
-        right = sliding_window_view(codes[1], d_max + 2, axis=2)[:, :, ::-1]
-        shape = (n_rows, w - d_max, d_max + 2)
-        index, pm, pv = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
+        right = sliding_window_view(codes[1], channels, axis=2)[:, :, ::-1]
+        code_l, gv_l = codes[0, :, :, d_max:w, None]
+        rates = np.empty((n_rows, w_valid, channels))
+        runs = -(-w_valid // _SUB_BAND)  # of each row; 1 where whole rows fit
+        sub_rows, sub_cols = -(-_SUB_BAND // w_valid), -(-w_valid // runs)
+        # one sub-band's intp indices, which the t_v lookup overwrites with
+        # its float factors
+        index = np.empty(min(sub_rows, n_rows) * sub_cols * channels, np.intp)
+        sub_bands = {}  # rows of a band -> the views of each of its sub-bands
+
+        def sub_band_views(n):
+            for y in range(0, n, sub_rows):
+                for x in range(0, w_valid, sub_cols):
+                    at = slice(y, min(y + sub_rows, n)), slice(x, x + sub_cols)
+                    out = rates[at]
+                    yield (out, index[: out.size].reshape(out.shape),
+                           code_l[at], right[0][at], gv_l[at], right[1][at])
 
         def build(rows):
             n = rows.stop - rows.start
-            i, m, v = index[:n], pm[:n], pv[:n]
             views = zip((fmaps_l, fmaps_r), codes[:, :, :n, :w], (1, -1))
             for fmaps, (code, gv), dx in views:
                 code[...], gv[...] = fmaps.mean[rows, ::dx], fmaps.grad_v[rows, ::dx]
                 code *= _SPAN
                 code += fmaps.grad_h[rows, ::dx]
-            code_l, gv_l = codes[0, :, :n, d_max:w, None]
-            code_l += 255 * _SPAN + 255
-            gv_l += 255
-            # mode="wrap" writes straight into `out` ("raise" would buffer a
-            # copy) and is faster than "clip"; every index, the pad's too,
-            # lies inside its table, so neither mode moves one
-            np.subtract(code_l, right[0, :n], out=i)
-            np.take(self.pair, i, out=m, mode="wrap")
-            np.subtract(gv_l, right[1, :n], out=i)
-            np.take(t_v, i, out=v, mode="wrap")
-            np.multiply(m, v, out=m)
+            code_l[:n] += 255 * _SPAN + 255
+            gv_l[:n] += 255
+            if n not in sub_bands:
+                sub_bands[n] = list(sub_band_views(n))
+            for out, i, pair_l, pair_r, gv_left, gv_right in sub_bands[n]:
+                # mode="wrap" writes straight into `out` ("raise" would buffer
+                # a copy) and is faster than "clip"; every index, the pad's
+                # too, lies inside its table, so neither mode moves one
+                np.subtract(pair_l, pair_r, out=i)
+                np.take(self.pair, i, out=out, mode="wrap")
+                np.subtract(gv_left, gv_right, out=i)
+                # `take` reads each index before it writes that entry's factor
+                factor = i.view(float)
+                np.take(t_v, i, out=factor, mode="wrap")
+                np.multiply(out, factor, out=out)
+            band = rates[:n]
             gv = fmaps_l.grad_v[rows, d_max:] + 127
-            m[..., -1] = np.take(t_nm, gv, mode="wrap")
-            return m
+            band[..., -1] = np.take(t_nm, gv, mode="wrap")
+            return band
 
         return build
 

@@ -36,12 +36,18 @@ N_MAX = (1, 16, 64)
 SWEEP_N_MAX = "1,16"
 TIMEOUT_N_MAX = 16  # raced at --max-cycles 4 * n_max, where many pixels time out
 
-# name: (pair, d_max); the planted pair has 4 bands of 11 rows (the last of
-# 3), the natural one 17 bands of 9 rows (the last of 2)
+# name: (pair, d_max); the 120x40 pair has 4 bands of 11 rows (the last of
+# 3), the natural one 17 bands of 9 rows (the last of 2). The 700x24 pair has
+# 10 bands of 2 rows 616 valid pixels wide: wider than one sub-band of the
+# rate builder (`model._SUB_BAND`) and no multiple of it, so each row is built
+# in two runs
 PAIRS = {
     "natural-200x150": (lambda: natural_scene_pair(200, 150, 12, 1), 80),
     "planted-120x40": (
         lambda: planted_shift_pair(120, 40, 5, 3, noise_sigma=20), 16
+    ),
+    "planted-700x24": (
+        lambda: planted_shift_pair(700, 24, 20, 3, noise_sigma=20), 80
     ),
 }
 

@@ -287,6 +287,22 @@ class TestDump:
             with pytest.raises(DumpFormatError, match="counts shape"):
                 write_dump(tmp_path / "d.bin", counts, dump.d_max, dump.n_max)
 
+    @pytest.mark.parametrize("fraction", [0.7, 0.5, np.nan])
+    def test_non_integer_counts_rejected_before_a_file_opens(self, fraction, tmp_path):
+        # cast to <u2, 4.7 and 0.5 went out as 4 and 0 and every pixel read
+        # back timed out; whole floats are counts like any other
+        counts = np.zeros((2, 3, 6))  # d_max 4
+        counts[..., 0] = 5.0
+        path = tmp_path / "d.bin"
+        write_dump(path, counts, 4, 5)
+        assert read_dump(path).winner.tolist() == [[0, 0, 0], [0, 0, 0]]
+        path.unlink()
+        counts[..., 0] = 4.0 + fraction
+        counts[..., 1] = fraction
+        with pytest.raises(DumpFormatError, match="integers"):
+            write_dump(path, counts, 4, 5)
+        assert list(tmp_path.iterdir()) == []
+
     def test_written_bitmaps_are_derived_from_the_counts(self, tmp_path):
         # row 1 of the 2x5 dump: a no-match winner at x = 3, a timeout at x = 4
         dump = at_disparity_0()

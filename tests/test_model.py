@@ -537,6 +537,84 @@ class TestLikelihoodVolume:
             FeatureMaps(views[0][0].astype(float), *views[0][1:])
 
 
+def one_shot_band(fmaps_l, fmaps_r, params, rows):
+    """The rates of band `rows` in one whole-band pass of fancy indexing over
+    `_likelihood_tables`: (t_m * t_h) * t_v, then the no-match rate."""
+    t_m, t_h, t_v, t_nm = model._likelihood_tables(params)
+    x = np.arange(params.d_max, fmaps_l.width)[:, None]
+    partners = x - np.arange(params.d_max + 1)  # right column at disparity d
+    dm, dh, dv = (
+        getattr(fmaps_l, n)[rows][:, x].astype(int)
+        - getattr(fmaps_r, n)[rows][:, partners]
+        + 255
+        for n in FEATURE_NAMES
+    )
+    nomatch = t_nm[fmaps_l.grad_v[rows, params.d_max :] + 127]
+    return np.dstack([(t_m[:, None] * t_h)[dm, dh] * t_v[dv], nomatch])
+
+
+def random_fmaps(rng, height, width):
+    """Feature maps drawn over their whole ranges, so every table end is read."""
+    return FeatureMaps(
+        rng.integers(0, 256, (height, width)),
+        *(rng.integers(-127, 128, (height, width)) for _ in range(2)),
+    )
+
+
+class TestBandRatesBuilder:
+    """`BandRates.builder` fills one band buffer sub-band by sub-band: whole
+    rows where a row holds at most `_SUB_BAND` valid pixels, else runs of
+    one row. Every rate is the one-shot band's, bit for bit."""
+
+    @pytest.mark.parametrize("d_max", [16, 80])
+    @pytest.mark.parametrize(
+        "w_valid, height, band, sub_rows, runs",
+        [(116, 21, 9, 5, 1), (616, 5, 2, 1, 2), (1316, 3, 1, 1, 3)],
+        ids=["9-row-bands-of-5+4-rows", "2-runs-a-row", "3-runs-a-row"],
+    )
+    def test_every_band_equals_a_one_shot_build(
+        self, d_max, w_valid, height, band, sub_rows, runs
+    ):
+        # the 9-row and the 2-row bands end on a short band of 3 rows and 1
+        params = ModelParams(d_max=d_max)
+        rng = np.random.default_rng(w_valid + d_max)
+        fmaps_l, fmaps_r = (random_fmaps(rng, height, w_valid + d_max) for _ in range(2))
+        assert model._rows_per_band(w_valid) == band
+        assert -(-model._SUB_BAND // w_valid) == sub_rows
+        assert -(-w_valid // model._SUB_BAND) == runs
+        build = model.BandRates(fmaps_l, fmaps_r, params).builder(band)
+        for y in range(0, height, band):
+            rows = slice(y, min(y + band, height))
+            got = build(rows)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(
+                got, one_shot_band(fmaps_l, fmaps_r, params, rows), str(rows)
+            )
+
+    @pytest.mark.parametrize("image_width", [640, 2560])
+    def test_scratch_is_sub_band_sized(self, image_width):
+        # a band of VGA width is 2 rows of 556 valid pixels (730 kB of
+        # rates), one of 2560 width 1 row of 2476; with band-sized index and
+        # t_v buffers the builder held 3x the rates. numpy's iterator adds
+        # transient buffers to a subtraction of strided codes (two of 64 kB
+        # on numpy 2.4), so the peak has a bound of its own
+        params = ModelParams(d_max=80)
+        width = image_width - BORDER
+        rng = np.random.default_rng(image_width)
+        bands = model.BandRates(*(random_fmaps(rng, 2, width) for _ in range(2)), params)
+        n_rows = model._rows_per_band(width - params.d_max)
+        tracemalloc.start()
+        try:
+            build = bands.builder(n_rows)
+            rates = build(slice(0, n_rows))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rates.shape == (n_rows, width - params.d_max, params.machine_width)
+        assert held < 1.5 * rates.nbytes
+        assert peak < 1.75 * rates.nbytes
+
+
 class TestBuildPixelSpec:
     def test_structure(self):
         params = ModelParams(d_max=4)
