@@ -24,6 +24,12 @@ KERNEL_SIZE = 5
 BORDER = KERNEL_SIZE - 1  # feature maps lose 4 pixels per dimension
 _IMAGE_BLOCK = 2**15  # output pixels per band of the front end and the render
 _SUB_BAND = 2**9  # about the valid pixels per sub-band of `BandRates.builder`
+# numpy's smallest ufunc buffer, in elements, which the sub-band kernels run
+# at: a subtraction of the broadcast left codes and the reversed window of
+# right codes has dims numpy cannot merge, and at the default 8192 it copies
+# both operands through buffers; at 16 it iterates their d_max + 2 wide rows
+# in place. Kernels that cast run slower at 16, so only same-dtype ones do.
+_SUB_BAND_BUFSIZE = 16
 
 # Filter kernels, which `compute_features` evaluates exactly in integers. The
 # mean filter is a normalized 5x5 box. The gradients are separable: a flat
@@ -356,7 +362,9 @@ class BandRates:
         intp codes indexes `pair`, t_m * t_h at (dm + 255) * 511 + dh + 255,
         and t_v gives the third factor, multiplied in that order; then the
         no-match rate. A rate is the product of the same entries whatever
-        the sub-band, so sub-bands are no term of the determinism contract."""
+        the sub-band, so sub-bands are no term of the determinism contract,
+        nor is the `_SUB_BAND_BUFSIZE` the sub-band kernels run at: the
+        calling thread's ufunc buffer size is restored after them."""
         (fmaps_l, fmaps_r), (t_v, t_nm), d_max = self.maps, self.tables, self.d_max
         w, (_, w_valid, channels) = fmaps_l.width, self.shape
         # [view][mean-grad_h, grad_v] and a pad column. [code, y, x, d] is the
@@ -392,20 +400,25 @@ class BandRates:
             gv_l[:n] += 255
             if n not in sub_bands:
                 sub_bands[n] = list(sub_band_views(n))
-            for out, i, pair_l, pair_r, gv_left, gv_right in sub_bands[n]:
-                # mode="wrap" writes straight into `out` ("raise" would buffer
-                # a copy) and is faster than "clip"; every index, the pad's
-                # too, lies inside its table, so neither mode moves one
-                np.subtract(pair_l, pair_r, out=i)
-                np.take(self.pair, i, out=out, mode="wrap")
-                np.subtract(gv_left, gv_right, out=i)
-                # `take` reads each index before it writes that entry's factor
-                factor = i.view(float)
-                np.take(t_v, i, out=factor, mode="wrap")
-                np.multiply(out, factor, out=out)
+            caller_bufsize = np.setbufsize(_SUB_BAND_BUFSIZE)
+            try:
+                for out, i, pair_l, pair_r, gv_left, gv_right in sub_bands[n]:
+                    # mode="wrap" writes straight into `out` ("raise" would
+                    # buffer a copy) and is faster than "clip"; every index,
+                    # the pad's too, lies inside its table, so neither mode
+                    # moves one
+                    np.subtract(pair_l, pair_r, out=i)
+                    self.pair.take(i, out=out, mode="wrap")
+                    np.subtract(gv_left, gv_right, out=i)
+                    # `take` reads each index before it writes its factor
+                    factor = i.view(float)
+                    t_v.take(i, out=factor, mode="wrap")
+                    np.multiply(out, factor, out=out)
+            finally:
+                np.setbufsize(caller_bufsize)
             band = rates[:n]
             gv = fmaps_l.grad_v[rows, d_max:] + 127
-            band[..., -1] = np.take(t_nm, gv, mode="wrap")
+            band[..., -1] = t_nm.take(gv, mode="wrap")
             return band
 
         return build

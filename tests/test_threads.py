@@ -348,3 +348,87 @@ class TestThreads:
             proc.join()
         assert not hung
         assert proc.exitcode == 0
+
+
+@pytest.fixture
+def caller_bufsize():
+    """The calling thread at a ufunc buffer of 4096 elements, neither numpy's
+    default (8192) nor the rate builder's; restored afterwards."""
+    previous = np.setbufsize(4096)
+    try:
+        yield 4096
+    finally:
+        np.setbufsize(previous)
+
+
+def fresh_thread_bufsize():
+    seen = []
+    thread = threading.Thread(target=lambda: seen.append(np.getbufsize()))
+    thread.start()
+    thread.join()
+    return seen[0]
+
+
+class TestUfuncBufferSize:
+    """The rate builder runs its sub-band kernels at numpy's smallest ufunc
+    buffer; the size never leaks to its caller or to any other kernel."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", ["reference", "stochastic", "both"])
+    def test_band_pass_restores_the_callers_size(
+        self, monkeypatch, caller_bufsize, mode, workers
+    ):
+        monkeypatch.setattr(model, "RACE_BLOCK", 80)  # 19 2-row bands
+        bands = model.BandRates(*feature_pair(37), PARAMS)
+        engine._band_pass(bands, mode, 8, 1, workers=workers)
+        assert np.getbufsize() == caller_bufsize
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_race_runs_at_its_threads_size(
+        self, monkeypatch, caller_bufsize, workers
+    ):
+        monkeypatch.setattr(model, "RACE_BLOCK", 80)
+        seen, race = [], engine._race
+
+        def spy(*args):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         np.getbufsize()))
+            return race(*args)
+
+        monkeypatch.setattr(engine, "_race", spy)
+        bands = model.BandRates(*feature_pair(37), PARAMS)
+        engine._band_pass(bands, "both", 8, 1, workers=workers)
+        pool_thread_size = fresh_thread_bufsize()
+        assert len(seen) == 19
+        assert pool_thread_size != model._SUB_BAND_BUFSIZE
+        for on_caller, size in seen:
+            assert size == (caller_bufsize if on_caller else pool_thread_size)
+
+    def test_an_interrupt_in_a_sub_band_restores_the_callers_size(
+        self, caller_bufsize
+    ):
+        seen = []
+
+        class InterruptedTable:
+            def take(self, *args, **kwargs):
+                seen.append(np.getbufsize())
+                raise KeyboardInterrupt
+
+        rates = model.BandRates(*feature_pair(5), PARAMS)
+        rates.pair = InterruptedTable()
+        build = rates.builder(2)
+        with pytest.raises(KeyboardInterrupt):
+            build(slice(0, 2))
+        assert seen == [model._SUB_BAND_BUFSIZE]
+        assert np.getbufsize() == caller_bufsize
+
+    def test_rates_do_not_depend_on_the_callers_size(self):
+        fmaps = feature_pair(37)
+        want = build_likelihood_volume(*fmaps, PARAMS).rates.view(np.uint64)
+        for size in (16, 8192, 2**20):
+            previous = np.setbufsize(size)
+            try:
+                got = build_likelihood_volume(*fmaps, PARAMS).rates
+            finally:
+                np.setbufsize(previous)
+            assert np.array_equal(got.view(np.uint64), want), size
