@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import comb
+from scipy.special import bdtr, comb, gammaln
 
 from stochastic_disparity.bitstream import BitSource, and_product, stream_seed
 from stochastic_disparity.machine import (
+    _CONTENDER_CUT,
     PRIOR_LANE,
     FusionSpec,
     Machine,
@@ -24,6 +25,12 @@ from stochastic_disparity.machine import (
     race_arrivals,
     run_machine,
 )
+from stochastic_disparity.model import (
+    ModelParams,
+    build_likelihood_volume,
+    compute_features,
+)
+from stochastic_disparity.synthetic import natural_scene_pair
 
 
 def simple_spec(prior, table, constants=None):
@@ -583,3 +590,139 @@ class TestBinomialBelow:
         observed = np.r_[observed[:low].sum(), observed[low:]]
         expected = np.r_[expected[:low].sum(), expected[low:]]
         assert stats.chisquare(observed, expected).pvalue > ALPHA
+
+
+# The race's exact law. With S_j(t) = P(Binomial(t, q_j) < n_max) = P(A_j >
+# t) on the quantised rates and f_j(t) = S_j(t - 1) - S_j(t):
+#   P(T > t) = prod_j S_j(t);
+#   P(winner = j) = sum_t f_j(t) prod_{i<j} S_i(t) prod_{i>j} S_i(t - 1);
+#   P(timeout) = prod_j S_j(max_cycles).
+# A channel below n_max at a stop on cycle t reads Binomial(t, q_j)
+# conditioned below n_max; its expected count there is G_j(t) = E[B; B <
+# n_max] = t q_j P(Binomial(t - 1, q_j) < n_max - 1). A pixel leaves the
+# recurrence once P(T > t) < LAW_TOL, and a channel whose chance of reaching
+# n_max by then, at most C(t, n_max) q^n_max, is below LAW_TOL is taken never
+# to fill: it reads Binomial(cycles, q_j), of mean q_j E[cycles].
+LAW_TOL = 1e-15
+LAW_RUNS = 300  # races of each sampled pixel
+LAW_CASES = {
+    # name: (n_max, max_cycles, channels raised to just under the cut)
+    "n_max_1": (1, 10**7, 0),
+    "n_max_2": (2, 10**7, 0),  # outsiders fill first in about 1.5% of the races
+    "n_max_16": (16, 10**7, 0),
+    "n_max_64": (64, 10**7, 0),
+    "timeout_heavy": (16, 24, 0),  # a third of the races time out
+    "outsiders_n_max_2": (2, 10**7, 8),  # outsiders fill first in about 9%
+}
+
+
+def race_law(q, n_max, max_cycles):
+    """The exact law of one pixel's race on quantised rates `q`, not all
+    zero: the pmf of its cycles over 0..t_end, the winner probabilities (the
+    last entry a timeout's) and the expected sum of the counts of the
+    channels that end below n_max."""
+    t_end = min(max_cycles, n_max + int(stats.nbinom.isf(LAW_TOL, n_max, q.max())) + 1)
+    t = np.arange(t_end + 1)
+    log_comb = gammaln(t_end + 1) - gammaln(n_max + 1) - gammaln(t_end - n_max + 1)
+    with np.errstate(divide="ignore"):
+        reach = log_comb + n_max * np.log(q)
+    kept = np.union1d(np.flatnonzero(reach >= np.log(LAW_TOL)), q.argmax())
+    qk = q[kept, None]
+    s = bdtr(np.minimum(n_max - 1, t), t, qk)
+    ones = np.ones((1, t.size))
+    before = np.cumprod(np.vstack([ones, s[:-1]]), axis=0)  # prod_{i<j} S_i
+    after = np.cumprod(np.vstack([ones, s[:0:-1]]), axis=0)[::-1]  # prod_{i>j}
+    alive = before[-1] * s[-1]  # P(T > t)
+    timeout = t_end == max_cycles
+    winner = np.zeros(q.size + 1)
+    f = s[:, :-1] - s[:, 1:]
+    winner[kept] = (f * before[:, 1:] * after[:, :-1]).sum(axis=1)
+    winner[-1] = alive[-1] if timeout else 0.0
+    cycles = np.r_[0.0, alive[:-1] - alive[1:]]
+    # a channel's count at the stop, where min_{i != j} A_i is t or, at the
+    # budget, at least t: then the pixel stops there or times out
+    others = before * after
+    stop_by_others = np.c_[np.zeros(len(kept)), others[:, :-1] - others[:, 1:]]
+    if timeout:
+        cycles[-1] = alive[-2]
+        stop_by_others[:, -1] = others[:, -2]
+    losers = 0.0
+    if n_max > 1:  # at n_max 1 a channel below it reads 0
+        below = np.maximum(t - 1, 0)
+        g = t * qk * bdtr(np.minimum(n_max - 2, below), below, qk)
+        never = np.ones(q.size, bool)
+        never[kept] = False
+        losers = (stop_by_others * g).sum() + q[never].sum() * (t * cycles).sum()
+    return cycles, winner, losers
+
+
+def discrete_ks_pvalue(sample, pmf):
+    """The KS p-value of integer samples against a law on 0..len(pmf) - 1,
+    the distance taken at the law's support points; for a discrete law the
+    continuous p-value is conservative."""
+    size = max(len(pmf), sample.max() + 1)
+    ecdf = np.cumsum(np.bincount(sample, minlength=size)) / sample.size
+    cdf = np.cumsum(np.r_[pmf, np.zeros(size - len(pmf))])
+    return stats.kstwo.sf(np.abs(ecdf - cdf).max(), sample.size)
+
+
+@pytest.fixture(scope="module")
+def natural_pixels():
+    """256 pixels of the natural 200x150 frame at d_max 80, drawn without
+    replacement: flat shadow, texture and occlusion, 82 channels each."""
+    left, right = natural_scene_pair(200, 150, 12, 1)
+    volume = build_likelihood_volume(
+        compute_features(left), compute_features(right), ModelParams(d_max=80)
+    )
+    rates = volume.rates.reshape(-1, volume.rates.shape[2])
+    return rates[np.random.default_rng(0).choice(len(rates), 256, replace=False)]
+
+
+class TestExactLaw:
+    """`race_arrivals` on sampled pixels of a natural frame against the
+    race's closed-form law: the mean cycles by z-score, the winners by a
+    chi-square pooled over pixels, the cycles by KS against the exact
+    mixture and the mean count of the channels that end below n_max by
+    z-score, each at level ALPHA."""
+
+    @pytest.mark.parametrize("case", sorted(LAW_CASES))
+    def test_race_has_the_exact_law(self, natural_pixels, case):
+        n_max, max_cycles, raised = LAW_CASES[case]
+        rates = natural_pixels.copy()
+        low = np.argsort(rates, axis=1)[:, :raised]  # never a top channel
+        under = 0.99 * _CONTENDER_CUT * rates.max(axis=1, keepdims=True)
+        np.put_along_axis(rates, low, under, axis=1)
+        pixels, m = rates.shape
+        rng = np.random.default_rng(5)
+        draws = [  # in blocks of 32 pixels, each raced LAW_RUNS times
+            race_arrivals(rng, np.repeat(block, LAW_RUNS, axis=0), n_max, max_cycles)
+            for block in np.split(rates, range(32, pixels, 32))
+        ]
+        counts, winner, cycles = (np.concatenate(part) for part in zip(*draws))
+        laws = [race_law(q, n_max, max_cycles) for q in _quantised(rates)]
+        size = max(len(law[0]) for law in laws)
+        pmf = np.array([np.r_[c, np.zeros(size - len(c))] for c, _, _ in laws])
+        # what the cut-offs leave out: LAW_TOL of each channel and the tail
+        slack = (m + 1) * LAW_TOL * size
+        z = stats.norm.isf(ALPHA / 2)
+
+        t = np.arange(size)
+        mean = pmf @ t
+        se = np.sqrt((pmf @ t**2 - mean**2).sum() / LAW_RUNS) / pixels
+        assert abs(cycles.mean() - mean.mean()) <= z * se + slack
+
+        expected = np.mean([w for _, w, _ in laws], axis=0) * cycles.size
+        observed = np.bincount(np.where(winner < 0, m, winner), minlength=m + 1)
+        main = expected >= 5
+        observed = np.r_[observed[main], observed[~main].sum()]
+        expected = np.r_[expected[main], expected[~main].sum()]
+        stat = ((observed - expected) ** 2 / np.maximum(expected, 1e-300)).sum()
+        assert stats.chi2.sf(stat, main.sum()) > ALPHA
+
+        assert discrete_ks_pvalue(cycles, pmf.mean(axis=0)) > ALPHA
+
+        losers = np.where(counts < n_max, counts, 0).sum(axis=1, dtype=np.int64)
+        losers = losers.reshape(pixels, LAW_RUNS)
+        want = np.mean([lost for _, _, lost in laws])
+        se = np.sqrt(losers.var(axis=1, ddof=1).sum() / LAW_RUNS) / pixels
+        assert abs(losers.mean() - want) <= z * se + slack * n_max
