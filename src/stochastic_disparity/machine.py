@@ -194,12 +194,12 @@ def run_machine(
 # numpy's negative_binomial rejects n * (1 - p) / p near 2**63; in shares of
 # at most this many successes it accepts every p >= 2**-53.
 ARRIVAL_SHARE = 512
-# Channels below this fraction of their pixel's top rate are outsiders: they
-# draw no arrival time, only their count at the contenders' first arrival.
-_CONTENDER_CUT = 0.1
-# numpy's hypergeometric takes populations below 10**9, and an outsider that
-# fills draws from populations of up to max_cycles cycles; with a larger
-# budget every channel contends, so none is ever an outsider.
+# Outsiders, the channels below this fraction of the top rate, draw no arrival;
+# 0.3 raced within noise of the quickest of cuts 0.1-0.5 at n_max 2 to 64.
+_CONTENDER_CUT = 0.3
+# numpy's hypergeometric takes populations below 10**9. Losing contenders
+# draw from ones below min(max_cycles + 1, this); with a larger budget every
+# channel contends, as an outsider that fills draws from up to max_cycles.
 _HYPERGEOMETRIC_LIMIT = 10**9
 
 
@@ -220,12 +220,13 @@ def race_arrivals(
 
     Only contenders, the channels with p_j >= _CONTENDER_CUT * max p, draw
     arrivals, A_j = n_max + NegBin(n_max, p_j). Let the span be the first of
-    them, capped at max_cycles. A losing contender reads Binomial(span, p_j)
-    conditioned below n_max. The channels are independent, so each outsider
-    reads Binomial(span, p_j) (`_counts_by_span`); if none of them reaches
-    n_max the race stops at the span. Otherwise `_settle_outsiders` places
-    the arrivals inside the span. At n_max 1 the race stops at the earliest
-    first firing (`_race_first_firing`).
+    them, capped at max_cycles. A contender that loses at A_j = a below L =
+    min(max_cycles + 1, 10**9) reads Hypergeometric(n_max - 1, a - n_max,
+    span), its first n_max - 1 successes being uniform in 1..a - 1; one
+    clipped at L thins its count by max(L - 1, span) to the span (`_thinned`).
+    Each outsider reads Binomial(span, p_j) (`_counts_by_span`); if none
+    reaches n_max the race stops at the span, else `_settle_outsiders` places
+    the arrivals inside it. At n_max 1 the earliest first firing stops it.
 
     Rates are quantised to q(p) = ceil(p * 2**53) / 2**53, the probability
     of `random() < p`, so p = 0 never arrives and any other rate is >= 2**-53.
@@ -259,9 +260,9 @@ def _work_arrays(size: int):
 
 
 def _race(rng, rates, top_col, n_max, max_cycles, work):
-    """The race of `race_arrivals` over C-contiguous (pixels, M) rates in
-    [0, 1], given each row's first top channel `top_col` and `_work_arrays`
-    of at least rates.size."""
+    """The race of `race_arrivals`, each losing contender read off its own
+    arrival, over C-contiguous (pixels, M) rates in [0, 1], given each row's
+    first top channel `top_col` and `_work_arrays` of at least rates.size."""
     (n, m), flat = rates.shape, rates.ravel()
     top_at = np.arange(0, n * m, m) + top_col.ravel()  # flat offsets
     top = _quantised(flat[top_at])
@@ -292,7 +293,11 @@ def _race(rng, rates, top_col, n_max, max_cycles, work):
     out[at] = n_max
     fills = arrival <= cycles[rows]
     lost = np.flatnonzero(~fills)  # gathers by index beat three by mask
-    out[at[lost]] = _binomial_below(rng, cycles[rows[lost]], p_c[lost], n_max)
+    a, t, limit = arrival[lost], cycles[rows[lost]], min(cap, _HYPERGEOMETRIC_LIMIT)
+    span = np.maximum(np.minimum(a, limit) - 1, t)  # a - 1, or S if clipped
+    k, clipped = np.full(a.shape, n_max - 1), np.flatnonzero(a >= limit)
+    k[clipped] = _binomial_below(rng, span[clipped], p_c[lost[clipped]], n_max)
+    out[at[lost]] = _thinned(rng, k, span, t)
     lead = np.minimum.reduceat(np.where(fills, cols, m), starts)
     winner = np.where(lead < m, lead, -1)
 
@@ -370,10 +375,10 @@ def _settle_outsiders(rng, result, rows, cols, k, n_max):
     Given k successes by the span, their cycles are a uniform k-subset of
     1..span (Devroye 1986), so the outsider's arrival is its n_max-th
     smallest (`_nth_position`). T is the earliest arrival of the pixel and
-    the winner the lowest index arriving at T. A channel that fills at
-    a > T placed its first n_max - 1 successes uniformly in 1..a - 1, so it
-    reads Hypergeometric(n_max - 1, a - n_max, T); one with K < n_max
-    successes by the span reads Hypergeometric(K, span - K, T).
+    the winner the lowest index arriving at T. Every other channel thins to
+    T (`_thinned`) by the rule of `_race`'s losing contenders: one that
+    fills at a > T reads Hypergeometric(n_max - 1, a - n_max, T), and one
+    with K < n_max successes by the span Hypergeometric(K, span - K, T).
     """
     counts, winner, cycles = result
     pixels, at = np.unique(rows, return_inverse=True)
@@ -384,17 +389,22 @@ def _settle_outsiders(rng, result, rows, cols, k, n_max):
     held[at, cols] = k
     arrival[at, cols] = _nth_position(rng, k, n_max, span[at, 0])
     stop = arrival.min(axis=1, keepdims=True)
-    t = np.broadcast_to(stop, held.shape)
-    late = (arrival > stop) & (arrival <= span)
-    thin = (arrival > span) & (stop < span) & (held > 0)
-    if late.any():  # numpy's hypergeometric costs ~40 us even when empty
-        held[late] = rng.hypergeometric(n_max - 1, arrival[late] - n_max, t[late])
-    if thin.any():
-        held[thin] = rng.hypergeometric(held[thin], (span - held)[thin], t[thin])
+    k = np.where(arrival <= span, n_max - 1, held)
+    lose, t = (arrival > stop) & (held > 0), np.broadcast_to(stop, held.shape)
+    held[lose] = _thinned(rng, k[lose], np.minimum(arrival - 1, span)[lose], t[lose])
     held[arrival == stop] = n_max
     counts[pixels] = held
     winner[pixels] = arrival.argmin(axis=1)
     cycles[pixels] = stop[:, 0]
+
+
+def _thinned(rng, k: np.ndarray, span: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """How many of k cycles drawn uniformly from 1..span lie in 1..t:
+    Hypergeometric(k, span - k, t), written into k, and k where t = span."""
+    thin = np.flatnonzero(t < span)
+    if thin.size:  # numpy's hypergeometric costs ~40 us even when empty
+        k[thin] = rng.hypergeometric(k[thin], span[thin] - k[thin], t[thin])
+    return k
 
 
 def _nth_position(rng, k: np.ndarray, n: int, span: np.ndarray) -> np.ndarray:

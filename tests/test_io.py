@@ -696,7 +696,7 @@ class TestCli:
         assert capsys.readouterr().out == (
             "n_max,rms,f1,cycles_mean,cycles_sd,timeouts\n"
             "1,0.239432,0.133217,1.1491,0.8542,0\n"
-            "16,0.062628,0.361404,20.5208,15.2693,0\n"
+            "16,0.062262,0.361478,20.4802,14.8304,0\n"
         )
         for seed in (1, 2):
             args = ["disparity", *pair, "--seed", str(seed),
@@ -705,7 +705,7 @@ class TestCli:
         capsys.readouterr()
         dumps = [str(tmp_path / f"d{seed}.bin") for seed in (1, 2)]
         assert main(["compare", *dumps]) == EXIT_OK
-        assert capsys.readouterr().out == "rms,f1,n_matched\n0.091013,0.757243,4978\n"
+        assert capsys.readouterr().out == "rms,f1,n_matched\n0.090684,0.752456,4965\n"
 
     def test_estimate_prints_projection(self, capsys):
         args = ["estimate", "--cycles-per-pixel", "27.97"]
