@@ -521,8 +521,8 @@ class TestBoundsOnRawRates:
 
 class TestOutsiderFallback:
     """The exact fallback for an outsider whose count reached n_max by the
-    span, against closed-form laws: rates under the contender cut fill first
-    too rarely for the equivalence tests to see each step."""
+    span, against closed-form laws: the equivalence tests see its steps only
+    through whole races."""
 
     def test_arrival_is_an_order_statistic_of_uniform_positions(self):
         # the 2nd smallest of a uniform 3-subset of 1..10
@@ -630,8 +630,9 @@ class TestLoserRule:
 
 
 class TestBinomialBelow:
-    """The redraw of a losing contender's count, Binomial(span, p) below
-    n_max, against the exact truncated law at spans up to the race's reach."""
+    """The redraw of a clipped losing contender's count, Binomial(span, p)
+    below n_max, against the exact truncated law at spans up to the race's
+    reach."""
 
     @pytest.mark.parametrize("span", [200, 10**7, 10**14, 10**16])
     def test_law_is_exact_at_large_spans(self, span):
