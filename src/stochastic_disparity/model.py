@@ -22,7 +22,9 @@ from .pgm import check_gray_pixels
 
 KERNEL_SIZE = 5
 BORDER = KERNEL_SIZE - 1  # feature maps lose 4 pixels per dimension
-_IMAGE_BLOCK = 2**15  # output pixels per band of the front end and the render
+# output pixels per band of `compute_features` and the render, and the fewest
+# valid pixels of a group of race bands that `BandRates` computes features for
+_IMAGE_BLOCK = 2**15
 _SUB_BAND = 2**9  # about the valid pixels per sub-band of `BandRates.builder`
 # numpy's smallest ufunc buffer, in elements, which the sub-band kernels run
 # at: a subtraction of the broadcast left codes and the reversed window of
@@ -205,26 +207,41 @@ def _image_rows(width: int) -> int:
     return -(-_IMAGE_BLOCK // width)
 
 
-def compute_features(img: np.ndarray) -> FeatureMaps:
-    """Apply the three 5x5 filters with valid-region support, exactly: int32
-    5-pixel column and row sums give the correlations, each formed and
-    rounded half away from zero in place in its own int32 array, then stored
-    in int16 maps. No response is near a tie (box/25 is a multiple of
-    0.04, 127 * ramp / 3825 at least 1/7650 from a half-integer), so rounding
-    the floats agrees. The maps are written band by band of `_image_rows`,
-    each read with its 4-row halo, so no full-frame sum is held."""
-    img = validate_gray_image(img)
+def _feature_shape(img: np.ndarray) -> tuple:
+    """The (height, width) of the feature maps of a validated image."""
     if img.shape[0] < KERNEL_SIZE or img.shape[1] < KERNEL_SIZE:
         raise ValueError("image smaller than the 5x5 filter support")
-    h, w = img.shape[0] - BORDER, img.shape[1] - BORDER
-    maps = [np.empty((h, w), np.int16) for _ in FEATURE_NAMES]
+    return img.shape[0] - BORDER, img.shape[1] - BORDER
+
+
+def _feature_rows(img: np.ndarray, rows: slice, out: np.ndarray) -> None:
+    """Feature rows `rows` of a validated image into `out`, a (3, n, W)
+    int16 array of mean, grad_h and grad_v, read from image rows `rows` and
+    their 4-row halo: int32 5-pixel column and row sums give the
+    correlations, each formed and rounded half away from zero in place in
+    its own int32 array. No response is near a tie (box/25 is a multiple of
+    0.04, 127 * ramp / 3825 at least 1/7650 from a half-integer), so
+    rounding the floats agrees, and any split of the rows gives the same
+    features."""
+    pixels = img[rows.start : rows.stop + BORDER].astype(np.int32)
+    cols, sums = _window_sums(pixels, 0), _window_sums(pixels, 1)
+    del pixels
+    out[0] = _rounded(_window_sums(cols, 1), 1, KERNEL_SIZE**2)
+    out[1] = _rounded(_ramps(cols, 1), 127, 3825)
+    out[2] = _rounded(_ramps(sums, 0), 127, 3825)
+
+
+def compute_features(img: np.ndarray) -> FeatureMaps:
+    """Apply the three 5x5 filters with valid-region support, exactly, into
+    int16 maps: the whole-frame adapter of `_feature_rows`, called band by
+    band of `_image_rows`, so no full-frame sum is held. `BandRates` calls
+    the same function for its groups of bands and holds no maps."""
+    img = validate_gray_image(img)
+    h, w = _feature_shape(img)
+    maps = np.empty((len(FEATURE_NAMES), h, w), np.int16)
     band = _image_rows(w)
     for y in range(0, h, band):
-        pixels = img[y : y + band + BORDER].astype(np.int32)
-        cols, rows = _window_sums(pixels, 0), _window_sums(pixels, 1)
-        maps[0][y : y + band] = _rounded(_window_sums(cols, 1), 1, KERNEL_SIZE**2)
-        maps[1][y : y + band] = _rounded(_ramps(cols, 1), 127, 3825)
-        maps[2][y : y + band] = _rounded(_ramps(rows, 0), 127, 3825)
+        _feature_rows(img, slice(y, min(y + band, h)), maps[:, y : y + band])
     return FeatureMaps(*maps)
 
 
@@ -288,6 +305,16 @@ def _rows_per_band(width: int) -> int:
     return -(-RACE_BLOCK // width)
 
 
+def _rows_per_group(width: int) -> int:
+    """Rows of a group of G = ceil(`_IMAGE_BLOCK` / (R * `width`)) whole
+    bands of `_rows_per_band`, whose features `BandRates` computes at once,
+    so the front end pays its 4-row halo on at least `_IMAGE_BLOCK` valid
+    pixels. Features are exact, so groups are no term of the determinism
+    contract."""
+    band = _rows_per_band(width)
+    return band * -(-_IMAGE_BLOCK // (band * width))
+
+
 def _thread_cap() -> int:
     """The most threads a stage starts: the usable cores, plus one."""
     usable = getattr(os, "sched_getaffinity", None)  # not on every platform
@@ -336,16 +363,27 @@ def _likelihood_tables(params: ModelParams):
 class BandRates:
     """The one rate builder, and the rates of `build_likelihood_volume` with
     no volume: `_walk_bands` builds each band as one (n, W_valid, d_max + 2)
-    array, bit for bit the volume's rows; `np.asarray` builds none."""
+    array, bit for bit the volume's rows; `np.asarray` builds none. Its two
+    views are two images or two `FeatureMaps`. Each builder computes an
+    image's features inside the walk, a group of whole bands at a time
+    (`_rows_per_group`), so rates built from images, a run's and a `both`
+    run's rescoring, hold no full-frame feature map; a map's rows are
+    sliced."""
 
-    def __init__(self, fmaps_l: FeatureMaps, fmaps_r: FeatureMaps, params):
-        (h, w), d_max = fmaps_l.mean.shape, params.d_max
-        if fmaps_r.mean.shape != (h, w):
-            raise ValueError("left and right feature maps must have equal shapes")
+    def __init__(self, left, right, params):
+        d_max = params.d_max
+        if isinstance(left, FeatureMaps) and isinstance(right, FeatureMaps):
+            (h, w), views = left.mean.shape, (left, right)
+            if right.mean.shape != (h, w):
+                raise ValueError("left and right feature maps must have equal shapes")
+        else:
+            views = validate_gray_image(left), validate_gray_image(right)
+            check_pair_shapes(*views)
+            h, w = _feature_shape(views[0])
         if w <= d_max:
             raise ValueError(f"feature maps of width {w} leave no valid pixels "
                              f"at d_max={d_max}")
-        self.maps, self.d_max = (fmaps_l, fmaps_r), d_max
+        self.views, self.d_max = views, d_max
         self.shape = (h, w - d_max, d_max + 2)
         tables = _likelihood_tables(params)  # products stay in [0, 1] if these do
         if not all(0 <= t.min() <= t.max() <= 1 for t in tables):
@@ -353,20 +391,46 @@ class BandRates:
         t_m, t_h, *self.tables = tables  # t_v, t_nm
         self.pair = (t_m[:, None] * t_h).ravel()
 
+    def _features(self):
+        """features(rows): each view's (mean, grad_h, grad_v) rows `rows` of
+        one band, stacked as (2, 3, n, W). `FeatureMaps` rows are sliced. An
+        image's are read from int16 buffers made here that hold the group of
+        whole bands holding `rows`, computed by `_feature_rows` when a band
+        of another group is asked for."""
+        views, (h, w_valid, _) = self.views, self.shape
+        if isinstance(views[0], FeatureMaps):
+            return lambda rows: [[getattr(v, n)[rows] for n in FEATURE_NAMES]
+                                 for v in views]
+        group = _rows_per_group(w_valid)
+        held = np.empty((2, 3, min(group, h), w_valid + self.d_max), np.int16)
+        start = None  # the first row of the group in `held`
+
+        def features(rows):
+            nonlocal start
+            if start != rows.start - rows.start % group:
+                start = rows.start - rows.start % group
+                stop = min(start + group, h)
+                for img, out in zip(views, held):
+                    _feature_rows(img, slice(start, stop), out[:, : stop - start])
+            return held[:, :, rows.start - start : rows.stop - start]
+
+        return features
+
     def builder(self, n_rows: int):
         """build(rows): the rates of up to `n_rows` rows in one C-contiguous
-        buffer its next call reuses, the only one the size of a band. It is
-        filled sub-band by sub-band of about `_SUB_BAND` valid pixels (whole
-        rows, or equal runs of one row where a row is wider), so the scratch
-        and the 2 MB `pair` table share the cache. In each, a subtraction of
-        intp codes indexes `pair`, t_m * t_h at (dm + 255) * 511 + dh + 255,
-        and t_v gives the third factor, multiplied in that order; then the
-        no-match rate. A rate is the product of the same entries whatever
-        the sub-band, so sub-bands are no term of the determinism contract,
-        nor is the `_SUB_BAND_BUFSIZE` the sub-band kernels run at: the
-        calling thread's ufunc buffer size is restored after them."""
-        (fmaps_l, fmaps_r), (t_v, t_nm), d_max = self.maps, self.tables, self.d_max
-        w, (_, w_valid, channels) = fmaps_l.width, self.shape
+        buffer its next call reuses, the only one the size of a band, from its
+        own `_features`. It is filled sub-band by sub-band of about `_SUB_BAND`
+        valid pixels (whole rows, or equal runs of one row where a row is
+        wider), so the scratch and the 2 MB `pair` table share the cache. In
+        each, a subtraction of intp codes indexes `pair`, t_m * t_h at (dm +
+        255) * 511 + dh + 255, and t_v gives the third factor, multiplied in
+        that order; then the no-match rate. A rate is the product of the same
+        entries whatever the sub-band, so sub-bands are no term of the
+        determinism contract, nor is the `_SUB_BAND_BUFSIZE` the sub-band
+        kernels run at: the calling thread's ufunc buffer size is restored
+        after them."""
+        (t_v, t_nm), d_max, (_, w_valid, channels) = self.tables, self.d_max, self.shape
+        w, features = w_valid + d_max, self._features()
         # [view][mean-grad_h, grad_v] and a pad column. [code, y, x, d] is the
         # right partner of valid pixel x at disparity d, the pad at d_max + 1;
         # right codes are held reversed in x so d runs forward, a unit stride.
@@ -390,12 +454,13 @@ class BandRates:
                            code_l[at], right[0][at], gv_l[at], right[1][at])
 
         def build(rows):
-            n = rows.stop - rows.start
-            views = zip((fmaps_l, fmaps_r), codes[:, :, :n, :w], (1, -1))
-            for fmaps, (code, gv), dx in views:
-                code[...], gv[...] = fmaps.mean[rows, ::dx], fmaps.grad_v[rows, ::dx]
+            n, maps = rows.stop - rows.start, features(rows)
+            for (mean, grad_h, grad_v), (code, gv), dx in zip(
+                maps, codes[:, :, :n, :w], (1, -1)
+            ):
+                code[...], gv[...] = mean[:, ::dx], grad_v[:, ::dx]
                 code *= _SPAN
-                code += fmaps.grad_h[rows, ::dx]
+                code += grad_h[:, ::dx]
             code_l[:n] += 255 * _SPAN + 255
             gv_l[:n] += 255
             if n not in sub_bands:
@@ -417,7 +482,7 @@ class BandRates:
             finally:
                 np.setbufsize(caller_bufsize)
             band = rates[:n]
-            gv = fmaps_l.grad_v[rows, d_max:] + 127
+            gv = maps[0][2][:, d_max:] + 127
             band[..., -1] = t_nm.take(gv, mode="wrap")
             return band
 

@@ -11,8 +11,7 @@ from .bitstream import DEFAULT_MAX_CYCLES
 from .dump import COUNT_MAX, D_MAX_LIMIT, write_dump
 from .engine import MODES, StochasticResult, _band_pass
 from .machine import check_race_args
-from .model import BandRates, ModelParams, Outcome, _image_rows
-from .model import check_pair_shapes, compute_features
+from .model import BandRates, ModelParams, Outcome, _image_rows, check_pair_shapes
 from .pgm import load_image, save_image
 from .reference import ReferenceResult
 
@@ -64,15 +63,21 @@ class RunConfig:
                 raise ValueError("crop rectangle outside the image")
         if not 0.0 <= self.timeout_warn_fraction <= 1.0:
             raise ValueError("timeout_warn_fraction must lie in [0, 1]")
-        check_output_dirs(self.reference_image_out, *stochastic_outs)
+        outputs = [self.reference_image_out, *stochastic_outs]
+        resolved = [Path(p).resolve() for p in outputs if p is not None]
+        for path in resolved:
+            if resolved.count(path) > 1:  # one artifact would replace another
+                raise ValueError(f"two outputs name one file: {path}")
+        check_output_dirs(*outputs)
 
 
 @dataclass
 class PipelineSummary:
     """Each engine's result, or None, from one `engine._band_pass` over
-    `BandRates`. The oracle's is its `Outcome` alone in `reference` mode and
-    in `both` mode a `ReferenceResult` whose rates are the `BandRates`: no
-    mode holds the volume."""
+    `BandRates` of the two images. The oracle's is its `Outcome` alone in
+    `reference` mode and in `both` mode a `ReferenceResult` whose rates are
+    the `BandRates`, which rebuild features and rates band by band when
+    scored: no mode holds the volume or a feature map."""
 
     reference: Optional[Outcome]
     stochastic: Optional[StochasticResult]
@@ -92,7 +97,8 @@ def _apply_crop(img: np.ndarray, crop: Tuple[int, int, int, int]) -> np.ndarray:
     x, y, w, h = crop
     if x + w > img.shape[1] or y + h > img.shape[0]:
         raise ValueError("crop rectangle outside the image")
-    return img[y : y + h, x : x + w]
+    # a copy, so the `BandRates` that hold the crop do not hold the image
+    return img[y : y + h, x : x + w].copy()
 
 
 def render_disparity(
@@ -115,8 +121,11 @@ def render_disparity(
 def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
     """Run the configured engines on one stereo pair and write artifacts.
 
-    Progress and cycle statistics go to `log` (stderr by default); images,
-    dumps and tables only ever go to the configured output paths.
+    The images go to `BandRates`, so the front end runs inside the one band
+    pass on the `--workers` threads, a group of bands at a time, and no
+    full-frame feature map is made. Progress and cycle statistics go to
+    `log` (stderr by default); images, dumps and tables only ever go to the
+    configured output paths.
     """
     if log is None:
         log = sys.stderr
@@ -127,19 +136,16 @@ def run_pipeline(config: RunConfig, log=None) -> PipelineSummary:
         left = _apply_crop(left, config.crop)
         right = _apply_crop(right, config.crop)
 
-    fmaps_l = compute_features(left)
-    fmaps_r = compute_features(right)
+    # each band's features and rates are built from the images, argmaxed and
+    # raced as the mode asks, then dropped
+    rates = BandRates(left, right, config.params)
     del left, right
-    feature_width = fmaps_l.width
     d_max = config.params.d_max
-
-    # each band is built, argmaxed and raced as the mode asks, then dropped
-    rates = BandRates(fmaps_l, fmaps_r, config.params)
-    del fmaps_l, fmaps_r
+    feature_width = rates.shape[1] + d_max
     reference, stochastic = _band_pass(
         rates, config.mode, config.n_max, config.seed, config.max_cycles, config.workers
     )
-    if config.mode == "both":  # its `BandRates` keep the maps; no other mode does
+    if config.mode == "both":  # its `BandRates` keep the images; no other mode does
         reference = ReferenceResult(reference.winner, d_max, rates)
     del rates
     if reference is not None and config.reference_image_out is not None:

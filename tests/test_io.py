@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import stochastic_disparity
-from stochastic_disparity import cli, metrics, pgm, pipeline
+from stochastic_disparity import cli, model, pgm, pipeline
 from stochastic_disparity import dump as dump_module
 from stochastic_disparity.cli import EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, EXIT_TIMEOUT
 from stochastic_disparity.cli import EXIT_VALIDATION
@@ -907,6 +907,29 @@ class TestCli:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        "first, second",
+        [("--ref-out", "--stoch-out"), ("--ref-out", "--dump-out"),
+         ("--stoch-out", "--dump-out")],
+    )
+    def test_two_outputs_naming_one_file_exit_with_code_2_before_reading_an_image(
+        self, first, second, tmp_path, monkeypatch, capsys
+    ):
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(pipeline, "load_image", unread)
+        (tmp_path / "sub").mkdir()
+        missing = tmp_path / "missing.pgm"
+        args = self.disparity_args(tmp_path, missing, missing)
+        # one file, spelled two ways
+        args[args.index(first) + 1] = str(tmp_path / "out.pgm")
+        args[args.index(second) + 1] = str(tmp_path / "sub" / ".." / "out.pgm")
+        assert main(args) == EXIT_VALIDATION
+        shared = (tmp_path / "out.pgm").resolve()
+        assert f"two outputs name one file: {shared}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+    @pytest.mark.parametrize(
         "output", ["--ref-out", "--stoch-out", "--dump-out", "--out"]
     )
     def test_missing_output_directory_exits_with_code_3_before_reading_an_image(
@@ -973,11 +996,11 @@ class TestCli:
     def test_unequal_images_exit_with_code_2_before_any_filtering(
         self, command, tmp_path, monkeypatch, capsys
     ):
-        def unfiltered(img):
+        def unfiltered(img, rows, out):
             raise AssertionError("an image was filtered")
 
-        for module in (pipeline, metrics):
-            monkeypatch.setattr(module, "compute_features", unfiltered)
+        # every feature row, of `BandRates` and of `compute_features`
+        monkeypatch.setattr(model, "_feature_rows", unfiltered)
         rng = np.random.default_rng(0)
         paths = [tmp_path / "left.pgm", tmp_path / "right.pgm"]
         for path, width in zip(paths, (120, 100)):

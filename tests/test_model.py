@@ -1,5 +1,6 @@
 """Feature filters, likelihood mapping and fusion problem assembly."""
 
+import io
 import math
 import os
 import subprocess
@@ -30,6 +31,8 @@ from stochastic_disparity.model import (
     likelihood,
     nomatch_probability,
 )
+from stochastic_disparity.pgm import save_image
+from stochastic_disparity.pipeline import RunConfig, run_pipeline
 from stochastic_disparity.synthetic import natural_scene_pair, planted_shift_pair
 
 
@@ -613,6 +616,65 @@ class TestBandRatesBuilder:
         assert rates.shape == (n_rows, width - params.d_max, params.machine_width)
         assert held < 1.5 * rates.nbytes
         assert peak < 1.75 * rates.nbytes
+
+
+class TestImageBandRates:
+    """`BandRates` of two images compute the features of a group of whole
+    bands at a time (`_rows_per_group`) in each builder's own int16 buffers,
+    through the `_feature_rows` that `compute_features` calls: every band's
+    rates are those of the images' feature maps, bit for bit, and a run
+    holds no full-frame feature map."""
+
+    @pytest.mark.parametrize("group_bands", [1, 2, 3])
+    def test_every_band_equals_the_feature_maps_band(self, monkeypatch, group_bands):
+        # 9 rows of 44 valid pixels in 2-row bands, the last of 1 row; groups
+        # of 1-3 bands, the last one short. Bands are asked for out of
+        # order, so a builder returns to a group it has left
+        monkeypatch.setattr(model, "RACE_BLOCK", 80)
+        monkeypatch.setattr(model, "_IMAGE_BLOCK", group_bands * 88)
+        params = ModelParams(d_max=16)
+        images = natural_scene_pair(64, 13, 8, 3, content_x=10)
+        assert model._rows_per_group(44) == 2 * group_bands
+        from_images = model.BandRates(*images, params).builder(2)
+        from_maps = model.BandRates(*map(compute_features, images), params).builder(2)
+        for k in (3, 0, 4, 1, 2, 0):
+            rows = slice(2 * k, min(2 * k + 2, 9))
+            got = from_images(rows).view(np.uint64)
+            np.testing.assert_array_equal(got, from_maps(rows).view(np.uint64))
+
+    def test_images_are_checked_as_the_front_end_checks_them(self):
+        params = ModelParams(d_max=4)
+        img = np.zeros((8, 12), np.uint8)
+        cases = [
+            ((img, img[:, :10]), ValueError, "image dimensions differ"),
+            ((img[:4], img[:4]), ValueError, "smaller than the 5x5"),
+            ((img, np.full((8, 12), np.nan)), ValueError, "integers"),
+            ((img[:, :8], img[:, :8]), ValueError, "no valid pixels"),
+            ((img, compute_features(img)), ValueError, "non-empty 2-D array"),
+        ]
+        for (left, right), error, message in cases:
+            with pytest.raises(error, match=message):
+                model.BandRates(left, right, params)
+
+    def test_a_vga_reference_run_holds_no_feature_maps(self, tmp_path):
+        # the six full-frame int16 maps of a VGA pair are 3.6 MB; with them a
+        # run peaked at 7.26 MB. The 2 MB mean-grad_h table, the images, the
+        # int16 winner grid, the render and each builder's band and group
+        # buffers remain
+        paths = tmp_path / "left.pgm", tmp_path / "right.pgm"
+        images = planted_shift_pair(640, 480, 20, seed=1, noise_sigma=20)
+        for path, img in zip(paths, images):
+            save_image(path, img)
+        config = RunConfig(
+            *paths, mode="reference", reference_image_out=tmp_path / "ref.pgm"
+        )
+        tracemalloc.start()
+        try:
+            run_pipeline(config, log=io.StringIO())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestBuildPixelSpec:

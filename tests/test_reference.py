@@ -175,10 +175,10 @@ class TestReferenceOutcome:
 
     def test_reference_mode_never_holds_the_volume(self, tmp_path):
         # a 640x480 pair has a 476 x 556 x 82 float64 volume, 174 MB; one
-        # band of rates, the int16 feature maps, one band of the front end's
-        # sums and the int16 winner grid are about a twentieth of it. Small
-        # grids do not show this: the feature maps and the 511 x 511
-        # mean-grad_h table stay a fixed share.
+        # band of rates, one group of int16 features and its sums, the images
+        # and the int16 winner grid are about a thirtieth of it. Small grids
+        # do not show this: the images and the 511 x 511 mean-grad_h table
+        # stay a fixed share.
         paths = write_pair(
             tmp_path, *planted_shift_pair(640, 480, 20, seed=1, noise_sigma=20)
         )
@@ -199,8 +199,8 @@ class TestReferenceOutcome:
     def test_both_mode_never_holds_the_volume(self, workers, tmp_path):
         # the same 174 MB volume; a `both` run that writes every artifact
         # holds the uint8 counts (22 MB), the winner, cycles and oracle grids
-        # (2 MB each), the feature maps and each thread's band buffers, and
-        # builds the oracle's rates again only band by band
+        # (2 MB each), the images and each thread's band and group buffers,
+        # and builds the oracle's rates again only band by band
         paths = write_pair(
             tmp_path, *planted_shift_pair(640, 480, 20, seed=1, noise_sigma=20)
         )

@@ -140,6 +140,80 @@ class TestStagesEqualTheSerialRun:
         assert csv[1:] == [csv[0]] * len(THREADED)
 
 
+def small_groups(monkeypatch):
+    """2-row bands of the 44-pixel rows in 6-row feature groups: 7 groups
+    over 37 rows, the last of one row."""
+    monkeypatch.setattr(model, "RACE_BLOCK", 80)
+    monkeypatch.setattr(model, "_IMAGE_BLOCK", 3 * 88)
+    assert model._rows_per_group(44) == 6
+    return [(y, min(y + 6, 37)) for y in range(0, 37, 6)]
+
+
+class TestFrontEndInThePass:
+    """`run_pipeline` computes each image's features inside the band pass, a
+    group of bands at a time, on the threads that build the rates."""
+
+    def test_one_worker_computes_each_group_once(self, monkeypatch, tmp_path):
+        groups = small_groups(monkeypatch)
+        paths = write_pair(tmp_path, pair(37))
+        computed, feature_rows = [], model._feature_rows
+
+        def counted(img, rows, out):
+            computed.append((rows.start, rows.stop))
+            return feature_rows(img, rows, out)
+
+        monkeypatch.setattr(model, "_feature_rows", counted)
+        want = [group for group in groups for _ in "lr"]  # left, then right
+        for mode in ("reference", "stochastic", "both"):
+            computed.clear()
+            config = RunConfig(*paths, params=PARAMS, mode=mode, workers=1)
+            summary = run_pipeline(config, log=io.StringIO())
+            assert computed == want, mode
+        # scoring a `both` run builds its oracle's bands again, group by group
+        computed.clear()
+        compare_results(summary.stochastic, summary.reference)
+        assert computed == want
+
+    def test_two_workers_run_it_on_a_pool_thread(self, monkeypatch, tmp_path):
+        small_groups(monkeypatch)
+        paths = write_pair(tmp_path, pair(37))
+        config = RunConfig(*paths, params=PARAMS, mode="reference", workers=1)
+        serial = run_pipeline(config, log=io.StringIO()).reference.winner
+        on_pool, pooled, feature_rows = [], threading.Event(), model._feature_rows
+
+        def spy(img, rows, out):
+            on_pool.append(threading.current_thread() is not threading.main_thread())
+            if on_pool[-1]:
+                pooled.set()
+            else:
+                pooled.wait(timeout=60)  # a pool thread computes a group first
+            return feature_rows(img, rows, out)
+
+        monkeypatch.setattr(model, "_feature_rows", spy)
+        config = RunConfig(*paths, params=PARAMS, mode="reference", workers=2)
+        got = run_pipeline(config, log=io.StringIO()).reference.winner
+        assert True in on_pool
+        assert got.tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scores_of_a_both_run_equal_the_volume_paths(
+        self, monkeypatch, interleaved, tmp_path, workers
+    ):
+        # the volume is built from `compute_features` maps, which a run held
+        # before its front end moved into the pass
+        small_groups(monkeypatch)
+        images = pair(37)
+        volume = build_likelihood_volume(*map(compute_features, images), PARAMS)
+        run, reference = run_stochastic_grid(volume, 16, 4), reference_infer(volume)
+        want = compare_results(run, reference)
+        config = RunConfig(
+            *write_pair(tmp_path, images), params=PARAMS, n_max=16, seed=4,
+            workers=workers,
+        )
+        summary = run_pipeline(config, log=io.StringIO())
+        assert compare_results(summary.stochastic, summary.reference, workers) == want
+
+
 class TestThreads:
     def test_one_worker_starts_no_thread(self, monkeypatch, tmp_path):
         def refuse(thread):
